@@ -17,9 +17,9 @@ from .chars import Character
 from .dsl import evaluate_text, parse_scalar
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
                      HalfIntegerError, LfacError, LfacEvalError,
-                     LfacSyntaxError, ScalarDomainError, SimilitudeViolation,
-                     TypeConstraintViolation, UnsupportedPair,
-                     UnsupportedTensor)
+                     LfacSyntaxError, LfacValueError, ScalarDomainError,
+                     SimilitudeViolation, TypeConstraintViolation,
+                     UnsupportedPair, UnsupportedTensor)
 from .poles import (NovSplit, PoleEntry, PoleReport, PsSplit,
                     exceptional_poles, hom_dim, ideals_JK, nov_split,
                     ps_split, subregular_poles)
@@ -37,6 +37,7 @@ __all__ = [
     "Block", "CatalogFormatError", "CentralCharacterMismatch", "CharPart",
     "Character", "CheckReport", "Gl2Param", "Gsp4Param", "HalfIntegerError",
     "IdealGen", "IrredPart", "LfacError", "LfacEvalError", "LfacSyntaxError",
+    "LfacValueError",
     "NovSplit", "PoleEntry", "PoleReport", "PsSplit", "Scalar",
     "ScalarDomainError", "SimilitudeViolation", "SplitRational",
     "TrialProfile", "TypeConstraintViolation", "UnsupportedPair",

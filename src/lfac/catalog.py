@@ -19,19 +19,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 from .chars import Character
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
                      SimilitudeViolation, TypeConstraintViolation,
-                     UnsupportedPair)
+                     UnsupportedPair, UnsupportedTensor)
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, char_rep,
-                    similitude_check, tensor_lfactor, twin_pair)
+                    similitude_check, tensor_lfactor)
 
-__all__ = ["Gl2Param", "Gsp4Param", "gl2_param", "gsp4_param", "theta_lift",
-           "nov_lfactor", "rs_lfactor", "load_catalog", "default_catalog",
-           "principal_series", "steinberg", "supercuspidal"]
+__all__ = ["Gl2Param", "Gsp4Param", "Gsp4Type", "GSP4_TYPES", "gl2_param",
+           "gsp4_param", "theta_lift", "nov_lfactor", "rs_lfactor",
+           "load_catalog", "default_catalog", "principal_series", "steinberg",
+           "supercuspidal"]
 
 _TRIV = Character.trivial()
 
@@ -108,6 +110,7 @@ class Gsp4Param:
     st_type: str                                  # catalog type tag or FREE
     theta: tuple[Gl2Param, Gl2Param] | None = None
     args: tuple | None = None                     # constructor data, for rendering
+    entry: str | None = None                      # GSP4_TYPES name that built args
 
     def lfactor(self) -> SplitRational:
         return lfactor(self.rep)
@@ -117,14 +120,21 @@ class Gsp4Param:
         return Gsp4Param(self.rep.substitute(values),
                          self.similitude.substitute(values), self.st_type,
                          (th[0].substitute(values), th[1].substitute(values))
-                         if th else None, None)
+                         if th else None,
+                         None if self.args is None else tuple(
+                             a if isinstance(a, str) else a.substitute(values)
+                             for a in self.args),
+                         self.entry)
 
 
-def _make(rep: WDRep, sim: Character, st_type: str, args=None, theta=None) -> Gsp4Param:
+def _make(rep: WDRep, sim: Character, st_type: str, args=None, theta=None,
+          entry=None) -> Gsp4Param:
+    # the registry name defaults to the type tag; only SC has two entries
     if not similitude_check(rep, sim):
         raise SimilitudeViolation(
             "declared similitude %s fails the dual-twist check" % sim)
-    return Gsp4Param(rep, sim, st_type, theta, args)
+    return Gsp4Param(rep, sim, st_type, theta, args,
+                     None if args is None else entry or st_type)
 
 
 def free(rep: WDRep, similitude: Character) -> Gsp4Param:
@@ -184,7 +194,8 @@ def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
     similitude is recorded as self-duality data (det = similitude^2)."""
     part = IrredPart(4, label, base_det=similitude ** 2,
                      selfdual_twist=similitude.inverse())
-    return _make(WDRep([Block(part, 0)]), similitude, "SC", (label, similitude))
+    return _make(WDRep([Block(part, 0)]), similitude, "SC", (label, similitude),
+                 entry="sc4")
 
 
 def sc_pair(label1: str, label2: str, det: Character = _TRIV) -> Gsp4Param:
@@ -194,7 +205,7 @@ def sc_pair(label1: str, label2: str, det: Character = _TRIV) -> Gsp4Param:
         raise TypeConstraintViolation("supercuspidal pair needs distinct labels")
     rep = WDRep([Block(IrredPart(2, label1, base_det=det), 0),
                  Block(IrredPart(2, label2, base_det=det), 0)])
-    return _make(rep, det, "SC", (label1, label2, det))
+    return _make(rep, det, "SC", (label1, label2, det), entry="scpair")
 
 
 def theta_lift(tau1: Gl2Param, tau2: Gl2Param) -> Gsp4Param:
@@ -370,16 +381,44 @@ def type_XIa(label: str, sigma: Character, catalog=None) -> Gsp4Param:
                         (label, sigma))
 
 
-_GSP4 = {"I": type_I, "IIa": type_IIa, "IIIa": type_IIIa, "IVa": type_IVa,
-         "Va": type_Va, "VIa": type_VIa, "VII": type_VII, "VIIIa": type_VIIIa,
-         "IXa": type_IXa, "X": type_X, "XIa": type_XIa, "sc4": sc_irred4,
-         "sc22": sc_pair, "free": free}
+@dataclass(frozen=True)
+class Gsp4Type:
+    """One GSp(4) constructor as the expression language spells it.
+
+    sig has one letter per argument: "l" a bare-name label (labels lead),
+    "c" a character, "r" a representation; the last `optional` arguments
+    may be left out.  A catalog-backed constructor is built from the shape
+    data file and takes catalog=.
+    """
+    name: str
+    ctor: Callable[..., Gsp4Param]
+    sig: str
+    optional: int = 0
+    catalog: bool = False
 
 
-def gsp4_param(st_type: str, *args, **kwargs) -> Gsp4Param:
-    if st_type not in _GSP4:
-        raise TypeConstraintViolation("unknown GSp(4) type %r" % st_type)
-    return _GSP4[st_type](*args, **kwargs)
+GSP4_TYPES = {t.name: t for t in (
+    Gsp4Type("I", type_I, "ccc"),
+    Gsp4Type("IIa", type_IIa, "cc", catalog=True),
+    Gsp4Type("IIIa", type_IIIa, "cc"),
+    Gsp4Type("IVa", type_IVa, "c"),
+    Gsp4Type("Va", type_Va, "c", catalog=True),
+    Gsp4Type("VIa", type_VIa, "c", catalog=True),
+    Gsp4Type("VII", type_VII, "lcc"),
+    Gsp4Type("VIIIa", type_VIIIa, "lc"),
+    Gsp4Type("IXa", type_IXa, "lc"),
+    Gsp4Type("X", type_X, "lcc", catalog=True),
+    Gsp4Type("XIa", type_XIa, "lc", catalog=True),
+    Gsp4Type("sc4", sc_irred4, "lc", optional=1),
+    Gsp4Type("scpair", sc_pair, "llc", optional=1),
+    Gsp4Type("free", free, "rc"),
+)}
+
+
+def gsp4_param(name: str, *args, **kwargs) -> Gsp4Param:
+    if name not in GSP4_TYPES:
+        raise TypeConstraintViolation("unknown GSp(4) type %r" % name)
+    return GSP4_TYPES[name].ctor(*args, **kwargs)
 
 
 # ------------------------------------------------------------- pairing factors
@@ -393,10 +432,6 @@ def nov_lfactor(pi: Gsp4Param, sigma: Gl2Param) -> SplitRational:
     return tensor_lfactor(pi.rep, sigma.rep)
 
 
-def _sc_part(param: Gl2Param) -> IrredPart:
-    return param.rep.blocks[0].part
-
-
 def rs_lfactor(tau: Gl2Param, sigma: Gl2Param) -> SplitRational:
     """GL(2) x GL(2) pairing factor.
 
@@ -404,9 +439,8 @@ def rs_lfactor(tau: Gl2Param, sigma: Gl2Param) -> SplitRational:
     dual of tau, which raises UnsupportedPair (the value is not pinned down
     by declared data there).
     """
-    if tau.kind == "supercuspidal" and sigma.kind == "supercuspidal":
-        if twin_pair(_sc_part(tau), _sc_part(sigma)):
-            raise UnsupportedPair(
-                "supercuspidal pair related by an unramified dual twist")
-        return SplitRational.one()
-    return tensor_lfactor(tau.rep, sigma.rep)
+    try:
+        return tensor_lfactor(tau.rep, sigma.rep)
+    except UnsupportedTensor:
+        raise UnsupportedPair(
+            "supercuspidal pair related by an unramified dual twist") from None

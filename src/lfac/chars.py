@@ -10,7 +10,7 @@ unramified quadratic character is available as value -1.
 
 from __future__ import annotations
 
-from .errors import HalfIntegerError
+from .errors import HalfIntegerError, LfacValueError
 from .scalar import Scalar, _check_name, half_integer
 
 __all__ = ["Character"]
@@ -44,7 +44,7 @@ class Character:
         if not isinstance(satake, Scalar):
             satake = Scalar.from_rational(satake)
         if satake.is_zero:
-            raise ValueError("character value at the uniformizer must be nonzero")
+            raise LfacValueError("character value at the uniformizer must be nonzero")
         self.tag = _norm_tag(tag)
         self.satake = satake
 
@@ -75,6 +75,11 @@ class Character:
     def __mul__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
+        # a twist by the trivial character must not cost a Scalar multiply
+        if other.is_trivial:
+            return self
+        if self.is_trivial:
+            return other
         return Character(self.tag + other.tag, self.satake * other.satake)
 
     def __pow__(self, n):

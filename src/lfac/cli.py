@@ -143,6 +143,15 @@ def _cmd_verify(args) -> int:
 
 # -------------------------------------------------------------------- wiring
 
+def _at_least(low: int):
+    def integer(text: str) -> int:  # argparse names the type in its errors
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError("must be at least %d" % low)
+        return n
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="lfac",
@@ -186,11 +195,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run randomized identity suites")
     p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"],
                    default="all")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--budget", type=int, default=4,
+    p.add_argument("--budget", type=_at_least(1), default=4,
                    help="block budget per random representation")
-    p.add_argument("--pool", type=int, default=4,
+    p.add_argument("--pool", type=_at_least(1), default=4,
                    help="number of distinct Satake symbols")
     p.add_argument("--irred", action="store_true",
                    help="allow irreducible parts in random draws")

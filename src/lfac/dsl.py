@@ -443,27 +443,12 @@ def _fn_gl2_st(ev, vals):
     return cat.steinberg(_as_char(vals[0])) if vals else cat.steinberg()
 
 
-def _fn_gsp4_free(ev, vals):
-    _need(vals, 2, 2, "gsp4.free")
-    return cat.free(_as_rep(vals[0]), _as_char(vals[1]))
-
-
 def _fn_theta(ev, vals):
     _need(vals, 2, 2, "theta")
     t1, t2 = vals
     if not (isinstance(t1, cat.Gl2Param) and isinstance(t2, cat.Gl2Param)):
         raise LfacEvalError("theta takes two GL(2) parameters")
     return cat.theta_lift(t1, t2)
-
-
-def _chars_fn(ctor, name, count, from_catalog=False):
-    def fn(ev, vals):
-        _need(vals, count, count, name)
-        chars = [_as_char(v) for v in vals]
-        if from_catalog:
-            return ctor(*chars, catalog=ev.catalog)
-        return ctor(*chars)
-    return fn
 
 
 def _fn_exceptional(ev, vals):
@@ -506,15 +491,9 @@ _SIMPLE = {
     "unr": _fn_unr, "abs": _fn_abs, "sp": _fn_sp, "dual": _fn_dual,
     "twist": _fn_twist, "tensor": _fn_tensor, "det": _fn_det, "L": _fn_L,
     "shift": _fn_shift, "star": _fn_star, "gl2.st": _fn_gl2_st,
-    "gsp4.free": _fn_gsp4_free, "theta": _fn_theta,
+    "theta": _fn_theta,
     "exceptional": _fn_exceptional, "subregular": _fn_subregular,
     "homdim": _fn_homdim, "bessel": _fn_bessel, "polereport": _fn_polereport,
-    "gsp4.I": _chars_fn(cat.type_I, "gsp4.I", 3),
-    "gsp4.IIa": _chars_fn(cat.type_IIa, "gsp4.IIa", 2, from_catalog=True),
-    "gsp4.IIIa": _chars_fn(cat.type_IIIa, "gsp4.IIIa", 2),
-    "gsp4.IVa": _chars_fn(cat.type_IVa, "gsp4.IVa", 1),
-    "gsp4.Va": _chars_fn(cat.type_Va, "gsp4.Va", 1, from_catalog=True),
-    "gsp4.VIa": _chars_fn(cat.type_VIa, "gsp4.VIa", 1, from_catalog=True),
 }
 
 
@@ -575,17 +554,6 @@ def _sp_gl2_sc(ev, args):
     return cat.supercuspidal(label, _as_char(ev.run(args[1])))
 
 
-def _labeled_fn(ctor, name, nlabels, nchars, optional=0, from_catalog=False):
-    def fn(ev, args):
-        _need(args, nlabels + nchars - optional, nlabels + nchars, name)
-        labels = [_name_arg(a, "the %s label" % name) for a in args[:nlabels]]
-        chars = [_as_char(ev.run(a)) for a in args[nlabels:]]
-        if from_catalog:
-            return ctor(*labels, *chars, catalog=ev.catalog)
-        return ctor(*labels, *chars)
-    return fn
-
-
 def _sp_entry(ev, args):
     _need(args, 2, 4, "entry")
     root = _as_scalar(ev.run(args[0]))
@@ -606,20 +574,42 @@ def _sp_entry(ev, args):
 _SPECIAL = {
     "ram": _sp_ram, "irr": _sp_irr, "irr4": _sp_irr4, "gl2.ps": _sp_gl2_ps,
     "gl2.sc": _sp_gl2_sc, "entry": _sp_entry,
-    "gsp4.VII": _labeled_fn(cat.type_VII, "gsp4.VII", 1, 2),
-    "gsp4.VIIIa": _labeled_fn(cat.type_VIIIa, "gsp4.VIIIa", 1, 1),
-    "gsp4.IXa": _labeled_fn(cat.type_IXa, "gsp4.IXa", 1, 1),
-    "gsp4.X": _labeled_fn(cat.type_X, "gsp4.X", 1, 2, from_catalog=True),
-    "gsp4.XIa": _labeled_fn(cat.type_XIa, "gsp4.XIa", 1, 1, from_catalog=True),
-    "gsp4.sc4": _labeled_fn(cat.sc_irred4, "gsp4.sc4", 1, 1, optional=1),
-    "gsp4.scpair": _labeled_fn(cat.sc_pair, "gsp4.scpair", 2, 1, optional=1),
 }
+
+_VALUE_ARG = {"c": _as_char, "r": _as_rep}
+
+
+def _gsp4_fn(ctor, name, sig, optional, from_catalog):
+    """The gsp4.<name> handler of one cat.GSP4_TYPES entry.  A type with
+    labels is _SPECIAL and sees argument nodes, the others are _SIMPLE and
+    see values; either way it closes over the constructor itself."""
+    nlabels = sig.count("l")
+
+    def fn(ev, args):
+        _need(args, len(sig) - optional, len(sig), name)
+        labels = [_name_arg(a, "the %s label" % name) for a in args[:nlabels]]
+        vals = [ev.run(a) for a in args[nlabels:]] if nlabels else args
+        vals = [_VALUE_ARG[k](v) for k, v in zip(sig[nlabels:], vals)]
+        if from_catalog:
+            return ctor(*labels, *vals, catalog=ev.catalog)
+        return ctor(*labels, *vals)
+    return fn
+
+
+for _t in cat.GSP4_TYPES.values():
+    (_SPECIAL if "l" in _t.sig else _SIMPLE)["gsp4." + _t.name] = _gsp4_fn(
+        _t.ctor, "gsp4." + _t.name, _t.sig, _t.optional, _t.catalog)
 
 
 def evaluate_text(text: str, env=None, catalog=None):
     """Parse and evaluate one expression; env maps names to bound values and
     catalog overrides the builtin shape table."""
-    value = _Evaluator(env, catalog).run(_parse(text))
+    try:
+        value = _Evaluator(env, catalog).run(_parse(text))
+    except RecursionError:
+        # parser and evaluator recurse once per nesting level, and a flat
+        # a + b + ... is a left-nested tree
+        raise LfacSyntaxError("expression nested too deeply", 1, 1) from None
     if isinstance(value, int):
         return Scalar.from_rational(value)
     return value

@@ -19,6 +19,12 @@ class HalfIntegerError(LfacError, ValueError):
     """A shift amount or twist exponent that is not an integer over two."""
 
 
+class LfacValueError(LfacError, ValueError):
+    """A value outside its domain: a zero character value, an irreducible
+    part of dimension below 2, a negative sp index, a bad or reserved symbol
+    name."""
+
+
 class UnsupportedTensor(LfacError):
     """Tensor of two higher-dimensional irreducible parts whose block
     decomposition (or L-contribution) is not determined by declared data."""

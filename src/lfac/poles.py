@@ -25,7 +25,7 @@ from . import catalog as _catalog
 from .chars import Character
 from .scalar import Scalar
 from .splitrat import SplitRational
-from .wdrep import Block, CharPart, lfactor, summand_query, tensor_summands
+from .wdrep import Block, CharPart, lfactor, sp, tensor_summands
 
 __all__ = ["PoleEntry", "PoleReport", "exceptional_poles", "subregular_poles",
            "nov_split", "ps_split", "hom_dim", "ideals_JK", "NovSplit",
@@ -117,8 +117,8 @@ def _bessel(chi: Character, root: Scalar):
 
 def subregular_poles(pi) -> PoleReport:
     chi = pi.similitude
-    line = _group(summand_query(pi.rep, "line"))
-    stei = _group(summand_query(pi.rep, "steinberg"))
+    line = _group(tensor_summands(pi.rep, sp(0), 0))
+    stei = _group(tensor_summands(pi.rep, sp(0), 1))
     entries: dict[Scalar, PoleEntry] = {}
     for gamma, mult in stei.items():
         root = gamma * Scalar.v_power(-1)

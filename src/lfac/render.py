@@ -84,19 +84,12 @@ def _gl2_text(p: cat.Gl2Param) -> str:
     return "gl2.sc(%s, %s)" % (part.label, part.base_det)
 
 
-def _gsp4_args_text(p: cat.Gsp4Param) -> str:
-    name = p.st_type
-    if name == "SC":
-        name = "sc4" if len(p.args) == 2 else "scpair"
-    pieces = [a if isinstance(a, str) else text(a) for a in p.args]
-    return "gsp4.%s(%s)" % (name, ", ".join(pieces))
-
-
 def _gsp4_text(p: cat.Gsp4Param) -> str:
     if p.theta is not None:
         return "theta(%s, %s)" % (_gl2_text(p.theta[0]), _gl2_text(p.theta[1]))
-    if p.args is not None:
-        return _gsp4_args_text(p)
+    if p.entry is not None:
+        pieces = [a if isinstance(a, str) else text(a) for a in p.args]
+        return "gsp4.%s(%s)" % (p.entry, ", ".join(pieces))
     return "gsp4.free(%s, %s)" % (_rep_text(p.rep), p.similitude)
 
 

@@ -28,7 +28,7 @@ from sympy import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 
-from .errors import HalfIntegerError, ScalarDomainError
+from .errors import HalfIntegerError, LfacValueError, ScalarDomainError
 
 __all__ = ["Scalar", "scalar_canonicalize", "half_integer", "RESERVED_NAMES"]
 
@@ -56,9 +56,9 @@ def half_integer(t) -> Fraction:
 
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise ValueError("bad symbol name: %r" % (name,))
+        raise LfacValueError("bad symbol name: %r" % (name,))
     if name in RESERVED_NAMES:
-        raise ValueError("symbol name %r is reserved" % (name,))
+        raise LfacValueError("symbol name %r is reserved" % (name,))
     return name
 
 
@@ -178,13 +178,6 @@ class Scalar:
     @property
     def is_rational(self) -> bool:
         return not self._gens
-
-    def as_fraction(self) -> Fraction:
-        if self._gens:
-            raise ValueError("not a constant: %s" % self)
-        if not self._num:
-            return Fraction(0)
-        return self._num[0][1] / self._den[0][1]
 
     @property
     def symbols(self) -> tuple[str, ...]:

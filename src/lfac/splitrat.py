@@ -24,8 +24,7 @@ from fractions import Fraction
 from .errors import ScalarDomainError
 from .scalar import Scalar, half_integer
 
-__all__ = ["SplitRational", "IdealGen", "ring_mul", "shift", "ideal_generator",
-           "vanishing_order"]
+__all__ = ["SplitRational", "IdealGen", "ideal_generator"]
 
 
 def _as_scalar(x) -> Scalar:
@@ -215,20 +214,14 @@ class SplitRational:
 class IdealGen:
     """Canonical generator of a sum of principal fractional ideals."""
     generator: SplitRational
-    is_lfactor: bool
-    contains_units: bool
 
+    @property
+    def is_lfactor(self) -> bool:
+        return self.generator.is_lfactor
 
-def ring_mul(f: SplitRational, g: SplitRational) -> SplitRational:
-    return f * g
-
-
-def shift(f: SplitRational, t) -> SplitRational:
-    return f.shift(t)
-
-
-def vanishing_order(f: SplitRational, beta) -> int:
-    return f.vanishing_order(beta)
+    @property
+    def contains_units(self) -> bool:
+        return self.generator.contains_units
 
 
 def ideal_generator(fs) -> IdealGen:
@@ -248,4 +241,4 @@ def ideal_generator(fs) -> IdealGen:
             bases.setdefault(b)
     gen = SplitRational(factors=[
         (b, min(f.vanishing_order(b) for f in fs)) for b in bases])
-    return IdealGen(gen, gen.is_lfactor, gen.contains_units)
+    return IdealGen(gen)

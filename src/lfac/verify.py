@@ -251,16 +251,11 @@ def check_lemma71(w: WDRep, numeric_seed=None) -> CheckReport:
     return rep
 
 
-def _ps_chars(sigma: cat.Gl2Param) -> tuple[Character, Character]:
-    c1, c2 = (b.part.char for b in sigma.rep.blocks)
-    return c1, c2
-
-
 def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
     """The pairing factor without any tensor machinery: the two-character
     product for principal series, the division identity for Steinberg twists."""
     if sigma.kind == "principal-series":
-        c1, c2 = _ps_chars(sigma)
+        c1, c2 = (b.part.char for b in sigma.rep.blocks)
         return lfactor(twist(pi.rep, c1)) * lfactor(twist(pi.rep, c2))
     if sigma.kind == "steinberg-twist":
         chi = sigma.rep.blocks[0].part.char
@@ -307,9 +302,8 @@ def check_corollary62(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
         raise TypeConstraintViolation("corollary62 route needs a principal "
                                       "series sigma")
     rep = CheckReport("corollary62", 1)
-    c1, c2 = _ps_chars(sigma)
     a = cat.nov_lfactor(pi, sigma)
-    b = lfactor(twist(pi.rep, c1)) * lfactor(twist(pi.rep, c2))
+    b = _product_route(pi, sigma)
     if a != b:
         rep.record(0, 0, "product formula fails: %s != %s on %r"
                    % (a, b, pi.rep))
@@ -366,7 +360,7 @@ def _suite_theoremA(trials: int, seed: int, profile: TrialProfile) -> CheckRepor
     for i in range(trials):
         s = seed * TRIAL_STRIDE + i
         rng = random.Random(s)
-        syms = _LETTERS[:profile.symbol_pool]
+        syms = _symbols(profile)
         pi = random_gsp4_free(rng, syms, allow_irred=profile.allow_irred)
         sigma = random_gl2(rng, syms, kinds=("ps", "st"))
         r = check_theoremA(pi, sigma)
@@ -407,7 +401,7 @@ def _suite_soudry(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
     for i in range(trials):
         s = seed * TRIAL_STRIDE + i
         rng = random.Random(s)
-        syms = _LETTERS[:profile.symbol_pool]
+        syms = _symbols(profile)
         tau1, tau2 = _matched_gl2_pair(rng, syms)
         # sigma from an independent label pool, so supercuspidal draws stay
         # inside the supported (non-twin) hypothesis

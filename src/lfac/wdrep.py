@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .chars import Character
-from .errors import UnsupportedTensor
+from .errors import LfacValueError, UnsupportedTensor
 from .scalar import Scalar
 from .splitrat import SplitRational
 
 __all__ = ["CharPart", "IrredPart", "Block", "WDRep", "sp", "sp_tensor",
            "tensor", "tensor_lfactor", "tensor_summands", "lfactor",
-           "summand_query", "similitude_check", "dual", "twist"]
+           "similitude_check", "dual", "twist"]
 
 _TRIV = Character.trivial()
 
@@ -69,7 +69,7 @@ class IrredPart:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ValueError("irreducible parts have dimension >= 2")
+            raise LfacValueError("irreducible parts have dimension >= 2")
 
     def det(self) -> Character:
         d = self.base_det.inverse() if self.starred else self.base_det
@@ -130,7 +130,7 @@ class Block:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("sp index must be >= 0")
+            raise LfacValueError("sp index must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -213,7 +213,7 @@ def sp_tensor(m: int, n: int) -> tuple[int, ...]:
     """
     m, n = int(m), int(n)
     if m < 0 or n < 0:
-        raise ValueError("sp indices must be >= 0")
+        raise LfacValueError("sp indices must be >= 0")
     return tuple(range(abs(m - n), m + n + 1, 2))
 
 
@@ -240,47 +240,38 @@ def tensor(w1: WDRep, w2: WDRep) -> WDRep:
     return WDRep(out)
 
 
-def tensor_lfactor(w1: WDRep, w2: WDRep) -> SplitRational:
-    """L-factor of w1 (x) w2, defined whenever no block pair is a twin pair.
-
-    An irreducible-times-irreducible pair that is provably not dual up to an
-    unramified twist contains no unramified line, so it contributes 1 even
-    though its block decomposition is unknown; a twin pair raises.
-    """
-    out = SplitRational.one()
+def _line_products(w1: WDRep, w2: WDRep, what: str):
+    """(part, sp range) for each block pair of w1 (x) w2 that can hold an
+    unramified line.  An irreducible-times-irreducible pair that is provably
+    not dual up to an unramified twist holds none, so it is skipped even
+    though its block decomposition is unknown; a twin pair raises."""
     for b1 in w1.blocks:
         for b2 in w2.blocks:
             p, q = b1.part, b2.part
             if isinstance(p, IrredPart) and isinstance(q, IrredPart):
                 if twin_pair(p, q):
                     raise UnsupportedTensor(
-                        "unramified-twist-of-dual pair (%s, %s): L-factor not "
-                        "determined by declared data" % (p.label, q.label))
+                        "unramified-twist-of-dual pair (%s, %s): %s not "
+                        "determined by declared data" % (p.label, q.label, what))
                 continue
-            part = _part_product(p, q)
-            for k in sp_tensor(b1.n, b2.n):
-                out = out * Block(part, k).lfactor()
+            yield _part_product(p, q), sp_tensor(b1.n, b2.n)
+
+
+def tensor_lfactor(w1: WDRep, w2: WDRep) -> SplitRational:
+    """L-factor of w1 (x) w2, defined whenever no block pair is a twin pair."""
+    out = SplitRational.one()
+    for part, ks in _line_products(w1, w2, "L-factor"):
+        for k in ks:
+            out = out * Block(part, k).lfactor()
     return out
 
 
 def tensor_summands(w1: WDRep, w2: WDRep, n: int) -> tuple[Scalar, ...]:
     """Satake values (with multiplicity) of the unramified character blocks
-    unr(alpha) (x) sp(n) inside w1 (x) w2, tolerating non-twin irreducible
-    pairs (they contribute none)."""
-    found = []
-    for b1 in w1.blocks:
-        for b2 in w2.blocks:
-            p, q = b1.part, b2.part
-            if isinstance(p, IrredPart) and isinstance(q, IrredPart):
-                if twin_pair(p, q):
-                    raise UnsupportedTensor(
-                        "unramified-twist-of-dual pair (%s, %s): summands not "
-                        "determined by declared data" % (p.label, q.label))
-                continue
-            part = _part_product(p, q)
-            if isinstance(part, CharPart) and part.char.is_unramified \
-                    and n in sp_tensor(b1.n, b2.n):
-                found.append(part.char.satake)
+    unr(alpha) (x) sp(n) inside w1 (x) w2; with w2 = sp(0) those of w1."""
+    found = [part.char.satake for part, ks in _line_products(w1, w2, "summands")
+             if isinstance(part, CharPart) and part.char.is_unramified
+             and n in ks]
     return tuple(sorted(found, key=Scalar.sort_key))
 
 
@@ -289,20 +280,6 @@ def lfactor(w: WDRep) -> SplitRational:
     for b in w.blocks:
         out = out * b.lfactor()
     return out
-
-
-_QUERY_N = {"line": 0, "steinberg": 1}
-
-
-def summand_query(w: WDRep, kind: str) -> tuple[Scalar, ...]:
-    """Multiset of Satake values of unramified character blocks with n = 0
-    ('line') or n = 1 ('steinberg')."""
-    n = _QUERY_N[kind]
-    return tuple(sorted(
-        (b.part.char.satake for b in w.blocks
-         if b.n == n and isinstance(b.part, CharPart)
-         and b.part.char.is_unramified),
-        key=Scalar.sort_key))
 
 
 def similitude_check(w: WDRep, chi: Character) -> bool:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfac.chars import Character
 from lfac.scalar import Scalar
@@ -16,6 +18,18 @@ def test_trivial():
     assert t.is_trivial and t.is_unramified
     assert t * t == t
     assert t.inverse() == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(), (("eta", 1),), (("eta", -1), ("xi", 2))]),
+       st.integers(-3, 3), st.sampled_from([1, 2, -1]))
+def test_trivial_shortcut_matches_full_product(tag, k, e):
+    chi = Character(tag, a ** e * v ** k)
+    # an equal trivial character that is not the shared instance
+    for triv in (Character.trivial(), Character((), Scalar.from_rational(1))):
+        full = Character(chi.tag + triv.tag, chi.satake * triv.satake)
+        assert chi * triv == full and triv * chi == full
+        assert str(chi * triv) == str(full)
 
 
 def test_group_laws():

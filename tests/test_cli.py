@@ -78,6 +78,28 @@ def test_domain_error_exit_2(capsys):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "unr(0)", "ram(eta, 0)", "unr(a)/unr(0)", "irr(1, t)", "sp(-1)", "ram(q)",
+    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "+".join(["1"] * 3000),
+], ids=["unr0", "ram0", "ratio0", "irr1", "sp-1", "ram-q", "parens",
+        "minus-chain", "flat-sum"])
+def test_bad_value_exit_2(capsys, expr):
+    assert main(["eval", "--", expr]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--pool", "0"), ("--pool", "-2"), ("--budget", "0"), ("--budget", "-1"),
+    ("--trials", "-1")])
+def test_verify_rejects_bad_counts(capsys, flag, value):
+    with pytest.raises(SystemExit) as ex:
+        main(["verify", "--trials", "1", flag, value])
+    assert ex.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_pairing_needs_gl2_on_the_right(capsys):
     assert main(["lfactor", "gsp4.VIa(unr(a))", "unr(b)"]) == 2
     _, err = capsys.readouterr()

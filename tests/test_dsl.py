@@ -4,6 +4,7 @@ import pytest
 
 from lfac.catalog import (Gl2Param, Gsp4Param, load_catalog, principal_series,
                           steinberg, type_IVa, type_VIa)
+from lfac import render
 from lfac.chars import Character
 from lfac.dsl import evaluate_text, parse_scalar
 from lfac.errors import LfacEvalError, LfacSyntaxError
@@ -14,6 +15,7 @@ from lfac.wdrep import WDRep, char_rep, lfactor, sp, tensor
 
 a = Scalar.symbol("a")
 b = Scalar.symbol("b")
+v = Scalar.v_power(1)
 unr = Character.unramified
 ev = evaluate_text
 
@@ -198,6 +200,21 @@ def test_eval_errors():
         ev("unr(a) + X")
     with pytest.raises(LfacEvalError):
         ev("shift(unr(a), 1)")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "-" * 3000 + "1",
+    "+".join(["1"] * 3000),
+], ids=["parens", "minus-chain", "flat-sum"])
+def test_deep_input_is_a_syntax_error(text):
+    with pytest.raises(LfacSyntaxError):
+        ev(text)
+
+
+def test_long_rendered_sum_parses_back():
+    w = WDRep([b for k in range(150) for b in char_rep(unr(a * v ** k)).blocks])
+    assert ev(render.text(w)) == w
 
 
 def test_unknown_names_juxtapose():

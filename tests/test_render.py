@@ -1,12 +1,16 @@
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from lfac.catalog import (free, principal_series, sc_irred4, sc_pair,
-                          steinberg, supercuspidal, theta_lift, type_IIIa,
-                          type_VIa, type_X)
+from lfac.catalog import (GSP4_TYPES, free, principal_series, sc_irred4,
+                          sc_pair, steinberg, supercuspidal, theta_lift,
+                          type_IIIa, type_VIa, type_X)
 from lfac.chars import Character
 from lfac.dsl import evaluate_text
+from lfac.errors import TypeConstraintViolation
 from lfac.poles import ideals_JK, subregular_poles
 from lfac.render import SCHEMA, text, to_json, unicodize
 from lfac.scalar import Scalar
@@ -62,6 +66,60 @@ def test_roundtrip_samples():
               subregular_poles(type_VIa(unr(a)))]
     for value in values:
         assert evaluate_text(text(value)) == value
+
+
+satakes = st.builds(lambda s, e, k: Scalar.symbol(s) ** e * Scalar.v_power(k),
+                    st.sampled_from("ab"), st.sampled_from([1, 2, -1]),
+                    st.integers(-3, 3))
+chars = st.one_of(st.builds(unr, satakes),
+                  st.builds(Character.ramified, st.sampled_from(["eta", "xi"]),
+                            satakes))
+
+
+@st.composite
+def registry_params(draw, name):
+    t = GSP4_TYPES[name]
+    if name == "free":
+        # chi x sp(1) + mu + chi^2/mu is dual-twist closed for chi^2
+        chi, mu = draw(chars), draw(chars)
+        rep = (char_rep(chi, 1) + char_rep(mu)
+               + char_rep(chi ** 2 * mu.inverse()))
+        return free(rep, chi ** 2)
+    keep = len(t.sig) - draw(st.integers(0, t.optional))
+    args = [draw(st.sampled_from(["l", "m", "t1"])) if k == "l"
+            else draw(chars) for k in t.sig[:keep]]
+    try:
+        return t.ctor(*args)
+    except TypeConstraintViolation:
+        reject()
+
+
+def _assert_roundtrip(p, st_type):
+    back = evaluate_text(text(p))
+    assert back == p
+    assert to_json(back)["type"] == to_json(p)["type"] == st_type
+
+
+@pytest.mark.parametrize("name", sorted(GSP4_TYPES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_registry_types_roundtrip(name, data):
+    p = data.draw(registry_params(name))
+    _assert_roundtrip(p, p.st_type)
+    q = p.substitute({"a": 3})
+    assert q.st_type == p.st_type
+    try:
+        _assert_roundtrip(q, p.st_type)
+    except TypeConstraintViolation:
+        # a substitution may land on a type's own excluded values
+        reject()
+
+
+def test_docs_list_every_registry_type():
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "expressions.md") \
+        .read_text(encoding="utf-8")
+    for name in GSP4_TYPES:
+        assert "`gsp4.%s(" % name in doc
 
 
 def test_unicodize_is_display_only():

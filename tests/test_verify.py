@@ -23,6 +23,14 @@ def test_suites_pass_small():
         assert report.trials >= 8
 
 
+@pytest.mark.parametrize("suite", ["lemma71", "theoremA", "soudry"])
+def test_suites_share_the_symbol_clamp(suite):
+    # every suite draws through one helper, which reads a pool below 1 as 1
+    low = run_suite(suite, 3, 5, TrialProfile(5, symbol_pool=0))[0]
+    one = run_suite(suite, 3, 5, TrialProfile(5, symbol_pool=1))[0]
+    assert low.passed and low.summary() == one.summary()
+
+
 def test_run_suite_deterministic():
     r1 = run_suite("lemma71", trials=5, seed=11)[0]
     r2 = run_suite("lemma71", trials=5, seed=11)[0]

@@ -8,7 +8,7 @@ from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
                         lfactor, part_dual, similitude_check, sp, sp_tensor,
-                        summand_query, tensor, tensor_lfactor,
+                        tensor, tensor_lfactor,
                         tensor_summands, twist)
 
 a, b = Scalar.symbol("a"), Scalar.symbol("b")
@@ -117,12 +117,12 @@ def test_tensor_summands_counts_lines():
     assert list(lines) == [a, a]
 
 
-def test_summand_query_matches_tensor():
+def test_tensor_summands_match_tensor_against_sp0():
     w1 = char_rep(unr(a)) + char_rep(unr(b), 1)
     w2 = char_rep(unr(b), 1)
     t = tensor(w1, w2)
-    assert tensor_summands(w1, w2, 0) == summand_query(t, "line")
-    assert tensor_summands(w1, w2, 1) == summand_query(t, "steinberg")
+    assert tensor_summands(w1, w2, 0) == tensor_summands(t, sp(0), 0)
+    assert tensor_summands(w1, w2, 1) == tensor_summands(t, sp(0), 1)
 
 
 def test_lemma_identities_worked_example():

@@ -40,7 +40,7 @@ class Character:
 
     __slots__ = ("tag", "satake")
 
-    def __init__(self, tag, satake: Scalar):
+    def __init__(self, tag, satake: Scalar = Scalar.one):
         if not isinstance(satake, Scalar):
             satake = Scalar.from_rational(satake)
         if satake.is_zero:

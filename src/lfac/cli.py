@@ -15,15 +15,16 @@ import sys
 from . import catalog as cat
 from . import poles as _poles
 from . import render, verify
-from .dsl import evaluate_text
+from .dsl import evaluate_text, lfactor_of
 from .errors import LfacError, LfacSyntaxError
 
 
-def _common_flags(p: argparse.ArgumentParser):
+def _common_flags(p: argparse.ArgumentParser, catalog=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--catalog", metavar="FILE",
-                   help="load parameter shapes from FILE instead of the "
-                        "builtin table")
+    if catalog:
+        p.add_argument("--catalog", metavar="FILE",
+                       help="load parameter shapes from FILE instead of the "
+                            "builtin table")
     p.add_argument("--unicode", action="store_true",
                    help="superscripts and tensor signs in text output")
 
@@ -42,12 +43,8 @@ def _emit(args, payload: dict, text_lines):
             _emit_text(args, line)
 
 
-def _catalog_of(args):
-    return cat.load_catalog(args.catalog) if args.catalog else None
-
-
 def _value(args, expr: str):
-    return evaluate_text(expr, catalog=_catalog_of(args))
+    return evaluate_text(expr, catalog=args.shapes)
 
 
 def _param(args, expr: str, want, what: str):
@@ -67,13 +64,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_lfactor(args) -> int:
     if args.against is None:
-        v = _value(args, args.expr)
-        if isinstance(v, (cat.Gl2Param, cat.Gsp4Param)):
-            f = v.lfactor()
-        else:
-            from .wdrep import lfactor as _lf
-            from .dsl import _as_rep
-            f = _lf(_as_rep(v))
+        f = lfactor_of(_value(args, args.expr))
     else:
         a = _value(args, args.expr)
         b = _param(args, args.against, cat.Gl2Param, "a GL(2) parameter")
@@ -204,13 +195,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--irred", action="store_true",
                    help="allow irreducible parts in random draws")
     p.set_defaults(fn=_cmd_verify)
-    _common_flags(p)
+    _common_flags(p, catalog=False)
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # read --catalog once, inside the try so a bad file exits 2
+        path = getattr(args, "catalog", None)
+        args.shapes = cat.load_catalog(path) if path else None
         return args.fn(args)
     except LfacSyntaxError as e:
         return _error(args, "syntax", str(e))

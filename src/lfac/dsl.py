@@ -8,7 +8,12 @@ twist of a representation, 'x' is the tensor product (binding between '+'
 and '*'), '^' is an integer power, and a parenthesized group directly after
 a value multiplies it, so factored denominators like
 (1 - a*X)(1 - b*v^-1*X) read back in.  The lone subtraction producing a
-factored object is 1 - beta*X.
+factored object is 1 - beta*X.  A run of '+'/'-', 'x' or '*'/'/' parses to
+one flat chain and evaluates in a loop, so its length is not limited.
+
+Every function is one row of the _SIMPLE table: a callable and a signature
+that _fn turns into the handler, with the arity check and the argument
+coercions.
 
 Catalog data files evaluate their block and similitude expressions through
 evaluate_text with the declared parameters bound in env.
@@ -26,10 +31,10 @@ from .chars import Character
 from .errors import LfacEvalError, LfacSyntaxError
 from .scalar import Scalar, half_integer
 from .splitrat import SplitRational
-from .wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
-                    lfactor, sp, tensor, twist)
+from .wdrep import (Block, IrredPart, WDRep, char_rep, dual, lfactor, sp,
+                    tensor, twist)
 
-__all__ = ["evaluate_text", "parse_scalar"]
+__all__ = ["evaluate_text", "lfactor_of", "parse_scalar"]
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -64,8 +69,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Recursive descent over the token list; every node carries the position
-    of its first token for error reporting."""
+    """Recursive descent over the token list.  A run of same-level binary
+    operators parses to one flat chain node, so only nesting recurses."""
 
     def __init__(self, tokens):
         self.toks = tokens
@@ -89,33 +94,35 @@ class _Parser:
         _, _, line, col = self.peek()
         raise LfacSyntaxError(msg, line, col)
 
+    @staticmethod
+    def chain(first, rest):
+        return ("chain", first, rest) if rest else first
+
     # expr := tens (("+" | "-") tens)*
     def expr(self):
-        node = self.tens()
+        first, rest = self.tens(), []
         while self.at_op("+", "-"):
-            op = self.next()[1]
-            node = ("binop", op, node, self.tens())
-        return node
+            rest.append((self.next()[1], self.tens()))
+        return self.chain(first, rest)
 
     # tens := mul ("x" mul)*
     def tens(self):
-        node = self.mul()
-        while self.peek()[0] == "name" and self.peek()[1] == "x":
+        first, rest = self.mul(), []
+        while self.at_name("x"):
             self.next()
-            node = ("tensorop", node, self.mul())
-        return node
+            rest.append(("x", self.mul()))
+        return self.chain(first, rest)
 
     # mul := unary (("*" | "/") unary | group)*   -- group = implicit '*'
     def mul(self):
-        node = self.unary()
+        first, rest = self.unary(), []
         while True:
             if self.at_op("*", "/"):
-                op = self.next()[1]
-                node = ("binop", op, node, self.unary())
+                rest.append((self.next()[1], self.unary()))
             elif self.at_op("("):
-                node = ("binop", "*", node, self.unary())
+                rest.append(("*", self.unary()))
             else:
-                return node
+                return self.chain(first, rest)
 
     def unary(self):
         if self.at_op("-"):
@@ -150,12 +157,12 @@ class _Parser:
         kind, piece, line, col = self.peek()
         if kind == "number":
             self.next()
-            return ("num", int(piece), line, col)
+            return ("num", Scalar.from_rational(int(piece)))
         if kind == "name":
             self.next()
             # only known function names consume a following '('; anything
             # else leaves it to juxtaposition, so X(1 - a*X)^2 groups right
-            if self.at_op("(") and (piece in _SIMPLE or piece in _SPECIAL):
+            if self.at_op("(") and piece in _SIMPLE:
                 self.next()
                 args = []
                 if not self.at_op(")"):
@@ -164,8 +171,8 @@ class _Parser:
                         self.next()
                         args.append(self.expr())
                 self.expect(")")
-                return ("call", piece, args, line, col)
-            return ("name", piece, line, col)
+                return ("call", piece, args)
+            return ("name", piece)
         if kind == "op" and piece == "(":
             self.next()
             node = self.expr()
@@ -176,6 +183,10 @@ class _Parser:
     def at_op(self, *ops) -> bool:
         kind, piece, _, _ = self.peek()
         return kind == "op" and piece in ops
+
+    def at_name(self, name) -> bool:
+        kind, piece, _, _ = self.peek()
+        return kind == "name" and piece == name
 
 
 def _parse(text: str):
@@ -189,26 +200,41 @@ def _parse(text: str):
 
 # ----------------------------------------------------------------- coercion
 
-def _as_scalar(v) -> Scalar:
-    if isinstance(v, int):
-        return Scalar.from_rational(v)
-    if isinstance(v, Scalar):
-        return v
-    raise LfacEvalError("expected a scalar, got %s" % _kind(v))
+_KINDS = {Scalar: "a scalar", SplitRational: "a factored function",
+          Character: "a character", WDRep: "a representation",
+          cat.Gl2Param: "a GL(2) parameter",
+          cat.Gsp4Param: "a GSp(4) parameter",
+          _poles.PoleReport: "a pole report",
+          _poles.PoleEntry: "a pole entry"}
+
+
+def _kind(v) -> str:
+    return _KINDS.get(type(v), type(v).__name__)
+
+
+def _expected(cls, v) -> LfacEvalError:
+    return LfacEvalError("expected %s, got %s" % (_KINDS[cls], _kind(v)))
+
+
+def _of(cls):
+    """The coercion admitting exactly the values of cls."""
+    def coerce(v):
+        if isinstance(v, cls):
+            return v
+        raise _expected(cls, v)
+    return coerce
+
+
+_as_scalar = _of(Scalar)
+_as_char = _of(Character)
 
 
 def _as_split(v) -> SplitRational:
     if isinstance(v, SplitRational):
         return v
-    if isinstance(v, (int, Scalar)):
-        return SplitRational(unit=_as_scalar(v))
-    raise LfacEvalError("expected a factored function, got %s" % _kind(v))
-
-
-def _as_char(v) -> Character:
-    if isinstance(v, Character):
-        return v
-    raise LfacEvalError("expected a character, got %s" % _kind(v))
+    if isinstance(v, Scalar):
+        return SplitRational(unit=v)
+    raise _expected(SplitRational, v)
 
 
 def _as_rep(v) -> WDRep:
@@ -216,12 +242,10 @@ def _as_rep(v) -> WDRep:
         return v
     if isinstance(v, Character):
         return char_rep(v)
-    raise LfacEvalError("expected a representation, got %s" % _kind(v))
+    raise _expected(WDRep, v)
 
 
 def _as_int(v) -> int:
-    if isinstance(v, int):
-        return v
     f = _as_scalar(v).as_fraction()
     if f.denominator != 1:
         raise LfacEvalError("expected an integer, got %s" % f)
@@ -229,61 +253,10 @@ def _as_int(v) -> int:
 
 
 def _as_half(v) -> Fraction:
-    if isinstance(v, int):
-        return Fraction(v)
     return half_integer(_as_scalar(v).as_fraction())
 
 
-def _kind(v) -> str:
-    return {Scalar: "a scalar", SplitRational: "a factored function",
-            Character: "a character", WDRep: "a representation",
-            cat.Gl2Param: "a GL(2) parameter",
-            cat.Gsp4Param: "a GSp(4) parameter",
-            _poles.PoleReport: "a pole report",
-            _poles.PoleEntry: "a pole entry",
-            }.get(type(v), type(v).__name__)
-
-
-def _only_irred_block(w: WDRep, what: str) -> IrredPart:
-    if len(w.blocks) == 1 and w.blocks[0].n == 0 \
-            and isinstance(w.blocks[0].part, IrredPart):
-        return w.blocks[0].part
-    raise LfacEvalError("%s needs a lone irreducible summand" % what)
-
-
-def _det(v) -> Character:
-    if isinstance(v, Character):
-        return v
-    w = _as_rep(v)
-    out = Character.trivial()
-    for b in w.blocks:
-        if b.n != 0:
-            raise LfacEvalError("det is only defined without sp factors here")
-        out = out * b.part.det()
-    return out
-
-
-# ---------------------------------------------------------------- functions
-
-def _name_arg(node, what: str) -> str:
-    if node[0] == "name":
-        return node[1]
-    raise LfacEvalError("%s must be a bare name" % what)
-
-
-_TAGS = {"exceptional": _poles.EXCEPTIONAL, "sub1": _poles.SUBREGULAR1,
-         "sub2": _poles.SUBREGULAR2, "regular": _poles.REGULAR}
-TAG_NAMES = {v: k for k, v in _TAGS.items()}
-
-
-def _need(args, low, high, name):
-    if not (low <= len(args) <= high):
-        if low == high:
-            want = "%d argument%s" % (low, "" if low == 1 else "s")
-        else:
-            want = "%d to %d arguments" % (low, high)
-        raise LfacEvalError("%s takes %s" % (name, want))
-
+# ---------------------------------------------------------------- evaluation
 
 class _Evaluator:
     def __init__(self, env, catalog=None):
@@ -292,21 +265,24 @@ class _Evaluator:
 
     def run(self, node):
         tag = node[0]
+        if tag == "chain":
+            acc = self.run(node[1])
+            for op, rhs in node[2]:
+                acc = _binop(op, acc, self.run(rhs))
+            return acc
         if tag == "num":
             return node[1]
         if tag == "name":
             return self.lookup(node[1])
+        if tag == "call":
+            return _SIMPLE[node[1]](self, node[2])
         if tag == "neg":
             return -_as_scalar(self.run(node[1]))
         if tag == "pow":
-            return self.power(self.run(node[1]), node[2])
-        if tag == "binop":
-            return self.binop(node[1], node[2], node[3])
-        if tag == "tensorop":
-            return tensor(_as_rep(self.run(node[1])),
-                          _as_rep(self.run(node[2])))
-        if tag == "call":
-            return self.call(node[1], node[2])
+            base = self.run(node[1])
+            if isinstance(base, (Scalar, SplitRational, Character)):
+                return base ** node[2]
+            raise LfacEvalError("cannot raise %s to a power" % _kind(base))
         raise LfacEvalError("unhandled node %r" % (tag,))
 
     def lookup(self, name):
@@ -323,296 +299,207 @@ class _Evaluator:
         except ValueError as e:
             raise LfacEvalError(str(e)) from None
 
-    def power(self, base, e: int):
-        if isinstance(base, (int, Scalar)):
-            return _as_scalar(base) ** e
-        if isinstance(base, (SplitRational, Character)):
-            return base ** e
-        raise LfacEvalError("cannot raise %s to a power" % _kind(base))
 
-    def binop(self, op, lnode, rnode):
-        a = self.run(lnode)
-        b = self.run(rnode)
-        if op == "+":
-            if isinstance(a, (int, Scalar)) and isinstance(b, (int, Scalar)):
-                return _as_scalar(a) + _as_scalar(b)
-            if isinstance(a, (Character, WDRep)) and isinstance(b, (Character, WDRep)):
-                return _as_rep(a) + _as_rep(b)
-            raise LfacEvalError("cannot add %s and %s" % (_kind(a), _kind(b)))
-        if op == "-":
-            if isinstance(a, (int, Scalar)) and isinstance(b, (int, Scalar)):
-                return _as_scalar(a) - _as_scalar(b)
-            if isinstance(b, SplitRational) and not b.factors and b.xpower == 1 \
-                    and isinstance(a, (int, Scalar)) and _as_scalar(a) == Scalar.one:
-                return SplitRational(factors=((b.unit, 1),))
-            raise LfacEvalError("subtraction is for scalars and the "
-                               "1 - beta*X factor form")
-        if op == "*":
-            if isinstance(a, (int, Scalar)) and isinstance(b, (int, Scalar)):
-                return _as_scalar(a) * _as_scalar(b)
-            if isinstance(a, Character) and isinstance(b, Character):
-                return a * b
-            if isinstance(a, WDRep) and isinstance(b, Character):
-                return twist(a, b)
-            if isinstance(a, Character) and isinstance(b, WDRep):
-                return twist(b, a)
-            if isinstance(a, (int, Scalar, SplitRational)) \
-                    and isinstance(b, (int, Scalar, SplitRational)):
-                return _as_split(a) * _as_split(b)
-            raise LfacEvalError("cannot multiply %s and %s"
-                                % (_kind(a), _kind(b)))
-        if op == "/":
-            if isinstance(a, (int, Scalar)) and isinstance(b, (int, Scalar)):
-                return _as_scalar(a) / _as_scalar(b)
-            if isinstance(a, Character) and isinstance(b, Character):
-                return a * b.inverse()
-            if isinstance(a, (int, Scalar, SplitRational)) \
-                    and isinstance(b, (int, Scalar, SplitRational)):
-                return _as_split(a) / _as_split(b)
-            raise LfacEvalError("cannot divide %s by %s" % (_kind(a), _kind(b)))
-        raise LfacEvalError("unhandled operator %r" % op)
-
-    # ------------------------------------------------------------- calls
-
-    def call(self, name, args):
-        special = _SPECIAL.get(name)
-        if special is not None:
-            return special(self, args)
-        fn = _SIMPLE.get(name)
-        if fn is None:
-            raise LfacEvalError("unknown function %r" % name)
-        return fn(self, [self.run(a) for a in args])
+def _binop(op, a, b):
+    if op == "x":
+        return tensor(_as_rep(a), _as_rep(b))
+    scalars = isinstance(a, Scalar) and isinstance(b, Scalar)
+    if op == "+":
+        if scalars:
+            return a + b
+        if isinstance(a, (Character, WDRep)) and isinstance(b, (Character, WDRep)):
+            return _as_rep(a) + _as_rep(b)
+        raise LfacEvalError("cannot add %s and %s" % (_kind(a), _kind(b)))
+    if op == "-":
+        if scalars:
+            return a - b
+        if isinstance(b, SplitRational) and not b.factors and b.xpower == 1 \
+                and isinstance(a, Scalar) and a == Scalar.one:
+            return SplitRational(factors=((b.unit, 1),))
+        raise LfacEvalError("subtraction is for scalars and the "
+                            "1 - beta*X factor form")
+    if op == "*":
+        if scalars or isinstance(a, Character) and isinstance(b, Character):
+            return a * b
+        if isinstance(a, WDRep) and isinstance(b, Character):
+            return twist(a, b)
+        if isinstance(a, Character) and isinstance(b, WDRep):
+            return twist(b, a)
+        if isinstance(a, (Scalar, SplitRational)) \
+                and isinstance(b, (Scalar, SplitRational)):
+            return _as_split(a) * _as_split(b)
+        raise LfacEvalError("cannot multiply %s and %s" % (_kind(a), _kind(b)))
+    if scalars:
+        return a / b
+    if isinstance(a, Character) and isinstance(b, Character):
+        return a * b.inverse()
+    if isinstance(a, (Scalar, SplitRational)) \
+            and isinstance(b, (Scalar, SplitRational)):
+        return _as_split(a) / _as_split(b)
+    raise LfacEvalError("cannot divide %s by %s" % (_kind(a), _kind(b)))
 
 
-def _fn_unr(ev, vals):
-    _need(vals, 1, 1, "unr")
-    return Character.unramified(_as_scalar(vals[0]))
+# ---------------------------------------------------------------- functions
 
-
-def _fn_abs(ev, vals):
-    _need(vals, 1, 1, "abs")
-    return Character.absval(_as_half(vals[0]))
-
-
-def _fn_sp(ev, vals):
-    _need(vals, 1, 1, "sp")
-    return sp(_as_int(vals[0]))
-
-
-def _fn_dual(ev, vals):
-    _need(vals, 1, 1, "dual")
-    return dual(_as_rep(vals[0]))
-
-
-def _fn_twist(ev, vals):
-    _need(vals, 2, 2, "twist")
-    return twist(_as_rep(vals[0]), _as_char(vals[1]))
-
-
-def _fn_tensor(ev, vals):
-    _need(vals, 2, 2, "tensor")
-    return tensor(_as_rep(vals[0]), _as_rep(vals[1]))
-
-
-def _fn_det(ev, vals):
-    _need(vals, 1, 1, "det")
-    return _det(vals[0])
-
-
-def _fn_L(ev, vals):
-    _need(vals, 1, 1, "L")
-    v = vals[0]
-    if isinstance(v, (cat.Gl2Param, cat.Gsp4Param)):
-        return v.lfactor()
-    return lfactor(_as_rep(v))
-
-
-def _fn_shift(ev, vals):
-    _need(vals, 2, 2, "shift")
-    return _as_split(vals[0]).shift(_as_half(vals[1]))
-
-
-def _fn_star(ev, vals):
-    _need(vals, 1, 1, "star")
-    part = _only_irred_block(_as_rep(vals[0]), "star")
-    return WDRep([Block(replace(part, starred=not part.starred), 0)])
-
-
-def _fn_gl2_st(ev, vals):
-    _need(vals, 0, 1, "gl2.st")
-    return cat.steinberg(_as_char(vals[0])) if vals else cat.steinberg()
-
-
-def _fn_theta(ev, vals):
-    _need(vals, 2, 2, "theta")
-    t1, t2 = vals
-    if not (isinstance(t1, cat.Gl2Param) and isinstance(t2, cat.Gl2Param)):
-        raise LfacEvalError("theta takes two GL(2) parameters")
-    return cat.theta_lift(t1, t2)
-
-
-def _fn_exceptional(ev, vals):
-    _need(vals, 2, 2, "exceptional")
-    pi, sigma = vals
-    if not (isinstance(pi, cat.Gsp4Param) and isinstance(sigma, cat.Gl2Param)):
-        raise LfacEvalError("exceptional takes a GSp(4) and a GL(2) parameter")
-    return _poles.exceptional_poles(pi, sigma)
-
-
-def _fn_subregular(ev, vals):
-    _need(vals, 1, 1, "subregular")
-    if not isinstance(vals[0], cat.Gsp4Param):
-        raise LfacEvalError("subregular takes a GSp(4) parameter")
-    return _poles.subregular_poles(vals[0])
-
-
-def _fn_homdim(ev, vals):
-    _need(vals, 3, 3, "homdim")
-    pi, sigma, root = vals
-    if not (isinstance(pi, cat.Gsp4Param) and isinstance(sigma, cat.Gl2Param)):
-        raise LfacEvalError("homdim takes a GSp(4) parameter, a GL(2) "
-                            "parameter and a root")
-    return Scalar.from_rational(_poles.hom_dim(pi, sigma, _as_scalar(root)))
-
-
-def _fn_bessel(ev, vals):
-    _need(vals, 2, 2, "bessel")
-    return (_as_char(vals[0]), _as_char(vals[1]))
-
-
-def _fn_polereport(ev, vals):
-    for v in vals:
-        if not isinstance(v, _poles.PoleEntry):
-            raise LfacEvalError("polereport takes entry(...) values")
-    return _poles.PoleReport(tuple(vals))
-
-
-_SIMPLE = {
-    "unr": _fn_unr, "abs": _fn_abs, "sp": _fn_sp, "dual": _fn_dual,
-    "twist": _fn_twist, "tensor": _fn_tensor, "det": _fn_det, "L": _fn_L,
-    "shift": _fn_shift, "star": _fn_star, "gl2.st": _fn_gl2_st,
-    "theta": _fn_theta,
-    "exceptional": _fn_exceptional, "subregular": _fn_subregular,
-    "homdim": _fn_homdim, "bessel": _fn_bessel, "polereport": _fn_polereport,
-}
+_TAGS = {"exceptional": _poles.EXCEPTIONAL, "sub1": _poles.SUBREGULAR1,
+         "sub2": _poles.SUBREGULAR2, "regular": _poles.REGULAR}
+TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def _tag_pairs(node, out):
-    # the tag argument is a product of named generators with integer powers
+    # the ram tag is a product of named generators with integer powers
     if node[0] == "name":
         out.append((node[1], 1))
     elif node[0] == "pow" and node[1][0] == "name":
         out.append((node[1][1], node[2]))
-    elif node[0] == "binop" and node[1] == "*":
-        _tag_pairs(node[2], out)
-        _tag_pairs(node[3], out)
+    elif node[0] == "chain" and all(op == "*" for op, _ in node[2]):
+        _tag_pairs(node[1], out)
+        for _, factor in node[2]:
+            _tag_pairs(factor, out)
     else:
         raise LfacEvalError("the ram tag must be a product of names")
     return out
 
 
-def _sp_ram(ev, args):
-    _need(args, 1, 2, "ram")
-    tag = _tag_pairs(args[0], [])
-    satake = _as_scalar(ev.run(args[1])) if len(args) == 2 else Scalar.one
-    return Character(tuple(tag), satake)
+def _det(v) -> Character:
+    if isinstance(v, Character):
+        return v
+    out = Character.trivial()
+    for b in _as_rep(v).blocks:
+        if b.n != 0:
+            raise LfacEvalError("det is only defined without sp factors here")
+        out = out * b.part.det()
+    return out
 
 
-def _sp_irr(ev, args):
-    _need(args, 2, 4, "irr")
-    dim = _as_int(ev.run(args[0]))
-    label = _name_arg(args[1], "the irr label")
-    det = _as_char(ev.run(args[2])) if len(args) > 2 else Character.trivial()
-    sd = _as_char(ev.run(args[3])) if len(args) > 3 else None
+def lfactor_of(v) -> SplitRational:
+    """L(v): the L-factor of a GL(2) or GSp(4) parameter, a representation or
+    a character."""
+    if isinstance(v, (cat.Gl2Param, cat.Gsp4Param)):
+        return v.lfactor()
+    return lfactor(_as_rep(v))
+
+
+def _star(w: WDRep) -> WDRep:
+    if len(w.blocks) == 1 and w.blocks[0].n == 0 \
+            and isinstance(w.blocks[0].part, IrredPart):
+        part = w.blocks[0].part
+        return WDRep([Block(replace(part, starred=not part.starred), 0)])
+    raise LfacEvalError("star needs a lone irreducible summand")
+
+
+def _irr(dim, label, det=Character.trivial(), selfdual_twist=None) -> WDRep:
     return WDRep([Block(IrredPart(dim, label, base_det=det,
-                                  selfdual_twist=sd), 0)])
+                                  selfdual_twist=selfdual_twist), 0)])
 
 
-def _sp_irr4(ev, args):
-    _need(args, 2, 2, "irr4")
-    label = _name_arg(args[0], "the irr4 label")
-    sim = _as_char(ev.run(args[1]))
-    return cat.sc_irred4(label, sim).rep
+def _gl2_ps(chi1, chi2, flag=None):
+    if flag not in (None, "red"):
+        raise LfacEvalError("the third gl2.ps argument is the flag 'red'")
+    return cat.principal_series(chi1, chi2, flag == "red")
 
 
-def _sp_gl2_ps(ev, args):
-    _need(args, 2, 3, "gl2.ps")
-    reducible = False
-    if len(args) == 3:
-        if _name_arg(args[2], "the gl2.ps flag") != "red":
-            raise LfacEvalError("the third gl2.ps argument is the flag 'red'")
-        reducible = True
-    return cat.principal_series(_as_char(ev.run(args[0])),
-                                _as_char(ev.run(args[1])), reducible)
-
-
-def _sp_gl2_sc(ev, args):
-    _need(args, 1, 2, "gl2.sc")
-    label = _name_arg(args[0], "the gl2.sc label")
-    if len(args) == 1:
-        return cat.supercuspidal(label)
-    return cat.supercuspidal(label, _as_char(ev.run(args[1])))
-
-
-def _sp_entry(ev, args):
-    _need(args, 2, 4, "entry")
-    root = _as_scalar(ev.run(args[0]))
-    tagname = _name_arg(args[1], "the classification")
+def _entry(root, tagname, *extra):
     if tagname not in _TAGS:
         raise LfacEvalError("unknown classification %r" % tagname)
-    witnesses = ()
-    bessel = None
-    for a in args[2:]:
-        v = ev.run(a)
-        if isinstance(v, tuple):
-            bessel = v
-        else:
-            witnesses = tuple(_as_rep(v).blocks)
-    return _poles.PoleEntry(root, _TAGS[tagname], witnesses, bessel)
+    bessel = [v for v in extra if isinstance(v, tuple)]
+    sums = [_as_rep(v) for v in extra if not isinstance(v, tuple)]
+    if len(bessel) > 1 or len(sums) > 1:
+        raise LfacEvalError("entry takes at most one witness sum and one "
+                            "bessel(...)")
+    return _poles.PoleEntry(root, _TAGS[tagname],
+                            sums[0].blocks if sums else (),
+                            bessel[0] if bessel else None)
 
 
-_SPECIAL = {
-    "ram": _sp_ram, "irr": _sp_irr, "irr4": _sp_irr4, "gl2.ps": _sp_gl2_ps,
-    "gl2.sc": _sp_gl2_sc, "entry": _sp_entry,
-}
+# how _fn reads an argument that is evaluated, by signature letter
+_COERCE = {"s": _as_scalar, "i": _as_int, "h": _as_half, "f": _as_split,
+           "c": _as_char, "r": _as_rep, "g": _of(cat.Gl2Param),
+           "p": _of(cat.Gsp4Param), "e": _of(_poles.PoleEntry),
+           "v": lambda v: v}
 
-_VALUE_ARG = {"c": _as_char, "r": _as_rep}
+
+def _arity(low: int, high: float) -> str:
+    if high == low:
+        return "%d argument%s" % (low, "" if low == 1 else "s")
+    if high == float("inf"):
+        return "at least %d argument%s" % (low, "" if low == 1 else "s")
+    return "%d to %d arguments" % (low, high)
 
 
-def _gsp4_fn(ctor, name, sig, optional, from_catalog):
-    """The gsp4.<name> handler of one cat.GSP4_TYPES entry.  A type with
-    labels is _SPECIAL and sees argument nodes, the others are _SIMPLE and
-    see values; either way it closes over the constructor itself."""
-    nlabels = sig.count("l")
+def _fn(ctor, name, sig, optional=0, catalog=False):
+    """The handler of the function `name`: one letter of sig per argument,
+    the last `optional` of which may be left out, and a trailing '*' repeats
+    the letter before it.  Labels ("l") and ram tags ("t") are read from the
+    parse node; every other argument is evaluated and coerced by _COERCE.
+    The handler closes over ctor itself, and passes catalog= when asked."""
+    letters = sig.rstrip("*")
+    repeat = sig.endswith("*")
+    last = len(letters) - 1
+    low = len(letters) - optional - repeat
+    high = float("inf") if repeat else len(letters)
+    want = "%s takes %s" % (name, _arity(low, high))
 
     def fn(ev, args):
-        _need(args, len(sig) - optional, len(sig), name)
-        labels = [_name_arg(a, "the %s label" % name) for a in args[:nlabels]]
-        vals = [ev.run(a) for a in args[nlabels:]] if nlabels else args
-        vals = [_VALUE_ARG[k](v) for k, v in zip(sig[nlabels:], vals)]
-        if from_catalog:
-            return ctor(*labels, *vals, catalog=ev.catalog)
-        return ctor(*labels, *vals)
+        if not low <= len(args) <= high:
+            raise LfacEvalError(want)
+        vals = []
+        for i, node in enumerate(args):
+            k = letters[min(i, last)]
+            if k == "l":
+                if node[0] != "name":
+                    raise LfacEvalError("argument %d of %s must be a bare "
+                                        "name" % (i + 1, name))
+                vals.append(node[1])
+            elif k == "t":
+                vals.append(_tag_pairs(node, []))
+            else:
+                vals.append(_COERCE[k](ev.run(node)))
+        if catalog:
+            return ctor(*vals, catalog=ev.catalog)
+        return ctor(*vals)
     return fn
 
 
-for _t in cat.GSP4_TYPES.values():
-    (_SPECIAL if "l" in _t.sig else _SIMPLE)["gsp4." + _t.name] = _gsp4_fn(
-        _t.ctor, "gsp4." + _t.name, _t.sig, _t.optional, _t.catalog)
+_SIMPLE = {name: _fn(ctor, name, *sig) for name, ctor, *sig in (
+    ("unr", Character.unramified, "s"),
+    ("ram", Character, "ts", 1),
+    ("abs", Character.absval, "h"),
+    ("sp", sp, "i"),
+    ("irr", _irr, "ilcc", 2),
+    ("irr4", lambda label, sim: cat.sc_irred4(label, sim).rep, "lc"),
+    ("dual", dual, "r"),
+    ("twist", twist, "rc"),
+    ("tensor", tensor, "rr"),
+    ("star", _star, "r"),
+    ("det", _det, "v"),
+    ("L", lfactor_of, "v"),
+    ("shift", SplitRational.shift, "fh"),
+    ("gl2.ps", _gl2_ps, "ccl", 1),
+    ("gl2.st", cat.steinberg, "c", 1),
+    ("gl2.sc", cat.supercuspidal, "lc", 1),
+    ("theta", cat.theta_lift, "gg"),
+    ("exceptional", _poles.exceptional_poles, "pg"),
+    ("subregular", _poles.subregular_poles, "p"),
+    ("homdim", lambda pi, sigma, root: Scalar.from_rational(
+        _poles.hom_dim(pi, sigma, root)), "pgs"),
+    ("entry", _entry, "slvv", 2),
+    ("bessel", lambda chi1, chi2: (chi1, chi2), "cc"),
+    ("polereport", lambda *entries: _poles.PoleReport(entries), "e*"),
+    *(("gsp4." + t.name, t.ctor, t.sig, t.optional, t.catalog)
+      for t in cat.GSP4_TYPES.values()),
+)}
 
 
 def evaluate_text(text: str, env=None, catalog=None):
     """Parse and evaluate one expression; env maps names to bound values and
     catalog overrides the builtin shape table."""
     try:
-        value = _Evaluator(env, catalog).run(_parse(text))
+        return _Evaluator(env, catalog).run(_parse(text))
     except RecursionError:
-        # parser and evaluator recurse once per nesting level, and a flat
-        # a + b + ... is a left-nested tree
+        # parser and evaluator recurse once per nesting level (a group, a
+        # unary minus, a call); operator chains are flat at any length
         raise LfacSyntaxError("expression nested too deeply", 1, 1) from None
-    if isinstance(value, int):
-        return Scalar.from_rational(value)
-    return value
 
 
 def parse_scalar(text: str) -> Scalar:

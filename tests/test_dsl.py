@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfac.catalog import (Gl2Param, Gsp4Param, load_catalog, principal_series,
                           steinberg, type_IVa, type_VIa)
 from lfac import render
 from lfac.chars import Character
-from lfac.dsl import evaluate_text, parse_scalar
-from lfac.errors import LfacEvalError, LfacSyntaxError
+from lfac.dsl import _SIMPLE, evaluate_text, parse_scalar
+from lfac.errors import LfacError, LfacEvalError, LfacSyntaxError
 from lfac.poles import PoleEntry, PoleReport, SUBREGULAR2
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
@@ -205,16 +207,34 @@ def test_eval_errors():
 @pytest.mark.parametrize("text", [
     "(" * 3000 + "1" + ")" * 3000,
     "-" * 3000 + "1",
-    "+".join(["1"] * 3000),
-], ids=["parens", "minus-chain", "flat-sum"])
+], ids=["parens", "minus-chain"])
 def test_deep_input_is_a_syntax_error(text):
     with pytest.raises(LfacSyntaxError):
         ev(text)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("+".join(["1"] * 3000), Scalar.from_rational(3000)),
+    ("*".join(["a"] * 3000), a ** 3000),
+    ("unr(a)" + " x sp(0)" * 3000, char_rep(unr(a))),
+], ids=["flat-sum", "flat-product", "flat-tensor"])
+def test_long_chains_evaluate(text, value):
+    # operator chains parse flat, so their length is not limited
+    assert ev(text) == value
+
+
 def test_long_rendered_sum_parses_back():
-    w = WDRep([b for k in range(150) for b in char_rep(unr(a * v ** k)).blocks])
+    w = WDRep([b for k in range(600) for b in char_rep(unr(a * v ** k)).blocks])
     assert ev(render.text(w)) == w
+
+
+@pytest.mark.parametrize("text", [
+    "entry(a, regular, unr(a) x sp(0), unr(b) x sp(0))",
+    "entry(a, sub2, bessel(unr(a), unr(a)), bessel(unr(b), unr(b)))",
+], ids=["two-witness-sums", "two-bessel"])
+def test_entry_takes_one_witness_sum_and_one_bessel(text):
+    with pytest.raises(LfacEvalError):
+        ev(text)
 
 
 def test_unknown_names_juxtapose():
@@ -231,3 +251,37 @@ def test_comments_and_newlines():
 def test_int_promotes_to_scalar():
     assert isinstance(ev("3"), Scalar)
     assert ev("3") == Scalar.from_rational(3)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_ATOMS = ["a", "b", "0", "1", "2", "v", "q", "X", "x", "l", "red", "regular",
+          "sub2", "eta"]
+_atoms = st.one_of(st.sampled_from(_ATOMS),
+                   st.builds("{}^{}".format, st.sampled_from(_ATOMS),
+                             st.sampled_from(["2", "-1", "0", "(-2)"])))
+
+
+def _grow(inner):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(sorted(_SIMPLE)),
+                  st.lists(inner, max_size=4).map(", ".join)),
+        st.builds("{}{}{}".format, inner,
+                  st.sampled_from([" + ", " - ", "*", "/", " x ", ""]), inner),
+        inner.map("({})".format), inner.map("-{}".format))
+
+
+# grammatical nestings of the table's functions, plus token soup
+_fuzz_text = st.one_of(
+    st.recursive(_atoms, _grow, max_leaves=10),
+    st.lists(st.sampled_from(sorted(_SIMPLE) + _ATOMS + list("+-*/^(),")),
+             max_size=12).map(" ".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_text)
+def test_fuzzed_text_yields_a_value_or_an_lfac_error(text):
+    try:
+        ev(text)
+    except LfacError:
+        pass

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, reject, settings
@@ -9,12 +10,13 @@ from lfac.catalog import (GSP4_TYPES, free, principal_series, sc_irred4,
                           sc_pair, steinberg, supercuspidal, theta_lift,
                           type_IIIa, type_VIa, type_X)
 from lfac.chars import Character
-from lfac.dsl import evaluate_text
+from lfac.dsl import _SIMPLE, evaluate_text
 from lfac.errors import TypeConstraintViolation
-from lfac.poles import ideals_JK, subregular_poles
+from lfac.poles import exceptional_poles, ideals_JK, subregular_poles
 from lfac.render import SCHEMA, text, to_json, unicodize
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational, ideal_generator
+from lfac.verify import _matched_gl2_pair, random_gl2, random_pairing
 from lfac.wdrep import char_rep
 
 a = Scalar.symbol("a")
@@ -115,11 +117,28 @@ def test_registry_types_roundtrip(name, data):
         reject()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_values_roundtrip(seed):
+    # the FREE parameters, GL(2) parameters and theta lifts the verify
+    # suites draw, and the pole reports of the drawn pairings
+    pi, sigma = random_pairing(seed)
+    rng = random.Random(seed)
+    syms = ["a", "b", "c", "d"]
+    lift = theta_lift(*_matched_gl2_pair(rng, syms))
+    for value in (pi, sigma, random_gl2(rng, syms), lift,
+                  exceptional_poles(pi, sigma), subregular_poles(pi),
+                  subregular_poles(lift)):
+        assert evaluate_text(text(value)) == value
+
+
 def test_docs_list_every_registry_type():
+    # every DSL function, the gsp4.* registry types among them
     doc = (pathlib.Path(__file__).parents[1] / "docs" / "expressions.md") \
         .read_text(encoding="utf-8")
-    for name in GSP4_TYPES:
-        assert "`gsp4.%s(" % name in doc
+    assert {"gsp4." + name for name in GSP4_TYPES} <= set(_SIMPLE)
+    for name in _SIMPLE:
+        assert "`%s(" % name in doc, name
 
 
 def test_unicodize_is_display_only():

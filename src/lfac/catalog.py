@@ -239,9 +239,13 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
                         .read_text(encoding="utf-8")
         where = "<builtin catalog>"
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
         where = str(path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise CatalogFormatError("%s: not UTF-8 text (byte %d)"
+                                     % (where, e.start)) from None
 
     lines = text.splitlines()
     if not lines or lines[0].strip() != "catalog-format 1":

@@ -10,7 +10,7 @@ unramified quadratic character is available as value -1.
 
 from __future__ import annotations
 
-from .errors import HalfIntegerError, LfacValueError
+from .errors import HalfIntegerError, LfacValueError, _printable
 from .scalar import Scalar, _check_name, half_integer
 
 __all__ = ["Character"]
@@ -115,6 +115,7 @@ class Character:
 
     # ---------------------------------------------------------------- text
 
+    @_printable
     def __str__(self):
         if self.is_unramified:
             return "unr(%s)" % self.satake

@@ -122,8 +122,9 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    profile = verify.TrialProfile(args.seed, args.budget, 3, args.pool,
-                                  args.irred)
+    profile = verify.TrialProfile(args.seed, block_budget=args.budget,
+                                  symbol_pool=args.pool,
+                                  allow_irred=args.irred)
     reports = verify.run_suite(args.suite, args.trials, args.seed, profile)
     ok = all(r.passed for r in reports)
     _emit(args, {"reports": [render.to_json(r) for r in reports],

@@ -151,13 +151,13 @@ class _Parser:
         self.next()
         if paren:
             self.expect(")")
-        return sign * int(piece)
+        return sign * _literal(piece, line, col)
 
     def atom(self):
         kind, piece, line, col = self.peek()
         if kind == "number":
             self.next()
-            return ("num", Scalar.from_rational(int(piece)))
+            return ("num", Scalar.from_rational(_literal(piece, line, col)))
         if kind == "name":
             self.next()
             # only known function names consume a following '('; anything
@@ -187,6 +187,14 @@ class _Parser:
     def at_name(self, name) -> bool:
         kind, piece, _, _ = self.peek()
         return kind == "name" and piece == name
+
+
+def _literal(piece: str, line: int, col: int) -> int:
+    try:
+        return int(piece)
+    except ValueError:  # past the interpreter's limit on integer digits
+        raise LfacSyntaxError("integer literal of %d digits is too long"
+                              % len(piece), line, col) from None
 
 
 def _parse(text: str):

@@ -5,6 +5,8 @@ base class.  Syntax errors carry a position; the CLI turns any of these into
 exit code 2.
 """
 
+import functools
+
 
 class LfacError(Exception):
     pass
@@ -23,6 +25,19 @@ class LfacValueError(LfacError, ValueError):
     """A value outside its domain: a zero character value, an irreducible
     part of dimension below 2, a negative sp index, a bad or reserved symbol
     name."""
+
+
+def _printable(to_text):
+    """Wrap a __str__ so an integer past the interpreter's limit on printed
+    digits raises LfacValueError, not a bare ValueError."""
+    @functools.wraps(to_text)
+    def __str__(self):
+        try:
+            return to_text(self)
+        except ValueError:
+            raise LfacValueError("%s too large to print"
+                                 % type(self).__name__) from None
+    return __str__
 
 
 class UnsupportedTensor(LfacError):

@@ -14,6 +14,7 @@ import re
 from . import catalog as cat
 from . import poles as _poles
 from .chars import Character
+from .errors import LfacValueError
 from .scalar import Scalar
 from .splitrat import IdealGen, SplitRational
 from .verify import CheckReport
@@ -90,6 +91,10 @@ def _gsp4_text(p: cat.Gsp4Param) -> str:
     if p.entry is not None:
         pieces = [a if isinstance(a, str) else text(a) for a in p.args]
         return "gsp4.%s(%s)" % (p.entry, ", ".join(pieces))
+    if p.st_type != "FREE":
+        # gsp4.free would parse back as FREE, not as this type
+        raise LfacValueError("a %s parameter built without its constructor "
+                             "arguments has no text form" % p.st_type)
     return "gsp4.free(%s, %s)" % (_rep_text(p.rep), p.similitude)
 
 

@@ -28,7 +28,8 @@ from sympy import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 
-from .errors import HalfIntegerError, LfacValueError, ScalarDomainError
+from .errors import (HalfIntegerError, LfacValueError, ScalarDomainError,
+                     _printable)
 
 __all__ = ["Scalar", "scalar_canonicalize", "half_integer", "RESERVED_NAMES"]
 
@@ -345,6 +346,7 @@ class Scalar:
                 out.append((" - " if coeff < 0 else " + ") + body)
         return "".join(out)
 
+    @_printable
     def __str__(self):
         if not self._num:
             return "0"

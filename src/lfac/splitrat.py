@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ScalarDomainError
+from .errors import ScalarDomainError, _printable
 from .scalar import Scalar, half_integer
 
 __all__ = ["SplitRational", "IdealGen", "ideal_generator"]
@@ -172,6 +172,7 @@ class SplitRational:
         base = "(1 - %s*X)" % SplitRational._beta_text(beta)
         return base if e == 1 else "%s^%d" % (base, e)
 
+    @_printable
     def __str__(self):
         top, bot = [], []
         if not self.unit.is_one:

@@ -14,12 +14,13 @@ representation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import catalog as cat
 from .chars import Character
 from .errors import TypeConstraintViolation
+from .poles import subregular_poles
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .unipoly import expand_split, rational_equal
@@ -46,8 +47,7 @@ class TrialProfile:
     allow_irred: bool = False
 
     def derived(self, i: int) -> "TrialProfile":
-        return TrialProfile(self.seed * TRIAL_STRIDE + i, self.block_budget,
-                            self.max_sp, self.symbol_pool, self.allow_irred)
+        return replace(self, seed=self.seed * TRIAL_STRIDE + i)
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,19 @@ def _blocks_with_n(w: WDRep, n: int) -> WDRep:
     return WDRep(b for b in w.blocks if b.n == n)
 
 
+def _compare(rep: CheckReport, a, b, numeric_seed, what: str, *context):
+    """Record a failure on rep when a != b or, given a seed, when the dense
+    oracle disagrees; the detail, naming the context, is built on failure."""
+    if a != b:
+        detail = "%s != %s" % (a, b)
+    elif numeric_seed is not None and not numeric_equal(a, b, numeric_seed):
+        detail = "numeric specialization disagrees"
+    else:
+        return
+    rep.record(0, 0, "%s: %s on %s"
+               % (what, detail, " / ".join(repr(c) for c in context)))
+
+
 def check_lemma71(w: WDRep, numeric_seed=None) -> CheckReport:
     """Both division identities on one representation.
 
@@ -231,23 +244,15 @@ def check_lemma71(w: WDRep, numeric_seed=None) -> CheckReport:
     and picks out the n=1 blocks instead.
     """
     rep = CheckReport("lemma71", 1)
-    half = Fraction(1, 2)
     l = lfactor(w)
     w1 = tensor(w, sp(1))
-    l1 = lfactor(w1)
-    lhs1 = l * l.shift(1) / l1.shift(half)
-    rhs1 = lfactor(_blocks_with_n(w, 0))
-    if lhs1 != rhs1:
-        rep.record(0, 0, "identity 1: %s != %s on %r" % (lhs1, rhs1, w))
-    lhs2 = l1.shift(half) * l1.shift(Fraction(3, 2)) \
-        / lfactor(tensor(w1, sp(1))).shift(1)
-    rhs2 = lfactor(_blocks_with_n(w, 1))
-    if lhs2 != rhs2:
-        rep.record(0, 0, "identity 2: %s != %s on %r" % (lhs2, rhs2, w))
-    if numeric_seed is not None and rep.passed:
-        if not (numeric_equal(lhs1, rhs1, numeric_seed)
-                and numeric_equal(lhs2, rhs2, numeric_seed + 1)):
-            rep.record(0, 0, "numeric specialization disagrees on %r" % (w,))
+    l1 = lfactor(w1).shift(Fraction(1, 2))
+    _compare(rep, l * l.shift(1) / l1, lfactor(_blocks_with_n(w, 0)),
+             numeric_seed, "identity 1", w)
+    _compare(rep, l1 * l1.shift(1) / lfactor(tensor(w1, sp(1))).shift(1),
+             lfactor(_blocks_with_n(w, 1)),
+             None if numeric_seed is None else numeric_seed + 1,
+             "identity 2", w)
     return rep
 
 
@@ -258,8 +263,7 @@ def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
         c1, c2 = (b.part.char for b in sigma.rep.blocks)
         return lfactor(twist(pi.rep, c1)) * lfactor(twist(pi.rep, c2))
     if sigma.kind == "steinberg-twist":
-        chi = sigma.rep.blocks[0].part.char
-        w = twist(pi.rep, chi)
+        w = twist(pi.rep, sigma.rep.blocks[0].part.char)
         l = lfactor(w)
         n0 = lfactor(_blocks_with_n(w, 0))
         return (l * l.shift(1) / n0).shift(Fraction(-1, 2))
@@ -276,19 +280,13 @@ def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
                                       "non-supercuspidal sigma")
     rep = CheckReport("theoremA", 1)
     a = cat.nov_lfactor(pi, sigma)
-    b = _product_route(pi, sigma)
-    if a != b:
-        rep.record(0, 0, "routes disagree: %s != %s on %r / %r"
-                   % (a, b, pi.rep, sigma.rep))
-    if numeric_seed is not None and rep.passed and not numeric_equal(a, b, numeric_seed):
-        rep.record(0, 0, "numeric specialization disagrees on %r / %r"
-                   % (pi.rep, sigma.rep))
+    _compare(rep, a, _product_route(pi, sigma), numeric_seed,
+             "routes disagree", pi.rep, sigma.rep)
     if pi.st_type in ("IIIa", "IVa") and sigma.kind == "steinberg-twist" \
             and sigma.rep.blocks[0].part.char.is_trivial:
-        from .poles import subregular_poles
         l = lfactor(pi.rep)
-        if a.shift(Fraction(1, 2)) != l * l.shift(1):
-            rep.record(0, 0, "IIIa/IVa closed form fails on %r" % (pi.rep,))
+        _compare(rep, a.shift(Fraction(1, 2)), l * l.shift(1), None,
+                 "IIIa/IVa closed form", pi.rep)
         if subregular_poles(pi).subregular_roots():
             rep.record(0, 0, "unexpected subregular poles on %r" % (pi.rep,))
     return rep
@@ -301,15 +299,9 @@ def check_corollary62(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
     if sigma.kind != "principal-series":
         raise TypeConstraintViolation("corollary62 route needs a principal "
                                       "series sigma")
-    rep = CheckReport("corollary62", 1)
-    a = cat.nov_lfactor(pi, sigma)
-    b = _product_route(pi, sigma)
-    if a != b:
-        rep.record(0, 0, "product formula fails: %s != %s on %r"
-                   % (a, b, pi.rep))
-    if numeric_seed is not None and rep.passed and not numeric_equal(a, b, numeric_seed):
-        rep.record(0, 0, "numeric specialization disagrees on %r" % (pi.rep,))
-    return rep
+    # for a principal-series sigma, theoremA is just the route comparison
+    return replace(check_theoremA(pi, sigma, numeric_seed),
+                   suite="corollary62")
 
 
 def check_soudry(tau1: cat.Gl2Param, tau2: cat.Gl2Param, sigma: cat.Gl2Param,
@@ -317,13 +309,10 @@ def check_soudry(tau1: cat.Gl2Param, tau2: cat.Gl2Param, sigma: cat.Gl2Param,
     """Pairing factor of the lift against the product of the two GL(2)
     factors."""
     rep = CheckReport("soudry", 1)
-    lift = cat.theta_lift(tau1, tau2)
-    a = cat.nov_lfactor(lift, sigma)
-    b = cat.rs_lfactor(tau1, sigma) * cat.rs_lfactor(tau2, sigma)
-    if a != b:
-        rep.record(0, 0, "lift factor %s != product %s" % (a, b))
-    if numeric_seed is not None and rep.passed and not numeric_equal(a, b, numeric_seed):
-        rep.record(0, 0, "numeric specialization disagrees")
+    _compare(rep, cat.nov_lfactor(cat.theta_lift(tau1, tau2), sigma),
+             cat.rs_lfactor(tau1, sigma) * cat.rs_lfactor(tau2, sigma),
+             numeric_seed, "lift against product", tau1.rep, tau2.rep,
+             sigma.rep)
     return rep
 
 
@@ -340,33 +329,35 @@ def theoremA_fixed_cases() -> list[tuple[cat.Gsp4Param, cat.Gl2Param]]:
             (cat.sc_pair("l2", "l2p", a), st)]
 
 
-def _suite_lemma71(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
-    out = CheckReport("lemma71")
-    base = TrialProfile(seed, profile.block_budget, profile.max_sp,
-                        profile.symbol_pool, profile.allow_irred)
+def _trials(suite: str, trials: int, seed: int, profile: TrialProfile,
+            trial, fixed=()) -> CheckReport:
+    """The fixed reports, then trial(p, rng) for each i, where p is the profile
+    at seed derived for i and rng is seeded with p.seed; stamps (i, p.seed)."""
+    out = CheckReport(suite)
+    for r in fixed:
+        out.merge(r)
+    base = replace(profile, seed=seed)
     for i in range(trials):
         p = base.derived(i)
-        r = check_lemma71(random_rep(p))
+        r = trial(p, random.Random(p.seed))
         r.failures = [Failure(i, p.seed, f.detail) for f in r.failures]
         out.merge(r)
     return out
 
 
+def _suite_lemma71(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
+    return _trials("lemma71", trials, seed, profile,
+                   lambda p, _: check_lemma71(random_rep(p)))
+
+
 def _suite_theoremA(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
-    out = CheckReport("theoremA")
-    for pi, sigma in theoremA_fixed_cases():
-        r = check_theoremA(pi, sigma)
-        out.merge(r)
-    for i in range(trials):
-        s = seed * TRIAL_STRIDE + i
-        rng = random.Random(s)
-        syms = _symbols(profile)
-        pi = random_gsp4_free(rng, syms, allow_irred=profile.allow_irred)
-        sigma = random_gl2(rng, syms, kinds=("ps", "st"))
-        r = check_theoremA(pi, sigma)
-        r.failures = [Failure(i, s, f.detail) for f in r.failures]
-        out.merge(r)
-    return out
+    def trial(p, rng):
+        syms = _symbols(p)
+        return check_theoremA(
+            random_gsp4_free(rng, syms, allow_irred=p.allow_irred),
+            random_gl2(rng, syms, kinds=("ps", "st")))
+    return _trials("theoremA", trials, seed, profile, trial,
+                   [check_theoremA(*case) for case in theoremA_fixed_cases()])
 
 
 def _matched_gl2_pair(rng: random.Random, syms):
@@ -397,19 +388,12 @@ def _matched_gl2_pair(rng: random.Random, syms):
 
 
 def _suite_soudry(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
-    out = CheckReport("soudry")
-    for i in range(trials):
-        s = seed * TRIAL_STRIDE + i
-        rng = random.Random(s)
-        syms = _symbols(profile)
+    def trial(p, rng):
+        syms = _symbols(p)
         tau1, tau2 = _matched_gl2_pair(rng, syms)
-        # sigma from an independent label pool, so supercuspidal draws stay
-        # inside the supported (non-twin) hypothesis
-        sigma = random_gl2(rng, syms, label_pool=("u1", "u2"))
-        r = check_soudry(tau1, tau2, sigma)
-        r.failures = [Failure(i, s, f.detail) for f in r.failures]
-        out.merge(r)
-    return out
+        # sigma's labels (u1, u2) never twin the pair's (t1, t2)
+        return check_soudry(tau1, tau2, random_gl2(rng, syms))
+    return _trials("soudry", trials, seed, profile, trial)
 
 
 SUITES = {"lemma71": _suite_lemma71, "theoremA": _suite_theoremA,
@@ -418,7 +402,8 @@ SUITES = {"lemma71": _suite_lemma71, "theoremA": _suite_theoremA,
 
 def run_suite(name: str, trials: int, seed: int,
               profile: TrialProfile | None = None) -> list[CheckReport]:
-    """Run one named suite, or all of them, returning one report per suite."""
+    """Run one named suite, or all of them, returning one report per suite;
+    trial i uses seed seed * TRIAL_STRIDE + i; seed overrides profile.seed."""
     profile = profile or TrialProfile(seed)
     if name == "all":
         return [SUITES[n](trials, seed, profile) for n in sorted(SUITES)]

@@ -1,12 +1,17 @@
+import io
 import json
 import pathlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lfac.catalog
 import lfac.verify
 from lfac.cli import main
 from lfac.verify import CheckReport
+from test_dsl import _fuzz_text
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -81,9 +86,10 @@ def test_domain_error_exit_2(capsys):
 
 @pytest.mark.parametrize("expr", [
     "unr(0)", "ram(eta, 0)", "unr(a)/unr(0)", "irr(1, t)", "sp(-1)", "ram(q)",
-    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1",
+    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "1" * 5000,
+    "a^" + "1" * 5000, "2^20000",
 ], ids=["unr0", "ram0", "ratio0", "irr1", "sp-1", "ram-q", "parens",
-        "minus-chain"])
+        "minus-chain", "long-literal", "long-exponent", "unprintable"])
 def test_bad_value_exit_2(capsys, expr):
     assert main(["eval", "--", expr]) == 2
     out, err = capsys.readouterr()
@@ -116,6 +122,14 @@ def test_missing_catalog_file_exit_2(capsys):
     assert main(["eval", "a", "--catalog", "/no/such/file"]) == 2
     _, err = capsys.readouterr()
     assert err.startswith("error: ")
+
+
+def test_non_utf8_catalog_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "cat.txt"
+    f.write_bytes(b"\xff\xfecatalog-format 1\n")
+    assert main(["eval", "a", "--catalog", str(f)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: %s: not UTF-8" % f) and err.count("\n") == 1
 
 
 def _catalog_file(tmp_path):
@@ -171,3 +185,63 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert main(["verify", "--suite", "lemma71", "--trials", "2"]) == 1
     out, _ = capsys.readouterr()
     assert "FAIL" in out
+
+
+# ------------------------------------------------------------ fuzzed argv
+
+@pytest.fixture(scope="module")
+def catalog_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("catalogs")
+    (d / "empty.txt").write_text("")
+    (d / "latin1.txt").write_bytes(b"\xff\xfecatalog-format 1\n")
+    (d / "malformed.txt").write_text("catalog-format 1\ntype T\nblock\n")
+    return [str(d / "missing.txt"), str(d), str(d / "empty.txt"),
+            str(d / "latin1.txt"), str(d / "malformed.txt"),
+            _catalog_file(d)]
+
+
+_EXPRS = st.one_of(_fuzz_text, st.sampled_from(["1" * 5000, "2^20000"]))
+
+
+@st.composite
+def _argv(draw, catalogs):
+    sub = draw(st.sampled_from(["eval", "lfactor", "poles", "split",
+                                "ideals", "verify", "frobnicate"]))
+    # verify runs 100 trials per suite unless told otherwise
+    argv = [sub, "--trials", draw(st.sampled_from(["-1", "0", "1"]))] \
+        if sub == "verify" else [sub]
+    argv += draw(st.lists(_EXPRS, max_size=2))
+    flags = st.one_of(
+        st.tuples(st.sampled_from(["--trials", "--pool", "--budget"]),
+                  st.sampled_from(["-1", "0", "1"])),
+        st.tuples(st.just("--seed"),
+                  st.sampled_from(["12345678901234567890", "1.5"])),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "yaml"])),
+        st.sampled_from([("--unicode",), ("--irred",)]),
+        st.tuples(st.just("--catalog"), st.sampled_from(catalogs)),
+        st.tuples(st.sampled_from(["--exceptional", "--nov"]), _EXPRS,
+                  _EXPRS),
+        st.tuples(st.sampled_from(["--subregular", "--ps"]), _EXPRS))
+    for flag in draw(st.lists(flags, max_size=4)):
+        argv += flag
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(catalog_paths, data):
+    argv = data.draw(_argv(catalog_paths))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse refuses the command line
+            assert ex.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 2:
+        err = err.getvalue()
+        if err:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert set(json.loads(out.getvalue())) == {"schema", "error"}

@@ -186,6 +186,10 @@ def test_catalog_override(tmp_path):
     ("a^b", 1, 3),
     ("a $", 1, 3),
     ("(1 - a*X)\n(1 - $*X)", 2, 6),
+    # past the interpreter's limit on integer digits, at the literal
+    pytest.param("1" * 5000, 1, 1, id="long-literal"),
+    pytest.param("a + 2^" + "1" * 5000, 1, 7, id="long-exponent"),
+    pytest.param("a^(-" + "1" * 5000 + ")", 1, 5, id="long-negative-exponent"),
 ])
 def test_syntax_error_positions(text, line, col):
     with pytest.raises(LfacSyntaxError) as ex:

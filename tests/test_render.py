@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lfac.catalog import (GSP4_TYPES, free, principal_series, sc_irred4,
-                          sc_pair, steinberg, supercuspidal, theta_lift,
-                          type_IIIa, type_VIa, type_X)
+from lfac.catalog import (GSP4_TYPES, free, from_catalog, principal_series,
+                          sc_irred4, sc_pair, steinberg, supercuspidal,
+                          theta_lift, type_IIIa, type_VIa, type_X)
 from lfac.chars import Character
 from lfac.dsl import _SIMPLE, evaluate_text
-from lfac.errors import TypeConstraintViolation
+from lfac.errors import LfacValueError, TypeConstraintViolation
 from lfac.poles import exceptional_poles, ideals_JK, subregular_poles
 from lfac.render import SCHEMA, text, to_json, unicodize
 from lfac.scalar import Scalar
@@ -42,6 +42,27 @@ def test_text_theta_and_free():
     p = type_VIa(unr(a))
     assert text(free(p.rep, p.similitude)) \
         == "gsp4.free(unr(a) x sp(1) + unr(a) x sp(1), unr(a^2))"
+
+
+def test_catalog_type_without_args_has_no_text():
+    # gsp4.free(...) would parse back as FREE, an unequal parameter
+    bare = from_catalog("Va", {"sigma": unr(a)})
+    for render in (text, to_json):
+        with pytest.raises(LfacValueError):
+            render(bare)
+    typed = from_catalog("Va", {"sigma": unr(a)}, args=(unr(a),))
+    assert text(typed) == "gsp4.Va(unr(a))"
+    assert evaluate_text(text(typed)) == typed
+
+
+@pytest.mark.parametrize("value", [
+    Scalar.from_rational(2) ** 20000, a ** (10 ** 5000),
+    unr(a) ** (10 ** 5000), SplitRational(xpower=10 ** 5000)],
+    ids=["coefficient", "exponent", "character", "xpower"])
+def test_unprintable_integers_are_value_errors(value):
+    for render in (text, to_json):
+        with pytest.raises(LfacValueError):
+            render(value)
 
 
 def test_text_reducible_orientation():

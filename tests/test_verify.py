@@ -1,15 +1,16 @@
 import pytest
 
+import lfac.verify
 from lfac.catalog import (principal_series, sc_irred4, steinberg,
                           supercuspidal, type_IVa, type_VIa)
 from lfac.chars import Character
 from lfac.errors import TypeConstraintViolation
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
-from lfac.verify import (CheckReport, TrialProfile, check_corollary62,
-                         check_lemma71, check_soudry, check_theoremA,
-                         numeric_equal, random_pairing, random_rep,
-                         run_suite, theoremA_fixed_cases)
+from lfac.verify import (TRIAL_STRIDE, CheckReport, Failure, TrialProfile,
+                         check_corollary62, check_lemma71, check_soudry,
+                         check_theoremA, numeric_equal, random_pairing,
+                         random_rep, run_suite, theoremA_fixed_cases)
 from lfac.wdrep import char_rep, similitude_check
 
 a = Scalar.symbol("a")
@@ -36,6 +37,25 @@ def test_run_suite_deterministic():
     r2 = run_suite("lemma71", trials=5, seed=11)[0]
     assert r1.summary() == r2.summary()
     assert r1.failures == r2.failures
+
+
+@pytest.mark.parametrize("suite", ["lemma71", "theoremA", "soudry"])
+def test_failures_carry_trial_and_seed(suite, monkeypatch):
+    def failing_check(*args, **kwargs):
+        report = CheckReport(suite, 1)
+        report.record(0, 0, "forced")
+        return report
+    monkeypatch.setattr(lfac.verify, "check_" + suite, failing_check)
+    report = run_suite(suite, 3, 7)[0]
+    fixed = 4 if suite == "theoremA" else 0
+    assert report.trials == 3 + fixed
+    assert report.failures == [Failure(0, 0, "forced")] * fixed + [
+        Failure(i, 7 * TRIAL_STRIDE + i, "forced") for i in range(3)]
+
+
+@pytest.mark.parametrize("suite", ["lemma71", "theoremA", "soudry"])
+def test_seed_overrides_profile_seed(suite):
+    assert run_suite(suite, 3, 7, TrialProfile(99)) == run_suite(suite, 3, 7)
 
 
 def test_run_suite_unknown_name():

@@ -5,8 +5,8 @@ supercuspidal).  GSp(4) parameters carry their block representation, a
 similitude character chi with rep^vee (x) chi = rep, and a type tag.  The
 shapes this package states itself (I, IIIa, IVa, VII, VIIIa, IXa, the two
 supercuspidal shapes) are coded below; types IIa, Va, VIa, X and XIa are
-built from the transcribed data file shipped in data/catalog_types.txt and
-can be overridden with an alternative file.
+generated at import from the params lines of the transcribed data file
+data/catalog_types.txt, and gsp4_types does the same for another file.
 
 nov_lfactor is the pairing factor computed on the parameter side; for a
 principal-series sigma it automatically agrees with the product over the two
@@ -31,7 +31,7 @@ from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, char_rep,
                     similitude_check, tensor_lfactor)
 
 __all__ = ["Gl2Param", "Gsp4Param", "Gsp4Type", "GSP4_TYPES", "gl2_param",
-           "gsp4_param", "theta_lift", "nov_lfactor", "rs_lfactor",
+           "gsp4_param", "gsp4_types", "theta_lift", "nov_lfactor", "rs_lfactor",
            "load_catalog", "default_catalog", "principal_series", "steinberg",
            "supercuspidal"]
 
@@ -230,6 +230,7 @@ class CatalogShape:
 
 
 _PARAM_RE = re.compile(r"\A([A-Za-z_][A-Za-z0-9_]*):(char|irred)\Z")
+_TYPE_RE = re.compile(r"\A[A-Za-z0-9_]+\Z")   # what gsp4.NAME can spell
 
 
 def load_catalog(path=None) -> dict[str, CatalogShape]:
@@ -272,6 +273,12 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
         rest = rest.strip()
         if word == "type":
             close()
+            if not _TYPE_RE.match(rest):
+                raise CatalogFormatError("%s:%d: type name %r is not a "
+                                         "gsp4.NAME name" % (where, no, rest))
+            if rest in _CODED or rest in shapes:
+                raise CatalogFormatError("%s:%d: type %s is already declared"
+                                         % (where, no, rest))
             cur = {"name": rest, "params": [], "requires": [], "blocks": [],
                    "sim": None}
             continue
@@ -282,34 +289,39 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
                 m = _PARAM_RE.match(tok)
                 if not m:
                     raise CatalogFormatError("%s:%d: bad param %r" % (where, no, tok))
+                if m.group(1) in dict(cur["params"]):
+                    raise CatalogFormatError("%s:%d: param %s declared twice"
+                                             % (where, no, m.group(1)))
                 cur["params"].append((m.group(1), m.group(2)))
         elif word == "require":
             kind, _, pname = rest.partition(" ")
-            if kind != "trivial-det" or not pname.strip():
+            pname = pname.strip()
+            if kind != "trivial-det" or not pname:
                 raise CatalogFormatError("%s:%d: unknown requirement %r"
                                          % (where, no, rest))
-            cur["requires"].append((kind, pname.strip()))
+            if pname not in dict(cur["params"]):
+                raise CatalogFormatError("%s:%d: require names undeclared "
+                                         "param %r" % (where, no, pname))
+            cur["requires"].append((kind, pname))
         elif word == "block":
             m = re.match(r"\A(.*)\bsp\s+(\d+)\Z", rest)
             if not m:
                 raise CatalogFormatError("%s:%d: block needs 'sp N'" % (where, no))
-            cur["blocks"].append((m.group(1).strip(), int(m.group(2))))
+            try:
+                n = int(m.group(2))
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise CatalogFormatError("%s:%d: sp index of %d digits is too "
+                                         "long" % (where, no, len(m.group(2)))) from None
+            cur["blocks"].append((m.group(1).strip(), n))
         elif word == "similitude":
+            if cur["sim"] is not None:
+                raise CatalogFormatError("%s:%d: type %s has a second "
+                                         "similitude" % (where, no, cur["name"]))
             cur["sim"] = rest
         else:
             raise CatalogFormatError("%s:%d: unknown directive %r" % (where, no, word))
     close()
     return shapes
-
-
-_DEFAULT_CATALOG: dict[str, CatalogShape] | None = None
-
-
-def default_catalog() -> dict[str, CatalogShape]:
-    global _DEFAULT_CATALOG
-    if _DEFAULT_CATALOG is None:
-        _DEFAULT_CATALOG = load_catalog()
-    return _DEFAULT_CATALOG
 
 
 def _as_part(value, where: str):
@@ -360,69 +372,80 @@ def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
     return _make(WDRep(blocks), sim, name, args)
 
 
-def type_IIa(chi: Character, sigma: Character, catalog=None) -> Gsp4Param:
-    return from_catalog("IIa", {"chi": chi, "sigma": sigma}, catalog,
-                        (chi, sigma))
-
-
-def type_Va(sigma: Character, catalog=None) -> Gsp4Param:
-    return from_catalog("Va", {"sigma": sigma}, catalog, (sigma,))
-
-
-def type_VIa(sigma: Character, catalog=None) -> Gsp4Param:
-    return from_catalog("VIa", {"sigma": sigma}, catalog, (sigma,))
-
-
-def type_X(label: str, det: Character, sigma: Character, catalog=None) -> Gsp4Param:
-    rho = IrredPart(2, label, base_det=det)
-    return from_catalog("X", {"rho": rho, "sigma": sigma}, catalog,
-                        (label, det, sigma))
-
-
-def type_XIa(label: str, sigma: Character, catalog=None) -> Gsp4Param:
-    rho = IrredPart(2, label)  # trivial det, as the shape requires
-    return from_catalog("XIa", {"rho": rho, "sigma": sigma}, catalog,
-                        (label, sigma))
-
-
 @dataclass(frozen=True)
 class Gsp4Type:
     """One GSp(4) constructor as the expression language spells it.
 
-    sig has one letter per argument: "l" a bare-name label (labels lead),
-    "c" a character, "r" a representation; the last `optional` arguments
-    may be left out.  A catalog-backed constructor is built from the shape
-    data file and takes catalog=.
+    sig has one letter per argument: "l" a bare-name label, "c" a
+    character, "r" a representation; the last `optional` arguments may be
+    left out.
     """
     name: str
     ctor: Callable[..., Gsp4Param]
     sig: str
     optional: int = 0
-    catalog: bool = False
 
 
-GSP4_TYPES = {t.name: t for t in (
+_CODED = {t.name: t for t in (
     Gsp4Type("I", type_I, "ccc"),
-    Gsp4Type("IIa", type_IIa, "cc", catalog=True),
     Gsp4Type("IIIa", type_IIIa, "cc"),
     Gsp4Type("IVa", type_IVa, "c"),
-    Gsp4Type("Va", type_Va, "c", catalog=True),
-    Gsp4Type("VIa", type_VIa, "c", catalog=True),
     Gsp4Type("VII", type_VII, "lcc"),
     Gsp4Type("VIIIa", type_VIIIa, "lc"),
     Gsp4Type("IXa", type_IXa, "lc"),
-    Gsp4Type("X", type_X, "lcc", catalog=True),
-    Gsp4Type("XIa", type_XIa, "lc", catalog=True),
     Gsp4Type("sc4", sc_irred4, "lc", optional=1),
     Gsp4Type("scpair", sc_pair, "llc", optional=1),
     Gsp4Type("free", free, "rc"),
 )}
 
 
-def gsp4_param(name: str, *args, **kwargs) -> Gsp4Param:
-    if name not in GSP4_TYPES:
+def _shape_type(shape: CatalogShape, shapes) -> Gsp4Type:
+    """The registry row of a shape from its params: a char param is "c", an
+    irred param a label and its determinant "lc", or "l" if trivial-det."""
+    trivial = {p for kind, p in shape.requires if kind == "trivial-det"}
+    sig = "".join("c" if kind == "char" else "l" if p in trivial else "lc"
+                  for p, kind in shape.params)
+
+    def ctor(*args) -> Gsp4Param:
+        if len(args) != len(sig):
+            raise TypeConstraintViolation("type %s takes %d arguments"
+                                          % (shape.name, len(sig)))
+        rest, values = iter(args), {}
+        for p, kind in shape.params:
+            if kind == "char":
+                values[p] = next(rest)
+            else:
+                label = next(rest)
+                det = _TRIV if p in trivial else next(rest)
+                values[p] = IrredPart(2, label, base_det=det)
+        return from_catalog(shape.name, values, shapes, args)
+    return Gsp4Type(shape.name, ctor, sig)
+
+
+def gsp4_types(shapes) -> dict[str, Gsp4Type]:
+    """The coded GSp(4) types plus one generated row per catalog shape."""
+    return {**_CODED, **{name: _shape_type(shape, shapes)
+                         for name, shape in shapes.items()}}
+
+
+_DEFAULT_CATALOG = load_catalog()
+
+
+def default_catalog() -> dict[str, CatalogShape]:
+    return _DEFAULT_CATALOG
+
+
+GSP4_TYPES = gsp4_types(default_catalog())
+type_IIa, type_Va, type_VIa, type_X, type_XIa = (
+    GSP4_TYPES[name].ctor for name in ("IIa", "Va", "VIa", "X", "XIa"))
+
+
+def gsp4_param(name: str, *args, catalog=None) -> Gsp4Param:
+    """The GSp(4) type `name` of the registry, or of gsp4_types(catalog)."""
+    types = GSP4_TYPES if catalog is None else gsp4_types(catalog)
+    if name not in types:
         raise TypeConstraintViolation("unknown GSp(4) type %r" % name)
-    return GSP4_TYPES[name].ctor(*args, **kwargs)
+    return types[name].ctor(*args)
 
 
 # ------------------------------------------------------------- pairing factors

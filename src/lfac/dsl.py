@@ -160,9 +160,9 @@ class _Parser:
             return ("num", Scalar.from_rational(_literal(piece, line, col)))
         if kind == "name":
             self.next()
-            # only known function names consume a following '('; anything
-            # else leaves it to juxtaposition, so X(1 - a*X)^2 groups right
-            if self.at_op("(") and piece in _SIMPLE:
+            # only known or dotted function names consume a following '(';
+            # anything else leaves it to juxtaposition, so X(1 - a*X)^2 groups right
+            if self.at_op("(") and (piece in _SIMPLE or "." in piece):
                 self.next()
                 args = []
                 if not self.at_op(")"):
@@ -267,9 +267,9 @@ def _as_half(v) -> Fraction:
 # ---------------------------------------------------------------- evaluation
 
 class _Evaluator:
-    def __init__(self, env, catalog=None):
+    def __init__(self, env, fns):
         self.env = dict(env or {})
-        self.catalog = catalog
+        self.fns = fns
 
     def run(self, node):
         tag = node[0]
@@ -283,7 +283,9 @@ class _Evaluator:
         if tag == "name":
             return self.lookup(node[1])
         if tag == "call":
-            return _SIMPLE[node[1]](self, node[2])
+            if node[1] not in self.fns:
+                raise LfacEvalError("unknown function %s" % node[1])
+            return self.fns[node[1]](self, node[2])
         if tag == "neg":
             return -_as_scalar(self.run(node[1]))
         if tag == "pow":
@@ -435,12 +437,12 @@ def _arity(low: int, high: float) -> str:
     return "%d to %d arguments" % (low, high)
 
 
-def _fn(ctor, name, sig, optional=0, catalog=False):
+def _fn(ctor, name, sig, optional=0):
     """The handler of the function `name`: one letter of sig per argument,
     the last `optional` of which may be left out, and a trailing '*' repeats
     the letter before it.  Labels ("l") and ram tags ("t") are read from the
     parse node; every other argument is evaluated and coerced by _COERCE.
-    The handler closes over ctor itself, and passes catalog= when asked."""
+    The handler closes over ctor itself."""
     letters = sig.rstrip("*")
     repeat = sig.endswith("*")
     last = len(letters) - 1
@@ -463,10 +465,13 @@ def _fn(ctor, name, sig, optional=0, catalog=False):
                 vals.append(_tag_pairs(node, []))
             else:
                 vals.append(_COERCE[k](ev.run(node)))
-        if catalog:
-            return ctor(*vals, catalog=ev.catalog)
         return ctor(*vals)
     return fn
+
+
+def _gsp4_fns(types) -> dict:
+    return {"gsp4." + t.name: _fn(t.ctor, "gsp4." + t.name, t.sig, t.optional)
+            for t in types.values()}
 
 
 _SIMPLE = {name: _fn(ctor, name, *sig) for name, ctor, *sig in (
@@ -494,16 +499,17 @@ _SIMPLE = {name: _fn(ctor, name, *sig) for name, ctor, *sig in (
     ("entry", _entry, "slvv", 2),
     ("bessel", lambda chi1, chi2: (chi1, chi2), "cc"),
     ("polereport", lambda *entries: _poles.PoleReport(entries), "e*"),
-    *(("gsp4." + t.name, t.ctor, t.sig, t.optional, t.catalog)
-      for t in cat.GSP4_TYPES.values()),
-)}
+)} | _gsp4_fns(cat.GSP4_TYPES)
 
 
 def evaluate_text(text: str, env=None, catalog=None):
     """Parse and evaluate one expression; env maps names to bound values and
-    catalog overrides the builtin shape table."""
+    the types of the shape table catalog replace the builtin ones."""
+    fns = _SIMPLE if catalog is None else {
+        **{k: f for k, f in _SIMPLE.items() if not k.startswith("gsp4.")},
+        **_gsp4_fns(cat.gsp4_types(catalog))}
     try:
-        return _Evaluator(env, catalog).run(_parse(text))
+        return _Evaluator(env, fns).run(_parse(text))
     except RecursionError:
         # parser and evaluator recurse once per nesting level (a group, a
         # unary minus, a call); operator chains are flat at any length

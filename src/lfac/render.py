@@ -57,7 +57,7 @@ def _block_text(b: Block) -> str:
 
 def _rep_text(w: WDRep) -> str:
     if not w.blocks:
-        raise ValueError("an empty representation has no constructor form")
+        raise LfacValueError("an empty representation has no constructor form")
     if len(w.blocks) == 1 and isinstance(w.blocks[0].part, CharPart):
         # a lone line needs the explicit sp(0) to read back as a
         # representation rather than a character

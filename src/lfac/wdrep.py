@@ -136,12 +136,6 @@ class Block:
     def dim(self) -> int:
         return self.part.dim * (self.n + 1)
 
-    def lfactor(self) -> SplitRational:
-        p = self.part
-        if isinstance(p, CharPart) and p.char.is_unramified:
-            return SplitRational.from_poles([p.char.satake * Scalar.v_power(-self.n)])
-        return SplitRational.one()
-
     def sort_key(self):
         return (self.part.sort_key(), self.n)
 
@@ -240,11 +234,11 @@ def tensor(w1: WDRep, w2: WDRep) -> WDRep:
     return WDRep(out)
 
 
-def _line_products(w1: WDRep, w2: WDRep, what: str):
-    """(part, sp range) for each block pair of w1 (x) w2 that can hold an
-    unramified line.  An irreducible-times-irreducible pair that is provably
-    not dual up to an unramified twist holds none, so it is skipped even
-    though its block decomposition is unknown; a twin pair raises."""
+def _unramified_lines(w1: WDRep, w2: WDRep, what: str):
+    """(satake, sp range) for each unramified character line of w1 (x) w2.
+    An irreducible-times-irreducible pair that is provably not dual up to an
+    unramified twist holds none, so it is skipped even though its block
+    decomposition is unknown; a twin pair raises."""
     for b1 in w1.blocks:
         for b2 in w2.blocks:
             p, q = b1.part, b2.part
@@ -254,32 +248,28 @@ def _line_products(w1: WDRep, w2: WDRep, what: str):
                         "unramified-twist-of-dual pair (%s, %s): %s not "
                         "determined by declared data" % (p.label, q.label, what))
                 continue
-            yield _part_product(p, q), sp_tensor(b1.n, b2.n)
+            part = _part_product(p, q)
+            if isinstance(part, CharPart) and part.char.is_unramified:
+                yield part.char.satake, sp_tensor(b1.n, b2.n)
 
 
 def tensor_lfactor(w1: WDRep, w2: WDRep) -> SplitRational:
     """L-factor of w1 (x) w2, defined whenever no block pair is a twin pair."""
-    out = SplitRational.one()
-    for part, ks in _line_products(w1, w2, "L-factor"):
-        for k in ks:
-            out = out * Block(part, k).lfactor()
-    return out
+    return SplitRational.from_poles(
+        alpha * Scalar.v_power(-k)
+        for alpha, ks in _unramified_lines(w1, w2, "L-factor") for k in ks)
 
 
 def tensor_summands(w1: WDRep, w2: WDRep, n: int) -> tuple[Scalar, ...]:
     """Satake values (with multiplicity) of the unramified character blocks
     unr(alpha) (x) sp(n) inside w1 (x) w2; with w2 = sp(0) those of w1."""
-    found = [part.char.satake for part, ks in _line_products(w1, w2, "summands")
-             if isinstance(part, CharPart) and part.char.is_unramified
-             and n in ks]
+    found = [alpha for alpha, ks in _unramified_lines(w1, w2, "summands")
+             if n in ks]
     return tuple(sorted(found, key=Scalar.sort_key))
 
 
 def lfactor(w: WDRep) -> SplitRational:
-    out = SplitRational.one()
-    for b in w.blocks:
-        out = out * b.lfactor()
-    return out
+    return tensor_lfactor(w, sp(0))
 
 
 def similitude_check(w: WDRep, chi: Character) -> bool:

@@ -1,7 +1,8 @@
 import pytest
 
-from lfac.catalog import (Gl2Param, Gsp4Param, default_catalog, free,
-                          from_catalog, gl2_param, gsp4_param, load_catalog,
+from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
+                          free, from_catalog, gl2_param, gsp4_param,
+                          gsp4_types, load_catalog,
                           nov_lfactor, principal_series, rs_lfactor,
                           sc_irred4, sc_pair, steinberg, supercuspidal,
                           theta_lift, type_I, type_IIa, type_IIIa, type_IVa,
@@ -12,7 +13,7 @@ from lfac.errors import (CatalogFormatError, CentralCharacterMismatch,
                          SimilitudeViolation, TypeConstraintViolation,
                          UnsupportedPair)
 from lfac.scalar import Scalar
-from lfac.wdrep import char_rep, lfactor, tensor_lfactor
+from lfac.wdrep import IrredPart, char_rep, lfactor, tensor_lfactor
 
 a = Scalar.symbol("a")
 b = Scalar.symbol("b")
@@ -198,6 +199,29 @@ def test_load_catalog_roundtrip(tmp_path):
     ("catalog-format 1\ntype T\nblock sigma\n", "'sp N'"),
     ("catalog-format 1\ntype T\nparams s:char\nfrobnicate s\n", ":4:"),
     ("catalog-format 1\ntype T\nparams s:char\nblock s sp 0\n", "similitude"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\n"
+                 "require trivial-det rho\n",
+                 ":4: require names undeclared param 'rho'",
+                 id="undeclared-require"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\nblock s sp %s\n"
+                 % ("9" * 5000), ":4: sp index of 5000 digits", id="long-sp"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\nblock s sp 0\n"
+                 "similitude s^2\ntype T\n", ":6: type T is already declared",
+                 id="repeated-type"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char s:char\n",
+                 ":3: param s declared twice", id="repeated-param"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char r:irred\n"
+                 "params s:irred\n", ":4: param s declared twice",
+                 id="repeated-param-line"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\nsimilitude s^2\n"
+                 "similitude s^4\n", ":5: type T has a second similitude",
+                 id="repeated-similitude"),
+    pytest.param("catalog-format 1\ntype foo bar\n",
+                 ":2: type name 'foo bar'", id="unspellable-type"),
+    pytest.param("catalog-format 1\ntype I\n",
+                 ":2: type I is already declared", id="coded-type-I"),
+    pytest.param("catalog-format 1\ntype free\n",
+                 ":2: type free is already declared", id="coded-type-free"),
 ])
 def test_load_catalog_rejects(tmp_path, body, fragment):
     f = tmp_path / "cat.txt"
@@ -205,6 +229,28 @@ def test_load_catalog_rejects(tmp_path, body, fragment):
     with pytest.raises(CatalogFormatError) as ex:
         load_catalog(f)
     assert fragment in str(ex.value)
+
+
+def test_types_generated_from_params(three_shape_catalog):
+    shapes = load_catalog(three_shape_catalog)
+    types = gsp4_types(shapes)
+    data_file = {"IIa", "Va", "VIa", "X", "XIa"}
+    assert set(types) == set(GSP4_TYPES) - data_file | {"T", "Y", "Z"}
+    assert [GSP4_TYPES[n].sig for n in sorted(data_file)] \
+        == ["cc", "c", "c", "lcc", "lc"]
+    assert [types[n].sig for n in "TYZ"] == ["c", "lcc", "cl"]
+    p = gsp4_param("Z", unr(a), "l", catalog=shapes)
+    assert p == from_catalog("Z", {"sigma": unr(a), "rho": IrredPart(2, "l")},
+                             shapes, (unr(a), "l"))
+    assert (p.st_type, p.entry) == ("Z", "Z")
+    assert gsp4_param("Y", "l", unr(b), unr(a), catalog=shapes).rep \
+        == type_X("l", unr(b), unr(a)).rep
+    with pytest.raises(TypeConstraintViolation):
+        gsp4_param("IIa", unr(a), unr(b), catalog=shapes)
+    with pytest.raises(TypeConstraintViolation):
+        types["Y"].ctor("l", unr(a))
+    with pytest.raises(TypeConstraintViolation):
+        type_X("l", unr(a))
 
 
 def test_from_catalog_binding_errors():

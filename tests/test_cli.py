@@ -149,6 +149,21 @@ def test_catalog_override(tmp_path, capsys):
     assert out == "1/(1 - a*v^-3*X)\n"
 
 
+def test_catalog_file_type_evaluates_and_reads_back(three_shape_catalog,
+                                                    capsys):
+    assert main(["eval", "gsp4.T(unr(a))", "--catalog",
+                 three_shape_catalog]) == 0
+    out, _ = capsys.readouterr()
+    assert out == "gsp4.T(unr(a))\n"
+
+
+def test_catalog_file_replaces_data_file_types(three_shape_catalog, capsys):
+    assert main(["eval", "gsp4.IIa(unr(a), unr(b))", "--catalog",
+                 three_shape_catalog]) == 2
+    _, err = capsys.readouterr()
+    assert err == "error: unknown function gsp4.IIa\n"
+
+
 def test_catalog_file_read_once(tmp_path, capsys, monkeypatch):
     f = _catalog_file(tmp_path)
     reads = []
@@ -190,17 +205,34 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
 # ------------------------------------------------------------ fuzzed argv
 
 @pytest.fixture(scope="module")
-def catalog_paths(tmp_path_factory):
+def catalog_paths(tmp_path_factory, three_shape_catalog):
     d = tmp_path_factory.mktemp("catalogs")
     (d / "empty.txt").write_text("")
     (d / "latin1.txt").write_bytes(b"\xff\xfecatalog-format 1\n")
     (d / "malformed.txt").write_text("catalog-format 1\ntype T\nblock\n")
+    (d / "undeclared.txt").write_text(
+        "catalog-format 1\ntype XIa\nparams rho:irred sigma:char\n"
+        "require trivial-det tau\nblock sigma sp 0\nsimilitude sigma^2\n")
+    (d / "long_sp.txt").write_text(
+        "catalog-format 1\ntype T\nparams sigma:char\nblock sigma sp %s\n"
+        "similitude sigma^2\n" % ("9" * 5000))
     return [str(d / "missing.txt"), str(d), str(d / "empty.txt"),
             str(d / "latin1.txt"), str(d / "malformed.txt"),
-            _catalog_file(d)]
+            str(d / "undeclared.txt"), str(d / "long_sp.txt"),
+            _catalog_file(d), three_shape_catalog]
 
 
-_EXPRS = st.one_of(_fuzz_text, st.sampled_from(["1" * 5000, "2^20000"]))
+@pytest.mark.parametrize("expr", ["gsp4.T(unr(a))", "gsp4.XIa(l, unr(a))"])
+def test_every_catalog_path_exits_cleanly(catalog_paths, expr, capsys):
+    # argparse refuses most fuzzed argv, so each path is also run once here
+    for path in catalog_paths:
+        assert main(["eval", expr, "--catalog", path]) in (0, 2), path
+        _, err = capsys.readouterr()
+        assert not err or err.startswith("error: ") and err.count("\n") == 1
+
+
+_EXPRS = st.one_of(_fuzz_text, st.sampled_from(["1" * 5000, "2^20000",
+                                                "gsp4.T(unr(a))"]))
 
 
 @st.composite

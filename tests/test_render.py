@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lfac.catalog import (GSP4_TYPES, free, from_catalog, principal_series,
-                          sc_irred4, sc_pair, steinberg, supercuspidal,
-                          theta_lift, type_IIIa, type_VIa, type_X)
+from lfac.catalog import (GSP4_TYPES, free, from_catalog, gsp4_types,
+                          load_catalog, principal_series, sc_irred4, sc_pair,
+                          steinberg, supercuspidal, theta_lift, type_IIIa,
+                          type_VIa, type_X)
 from lfac.chars import Character
 from lfac.dsl import _SIMPLE, evaluate_text
 from lfac.errors import LfacValueError, TypeConstraintViolation
@@ -17,7 +18,7 @@ from lfac.render import SCHEMA, text, to_json, unicodize
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational, ideal_generator
 from lfac.verify import _matched_gl2_pair, random_gl2, random_pairing
-from lfac.wdrep import char_rep
+from lfac.wdrep import WDRep, char_rep
 
 a = Scalar.symbol("a")
 b = Scalar.symbol("b")
@@ -53,6 +54,12 @@ def test_catalog_type_without_args_has_no_text():
     typed = from_catalog("Va", {"sigma": unr(a)}, args=(unr(a),))
     assert text(typed) == "gsp4.Va(unr(a))"
     assert evaluate_text(text(typed)) == typed
+
+
+def test_empty_rep_has_no_text():
+    for render in (text, to_json):
+        with pytest.raises(LfacValueError):
+            render(WDRep())
 
 
 @pytest.mark.parametrize("value", [
@@ -100,8 +107,8 @@ chars = st.one_of(st.builds(unr, satakes),
 
 
 @st.composite
-def registry_params(draw, name):
-    t = GSP4_TYPES[name]
+def registry_params(draw, name, types=GSP4_TYPES):
+    t = types[name]
     if name == "free":
         # chi x sp(1) + mu + chi^2/mu is dual-twist closed for chi^2
         chi, mu = draw(chars), draw(chars)
@@ -136,6 +143,17 @@ def test_registry_types_roundtrip(name, data):
     except TypeConstraintViolation:
         # a substitution may land on a type's own excluded values
         reject()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_catalog_file_types_roundtrip(three_shape_catalog, data):
+    # the file's types replace the data-file ones; the coded ones stay
+    shapes = load_catalog(three_shape_catalog)
+    types = gsp4_types(shapes)
+    p = data.draw(registry_params(data.draw(st.sampled_from(sorted(types))),
+                                  types))
+    assert evaluate_text(text(p), catalog=shapes) == p
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ from lfac.chars import Character
 from lfac.errors import UnsupportedTensor
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
+from lfac.verify import TrialProfile, random_rep
 from lfac.wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
                         lfactor, part_dual, similitude_check, sp, sp_tensor,
                         tensor, tensor_lfactor,
@@ -109,6 +110,43 @@ def test_tensor_lfactor_matches_tensor_when_total():
     w1 = char_rep(unr(a), 1) + char_rep(ram("eta", b))
     w2 = char_rep(unr(b)) + char_rep(unr(a), 1)
     assert tensor_lfactor(w1, w2) == lfactor(tensor(w1, w2))
+
+
+def _per_block_lfactor(w):
+    # the reference: one factor per unramified character block, multiplied
+    out = SplitRational.one()
+    for blk in w.blocks:
+        p = blk.part
+        if isinstance(p, CharPart) and p.char.is_unramified:
+            out = out * SplitRational.from_poles([p.char.satake * v ** -blk.n])
+    return out
+
+
+def test_lfactor_matches_per_block_product():
+    for seed in range(40):
+        w = random_rep(TrialProfile(seed, block_budget=8, max_sp=5,
+                                    allow_irred=True))
+        assert lfactor(w) == _per_block_lfactor(w), seed
+        assert tensor_lfactor(w, sp(2)) \
+            == _per_block_lfactor(tensor(w, sp(2))), seed
+
+
+def test_lfactor_builds_one_split_rational(monkeypatch):
+    calls = []
+    init = SplitRational.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(SplitRational, "__init__", counting_init)
+    per_call = set()
+    for k in (1, 10, 60):
+        w = WDRep(Block(CharPart(unr(a * v ** i)), i % 4) for i in range(k))
+        for f in (lfactor, lambda w: tensor_lfactor(w, sp(3))):
+            calls.clear()
+            f(w)
+            per_call.add(len(calls))
+    assert per_call == {1}
 
 
 def test_tensor_summands_counts_lines():

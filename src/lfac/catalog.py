@@ -23,12 +23,13 @@ from typing import Callable
 
 from .chars import Character
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
-                     SimilitudeViolation, TypeConstraintViolation,
-                     UnsupportedPair, UnsupportedTensor)
+                     LfacValueError, SimilitudeViolation,
+                     TypeConstraintViolation, UnsupportedPair,
+                     UnsupportedTensor)
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, char_rep,
-                    similitude_check, tensor_lfactor)
+                    check_sp_index, similitude_check, tensor_lfactor)
 
 __all__ = ["Gl2Param", "Gsp4Param", "Gsp4Type", "GSP4_TYPES", "gl2_param",
            "gsp4_param", "gsp4_types", "theta_lift", "nov_lfactor", "rs_lfactor",
@@ -312,6 +313,10 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
             except ValueError:  # past the interpreter's limit on integer digits
                 raise CatalogFormatError("%s:%d: sp index of %d digits is too "
                                          "long" % (where, no, len(m.group(2)))) from None
+            try:
+                check_sp_index(n)
+            except LfacValueError as e:
+                raise CatalogFormatError("%s:%d: %s" % (where, no, e)) from None
             cur["blocks"].append((m.group(1).strip(), n))
         elif word == "similitude":
             if cur["sim"] is not None:

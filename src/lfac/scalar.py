@@ -13,20 +13,22 @@ Conventions in force throughout the package:
 * Symbols are python identifiers.  "q", "X", "x" and "sp" are reserved by
   the expression language and rejected here.
 
-The heavy lifting (multivariate gcd cancellation) is delegated to sympy's
-sparse rational-function fields; this module owns the canonical form, the
-ordering and the rendering.
+Products, quotients, powers and negations of Laurent monomials (one
+numerator term over one denominator term, zero and the rational constants
+included) are computed here on exponent vectors, which covers nearly all of
+the package's arithmetic.  Everything else, every sum and difference in
+particular, lifts both operands into sympy's sparse rational-function fields,
+which cancel the multivariate gcd.  sympy is imported on the first such sum
+or on the first substitution that leaves symbols, never by importing this
+module.  This module owns the canonical form, the ordering and the rendering.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from fractions import Fraction
-
-from sympy import QQ
-from sympy.polys.fields import FracField
-from sympy.polys.orderings import lex
 
 from .errors import (HalfIntegerError, LfacValueError, ScalarDomainError,
                      _printable)
@@ -71,6 +73,9 @@ def _gens_order(names) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _field(gens: tuple[str, ...]) -> FracField:
+    from sympy import QQ
+    from sympy.polys.fields import FracField
+    from sympy.polys.orderings import lex
     return FracField(gens, QQ, lex)
 
 
@@ -95,13 +100,14 @@ class Scalar:
     'a*v^-3'
     """
 
-    __slots__ = ("_gens", "_num", "_den")
+    __slots__ = ("_gens", "_num", "_den", "_hash")
 
     def __init__(self, gens: tuple[str, ...], num: tuple[Term, ...], den: tuple[Term, ...]):
         # private: inputs must already be canonical
         self._gens = gens
         self._num = num
         self._den = den
+        self._hash = None
 
     # ---------------------------------------------------------------- build
 
@@ -142,9 +148,33 @@ class Scalar:
         den = tuple((tuple(e[i] for i in used), _to_fraction(c) / lead) for e, c in dt)
         return cls(sub_gens, num, den)
 
+    # ---------------------------------------------------------------- monomials
+
+    def _mono(self):
+        """(exponents by gen, coefficient) of a Laurent monomial, zero
+        included, else None.  The denominator is monic, so its one term
+        carries coefficient 1."""
+        if len(self._num) > 1 or len(self._den) > 1:
+            return None
+        if not self._num:
+            return {}, Fraction(0)
+        (en, c), ((ed, _),) = self._num[0], self._den
+        return {g: n - d for g, n, d in zip(self._gens, en, ed) if n != d}, c
+
+    @classmethod
+    def _from_mono(cls, exps: dict, c: Fraction) -> "Scalar":
+        """The canonical form of c times the product of g**exps[g]; the
+        form _from_frac gives the same value."""
+        if not c:
+            return _ZERO
+        gens = _gens_order([g for g, e in exps.items() if e])
+        return cls(gens, ((tuple(max(exps[g], 0) for g in gens), c),),
+                   ((tuple(max(-exps[g], 0) for g in gens), _ONE_C),))
+
     # ---------------------------------------------------------------- sympy glue
 
     def _lift(self, field: FracField, gens: tuple[str, ...]):
+        from sympy import QQ
         pos = {g: i for i, g in enumerate(gens)}
         width = len(gens)
 
@@ -196,21 +226,29 @@ class Scalar:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._binary(o, lambda x, y: x + y)
+        return NotImplemented if o is None else self._binary(o, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._binary(o, lambda x, y: x - y)
+        return NotImplemented if o is None else self._binary(o, operator.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o._binary(self, lambda x, y: x - y)
+        return NotImplemented if o is None else o._binary(self, operator.sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._binary(o, lambda x, y: x * y)
+        if o is None:
+            return NotImplemented
+        m, n = self._mono(), o._mono()
+        if m is None or n is None:
+            return self._binary(o, operator.mul)
+        exps = dict(m[0])
+        for g, e in n[0].items():
+            exps[g] = exps.get(g, 0) + e
+        return Scalar._from_mono(exps, m[1] * n[1])
 
     __rmul__ = __mul__
 
@@ -220,7 +258,13 @@ class Scalar:
             return NotImplemented
         if o.is_zero:
             raise ScalarDomainError("division by zero scalar")
-        return self._binary(o, lambda x, y: x / y)
+        m, n = self._mono(), o._mono()
+        if m is None or n is None:
+            return self._binary(o, operator.truediv)
+        exps = dict(m[0])
+        for g, e in n[0].items():
+            exps[g] = exps.get(g, 0) - e
+        return Scalar._from_mono(exps, m[1] / n[1])
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -229,7 +273,8 @@ class Scalar:
         return o / self
 
     def __neg__(self):
-        return self._binary(_ZERO, lambda x, _: -x)
+        # the denominator stays monic, so negating the numerator is canonical
+        return Scalar(self._gens, tuple((e, -c) for e, c in self._num), self._den)
 
     def __pow__(self, n):
         n = int(n)
@@ -239,6 +284,9 @@ class Scalar:
             if n < 0:
                 raise ScalarDomainError("inversion of zero scalar")
             return _ZERO
+        m = self._mono()
+        if m is not None:
+            return Scalar._from_mono({g: e * n for g, e in m[0].items()}, m[1] ** n)
         gens = self._gens
         field = _field(gens)
         return Scalar._from_frac(self._lift(field, gens) ** n, gens)
@@ -288,6 +336,7 @@ class Scalar:
             num = sum(num_d.values())  # single () key
             den = sum(den_d.values())
             return Scalar.from_rational(Fraction(num) / Fraction(den))
+        from sympy import QQ
         field = _field(gens)
         conv = lambda d: field.ring.from_dict(
             {k: QQ(c.numerator, c.denominator) for k, c in d.items()})
@@ -303,9 +352,11 @@ class Scalar:
         return (self._gens, self._num, self._den) == (o._gens, o._num, o._den)
 
     def __hash__(self):
-        if not self._gens:
-            return hash(self.as_fraction())
-        return hash((self._gens, self._num, self._den))
+        # computed once; a rational hashes like the Fraction it equals
+        if self._hash is None:
+            self._hash = hash(self.as_fraction()) if not self._gens \
+                else hash((self._gens, self._num, self._den))
+        return self._hash
 
     # ---------------------------------------------------------------- rendering
 
@@ -369,7 +420,8 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-_ZERO = Scalar((), (), (((), Fraction(1)),))
+_ONE_C = Fraction(1)
+_ZERO = Scalar((), (), (((), _ONE_C),))
 _ONE = Scalar((), (((), Fraction(1)),), (((), Fraction(1)),))
 Scalar.zero = _ZERO
 Scalar.one = _ONE

@@ -25,11 +25,17 @@ from .errors import LfacValueError, UnsupportedTensor
 from .scalar import Scalar
 from .splitrat import SplitRational
 
-__all__ = ["CharPart", "IrredPart", "Block", "WDRep", "sp", "sp_tensor",
+__all__ = ["CharPart", "IrredPart", "Block", "WDRep", "SP_MAX",
+           "check_sp_index", "sp", "sp_tensor",
            "tensor", "tensor_lfactor", "tensor_summands", "lfactor",
            "similitude_check", "dual", "twist"]
 
 _TRIV = Character.trivial()
+
+# The largest sp index of any block.  The bound is set by output size: the
+# widest tensor of two blocks within it, sp(500) x sp(500), has 501 blocks,
+# and both it and its L-factor print in under 10 kB.
+SP_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,21 @@ def twin_pair(p: IrredPart, q: IrredPart) -> bool:
     return _unramified_twist_equal(part_dual(p), q)
 
 
+def check_sp_index(n: int) -> None:
+    """Refuse an sp index outside 0 <= n <= SP_MAX with LfacValueError."""
+    if n < 0:
+        raise LfacValueError("sp index must be >= 0")
+    if n > SP_MAX:
+        raise LfacValueError("sp index must be at most %d" % SP_MAX)
+
+
 @dataclass(frozen=True)
 class Block:
     part: WeilPart
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise LfacValueError("sp index must be >= 0")
+        check_sp_index(self.n)
 
     @property
     def dim(self) -> int:

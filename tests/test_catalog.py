@@ -205,6 +205,8 @@ def test_load_catalog_roundtrip(tmp_path):
                  id="undeclared-require"),
     pytest.param("catalog-format 1\ntype T\nparams s:char\nblock s sp %s\n"
                  % ("9" * 5000), ":4: sp index of 5000 digits", id="long-sp"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\nblock s sp 1001\n",
+                 ":4: sp index must be at most 1000", id="sp-past-bound"),
     pytest.param("catalog-format 1\ntype T\nparams s:char\nblock s sp 0\n"
                  "similitude s^2\ntype T\n", ":6: type T is already declared",
                  id="repeated-type"),

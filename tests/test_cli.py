@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfac
 import lfac.catalog
 import lfac.verify
 from lfac.cli import main
@@ -60,6 +64,48 @@ def test_golden_output(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+_NO_SYMPY = """
+import io, json, sys
+from contextlib import redirect_stdout
+import lfac
+from lfac.cli import main
+from lfac.verify import run_suite
+for suite in ("lemma71", "theoremA", "soudry"):
+    assert all(r.passed for r in run_suite(suite, 3, 5))
+outs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    outs.append(out.getvalue())
+print(json.dumps({"outs": outs, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def _fresh_child(argvs):
+    src = str(pathlib.Path(lfac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_sympy_loads_only_for_a_genuine_sum():
+    # monomial arithmetic never imports sympy: not the suites, not 19 of
+    # the 20 golden cases; (a + b)^2/(a*b) is a genuine sum and does
+    others = [c for c in CASES if c[0] != "03_eval_scalar.txt"]
+    child = _fresh_child([argv for _, argv in others])
+    assert child["sympy"] is False
+    assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
+                             for g, _ in others]
+    child = _fresh_child([["eval", "(a + b)^2/(a*b)"]])
+    assert child["sympy"] is True
+    assert child["outs"] == [
+        (GOLDEN / "03_eval_scalar.txt").read_text(encoding="utf-8")]
+
+
 def test_syntax_error_exit_2(capsys):
     assert main(["eval", "unr(a"]) == 2
     out, err = capsys.readouterr()
@@ -87,9 +133,12 @@ def test_domain_error_exit_2(capsys):
 @pytest.mark.parametrize("expr", [
     "unr(0)", "ram(eta, 0)", "unr(a)/unr(0)", "irr(1, t)", "sp(-1)", "ram(q)",
     "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "1" * 5000,
-    "a^" + "1" * 5000, "2^20000",
+    "a^" + "1" * 5000, "2^20000", "sp(1001)", "unr(a) x sp(1001)",
+    "(unr(a) x sp(501)) x sp(500)", "sp(2^20000)",
 ], ids=["unr0", "ram0", "ratio0", "irr1", "sp-1", "ram-q", "parens",
-        "minus-chain", "long-literal", "long-exponent", "unprintable"])
+        "minus-chain", "long-literal", "long-exponent", "unprintable",
+        "sp-past-bound", "block-past-bound", "tensor-past-bound",
+        "sp-huge"])
 def test_bad_value_exit_2(capsys, expr):
     assert main(["eval", "--", expr]) == 2
     out, err = capsys.readouterr()
@@ -216,9 +265,13 @@ def catalog_paths(tmp_path_factory, three_shape_catalog):
     (d / "long_sp.txt").write_text(
         "catalog-format 1\ntype T\nparams sigma:char\nblock sigma sp %s\n"
         "similitude sigma^2\n" % ("9" * 5000))
+    (d / "big_sp.txt").write_text(
+        "catalog-format 1\ntype T\nparams sigma:char\nblock sigma sp 1001\n"
+        "similitude sigma^2\n")
     return [str(d / "missing.txt"), str(d), str(d / "empty.txt"),
             str(d / "latin1.txt"), str(d / "malformed.txt"),
             str(d / "undeclared.txt"), str(d / "long_sp.txt"),
+            str(d / "big_sp.txt"),
             _catalog_file(d), three_shape_catalog]
 
 
@@ -235,45 +288,91 @@ _EXPRS = st.one_of(_fuzz_text, st.sampled_from(["1" * 5000, "2^20000",
                                                 "gsp4.T(unr(a))"]))
 
 
+_COMMON = ["--format", "--unicode"]
+# per subcommand: (positional counts, option groups with their arity, the
+# flags beyond --format and --unicode)
+_SUBCOMMANDS = {
+    "eval": ([1], [], ["--catalog"]),
+    "lfactor": ([1, 2], [], ["--catalog"]),
+    "poles": ([0], [("--exceptional", 2), ("--subregular", 1)], ["--catalog"]),
+    "split": ([0], [("--nov", 2), ("--ps", 1)], ["--catalog"]),
+    "ideals": ([1], [], ["--catalog"]),
+    "verify": ([0], [], ["--suite", "--seed", "--budget", "--pool",
+                         "--irred"]),
+}
+_ALL_FLAGS = sorted({f for _, _, fl in _SUBCOMMANDS.values() for f in fl}
+                    | {"--trials", "--nov", "--subregular", "--frobnicate"})
+
+
+def _flag(draw, flag, catalogs):
+    value = {
+        "--format": st.sampled_from(["json", "text", "json", "yaml"]),
+        "--catalog": st.sampled_from(catalogs),
+        "--suite": st.sampled_from(["lemma71", "theoremA", "soudry", "all",
+                                    "nope"]),
+        "--seed": st.sampled_from(["3", "-4", "12345678901234567890", "1.5"]),
+        "--trials": st.sampled_from(["-1", "0", "1"]),
+        "--budget": st.sampled_from(["1", "2", "0"]),
+        "--pool": st.sampled_from(["1", "3", "-2"]),
+        "--nov": _EXPRS, "--subregular": _EXPRS,
+    }.get(flag)
+    return [flag] if value is None else [flag, draw(value)]
+
+
 @st.composite
 def _argv(draw, catalogs):
-    sub = draw(st.sampled_from(["eval", "lfactor", "poles", "split",
-                                "ideals", "verify", "frobnicate"]))
-    # verify runs 100 trials per suite unless told otherwise
-    argv = [sub, "--trials", draw(st.sampled_from(["-1", "0", "1"]))] \
-        if sub == "verify" else [sub]
-    argv += draw(st.lists(_EXPRS, max_size=2))
-    flags = st.one_of(
-        st.tuples(st.sampled_from(["--trials", "--pool", "--budget"]),
-                  st.sampled_from(["-1", "0", "1"])),
-        st.tuples(st.just("--seed"),
-                  st.sampled_from(["12345678901234567890", "1.5"])),
-        st.tuples(st.just("--format"), st.sampled_from(["json", "yaml"])),
-        st.sampled_from([("--unicode",), ("--irred",)]),
-        st.tuples(st.just("--catalog"), st.sampled_from(catalogs)),
-        st.tuples(st.sampled_from(["--exceptional", "--nov"]), _EXPRS,
-                  _EXPRS),
-        st.tuples(st.sampled_from(["--subregular", "--ps"]), _EXPRS))
-    for flag in draw(st.lists(flags, max_size=4)):
-        argv += flag
-    return argv
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fuzzed_argv_exits_cleanly(catalog_paths, data):
-    argv = data.draw(_argv(catalog_paths))
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as ex:  # argparse refuses the command line
-            assert ex.code == 2
-            return
-    assert code in (0, 1, 2)
-    if code == 2:
-        err = err.getvalue()
-        if err:
-            assert err.startswith("error: ") and err.count("\n") == 1
+    """argv that argparse mostly accepts: the subcommand's own positional
+    count and flags, with about one draw in eight given a bogus subcommand,
+    a wrong positional count or a flag of another subcommand."""
+    bogus = draw(st.integers(0, 7)) == 0
+    sub = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    counts, groups, own = _SUBCOMMANDS[sub]
+    argv = [sub]
+    if sub == "verify":  # 100 trials per suite unless told otherwise
+        argv += ["--trials", draw(st.sampled_from(["0", "1"]))]
+    if groups:
+        flag, arity = draw(st.sampled_from(groups))
+        argv += [flag] + [draw(_EXPRS) for _ in range(arity)]
+    for flag in draw(st.lists(st.sampled_from(_COMMON + own), max_size=3,
+                              unique=True)):
+        argv += _flag(draw, flag, catalogs)
+    n = draw(st.sampled_from(counts))
+    if bogus:
+        kind = draw(st.sampled_from(["sub", "count", "flag"]))
+        if kind == "sub":
+            argv[0] = "frobnicate"
+        elif kind == "count":
+            n += draw(st.sampled_from([-1, 1]))
         else:
-            assert set(json.loads(out.getvalue())) == {"schema", "error"}
+            argv += _flag(draw, draw(st.sampled_from(_ALL_FLAGS)), catalogs)
+    exprs = [draw(_EXPRS) for _ in range(max(n, 0))]
+    return argv + ["--"] + exprs if exprs else argv
+
+
+def test_fuzzed_argv_exits_cleanly(catalog_paths):
+    reached = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def run(data):
+        argv = data.draw(_argv(catalog_paths))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as ex:  # argparse refuses the command line
+                assert ex.code == 2
+                reached.append(False)
+                return
+        reached.append(True)
+        assert code in (0, 1, 2)
+        if code == 2:
+            err = err.getvalue()
+            if err:
+                assert err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert set(json.loads(out.getvalue())) == {"schema", "error"}
+
+    run()
+    # the property must reach the program, not only argparse
+    assert sum(reached) >= len(reached) / 2

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac.errors import HalfIntegerError, ScalarDomainError
-from lfac.scalar import RESERVED_NAMES, Scalar, half_integer, scalar_canonicalize
+from lfac.scalar import (RESERVED_NAMES, Scalar, _field, half_integer,
+                         scalar_canonicalize)
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
 v = Scalar.v_power(1)
@@ -129,3 +131,84 @@ def test_str_reparses(x):
 def test_inverse_roundtrip(x):
     if x != 0:
         assert (1 / x) * x == 1
+
+
+# ------------------------------------------------- monomial fast path vs sympy
+
+def _form(x):
+    return (x._gens, x._num, x._den)
+
+
+def _sympy_pow(x, n):
+    field = _field(x._gens)
+    return Scalar._from_frac(x._lift(field, x._gens) ** n, x._gens)
+
+
+def _sympy_neg(x):
+    return x._binary(Scalar.zero, lambda p, _: -p)
+
+
+@st.composite
+def monomials(draw):
+    """Laurent monomials with rational coefficients, built by the sympy path
+    alone: zero, constants, v alone, several symbols (w sorts after v
+    alphabetically, but v is always last), and repeated symbols whose
+    exponents may cancel to 0."""
+    s = Scalar.from_rational(draw(st.fractions(-4, 4, max_denominator=6)))
+    for name, e in draw(st.lists(st.tuples(st.sampled_from("abvw"),
+                                           exps.filter(bool)), max_size=4)):
+        s = s._binary(_sympy_pow(Scalar.symbol(name), e), operator.mul)
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials(), monomials(), st.integers(-4, 4).filter(bool))
+def test_monomial_fast_path_matches_sympy(x, y, n):
+    assert x._mono() is not None
+    assert _form(x * y) == _form(x._binary(y, operator.mul))
+    if not y.is_zero:
+        assert _form(x / y) == _form(x._binary(y, operator.truediv))
+    if not x.is_zero:
+        assert _form(x ** n) == _form(_sympy_pow(x, n))
+    assert _form(-x) == _form(_sympy_neg(x))
+    assert hash(x * y) == hash(x._binary(y, operator.mul))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars())
+def test_negation_matches_sympy(x):
+    assert _form(-x) == _form(_sympy_neg(x))
+
+
+def test_two_term_operand_takes_sympy_path(monkeypatch):
+    calls = []
+    binary = Scalar._binary
+    monkeypatch.setattr(Scalar, "_binary", lambda self, other, op:
+                        calls.append(op) or binary(self, other, op))
+    s = a + b
+    calls.clear()
+    one = Fraction(1)
+    assert _form(s * (a * v)) == (
+        ("a", "b", "v"), (((2, 0, 1), one), ((1, 1, 1), one)),
+        (((0, 0, 0), one),))
+    assert _form((a / v) / s) == (
+        ("a", "b", "v"), (((1, 0, 0), one),),
+        (((1, 0, 1), one), ((0, 1, 1), one)))
+    assert calls == [operator.mul, operator.truediv]
+    # a power of a sum lifts once, outside _binary
+    assert _form(s ** -2) == (
+        ("a", "b"), (((0, 0), one),),
+        (((2, 0), one), ((1, 1), Fraction(2)), ((0, 2), one)))
+    assert str(-s / (2 * b)) == "(-1/2*a - 1/2*b)/b"
+
+
+def test_hash_is_cached_and_route_free():
+    routes = [a, Scalar.symbol("a"), (a * b) / b, (a ** 2 - a * b) / (a - b),
+              (a * v) * v ** -1, scalar_canonicalize("a")]
+    assert len({_form(x) for x in routes}) == 1
+    assert len({hash(x) for x in routes}) == 1
+    assert routes[3]._hash == hash(routes[3])  # filled on first use
+    for r in (3, Fraction(-7, 2), 0):
+        built = [Scalar.from_rational(r), (a / a) * r, (a + r) - a,
+                 Scalar.from_rational(2 * r) / 2]
+        assert {hash(x) for x in built} == {hash(Fraction(r))}

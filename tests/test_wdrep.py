@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 
 from lfac.chars import Character
-from lfac.errors import UnsupportedTensor
+from lfac.dsl import evaluate_text
+from lfac.errors import LfacValueError, UnsupportedTensor
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.verify import TrialProfile, random_rep
-from lfac.wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
-                        lfactor, part_dual, similitude_check, sp, sp_tensor,
+from lfac.render import text
+from lfac.wdrep import (SP_MAX, Block, CharPart, IrredPart, WDRep, char_rep,
+                        dual, lfactor, part_dual, similitude_check, sp,
+                        sp_tensor,
                         tensor, tensor_lfactor,
                         tensor_summands, twist)
 
@@ -147,6 +150,36 @@ def test_lfactor_builds_one_split_rational(monkeypatch):
             f(w)
             per_call.add(len(calls))
     assert per_call == {1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sp(SP_MAX + 1),
+    lambda: char_rep(unr(a), SP_MAX + 1),
+    lambda: tensor(sp(SP_MAX // 2 + 1), sp(SP_MAX // 2)),
+    lambda: Block(CharPart(unr(a)), -1),
+], ids=["sp", "char_rep", "tensor", "negative"])
+def test_sp_index_bound(build):
+    with pytest.raises(LfacValueError, match="sp index"):
+        build()
+
+
+def test_largest_tensor_is_linear_and_small(monkeypatch):
+    # the widest tensor of two blocks within the bound: 501 blocks
+    n = SP_MAX // 2
+    w = evaluate_text("(unr(a) x sp(%d)) x sp(%d)" % (n, n))
+    assert max(b.n for b in w.blocks) == SP_MAX
+    calls = []
+    for name in ("__mul__", "__hash__", "__eq__"):
+        op = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda *args, _op=op:
+                            calls.append(None) or _op(*args))
+    f = lfactor(w)
+    monkeypatch.undo()
+    assert len(f.factors) == n + 1
+    # one product, two hashes and an equality per pole; a fold of one
+    # SplitRational per pole would rehash every earlier pole, ~n^2/2 calls
+    assert len(calls) <= 5 * (n + 1)
+    assert len(text(w)) < 10_000 and len(str(f)) < 10_000
 
 
 def test_tensor_summands_counts_lines():

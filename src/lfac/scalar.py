@@ -13,19 +13,28 @@ Conventions in force throughout the package:
 * Symbols are python identifiers.  "q", "X", "x" and "sp" are reserved by
   the expression language and rejected here.
 
-Products, quotients, powers and negations of Laurent monomials (one
-numerator term over one denominator term, zero and the rational constants
-included) are computed here on exponent vectors, which covers nearly all of
-the package's arithmetic.  Everything else, every sum and difference in
-particular, lifts both operands into sympy's sparse rational-function fields,
-which cancel the multivariate gcd.  sympy is imported on the first such sum
-or on the first substitution that leaves symbols, never by importing this
-module.  This module owns the canonical form, the ordering and the rendering.
+Arithmetic that needs no gcd is computed here on exponent vectors:
+
+* sums, differences and products of Laurent polynomials (any numerator over
+  a one-term denominator, Laurent monomials, zero and the rational constants
+  included), read as dicts from exponent vector to coefficient;
+* every integer power: if p/q is reduced with q monic, so is p**n/q**n;
+* a quotient by a Laurent monomial, as the product with its inverse;
+* negation.
+
+Everything else, a sum, product or quotient in which a denominator of two or
+more terms takes part or is made, lifts both operands into sympy's sparse
+rational-function fields, which cancel the multivariate gcd (Scalar._binary,
+also the oracle the paths above are tested against).  sympy is imported on
+the first such operation or on the first substitution that leaves symbols,
+never by importing this module.  This module owns the canonical form, the
+ordering and the rendering.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -41,6 +50,7 @@ _NAME_RE = re.compile(r"\A[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # one term of a polynomial: (exponent vector over the gens, coefficient)
 Term = tuple[tuple[int, ...], Fraction]
+_EXPS = operator.itemgetter(0)
 
 
 def half_integer(t) -> Fraction:
@@ -72,6 +82,17 @@ def _gens_order(names) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _gens_union(g1: tuple[str, ...], g2: tuple[str, ...]) -> tuple[str, ...]:
+    return _gens_order(set(g1) | set(g2))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(sub: tuple[str, ...], gens: tuple[str, ...]) -> tuple[int, ...]:
+    # where each gen of gens sits in sub, len(sub) for a gen sub lacks
+    return tuple(sub.index(g) if g in sub else len(sub) for g in gens)
+
+
+@functools.lru_cache(maxsize=None)
 def _field(gens: tuple[str, ...]) -> FracField:
     from sympy import QQ
     from sympy.polys.fields import FracField
@@ -84,7 +105,51 @@ def _to_fraction(c) -> Fraction:
 
 
 def _sorted_terms(poly) -> list:
-    return sorted(poly.terms(), key=lambda t: t[0], reverse=True)
+    return sorted(poly.terms(), key=_EXPS, reverse=True)
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    """The product of two polynomials held as {exponent vector: coefficient},
+    with int or Fraction coefficients; a cancelled term stays as a zero."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(operator.add, e1, e2))
+            if e in out:
+                out[e] += c1 * c2
+            else:
+                out[e] = c1 * c2
+    return out
+
+
+def _poly_pow(terms, n: int) -> tuple[Term, ...]:
+    """The n-th power (n >= 1) of a polynomial given by its terms, as terms
+    in descending lex order, on integer coefficients scaled by the lcm of
+    the denominators.  The first term t splits off by the binomial theorem,
+    (t + r)**n = sum of C(n, j) t**j r**(n - j), and the powers of the rest
+    r are built one factor at a time; for a base of k terms without
+    collisions that costs about k products per output term."""
+    if len(terms) == 1:
+        ((e, c),) = terms
+        return ((tuple([k * n for k in e]), c ** n),)
+    d = math.lcm(*(c.denominator for _, c in terms))
+    (et, ct), *rest = [(e, c.numerator * (d // c.denominator)) for e, c in terms]
+    rest = dict(rest)
+    powers = [{tuple(0 for _ in et): 1}]
+    for _ in range(n):
+        powers.append(_poly_mul(powers[-1], rest))
+    out = {}
+    coeff = 1
+    for j, power in enumerate(reversed(powers)):
+        # coeff is C(n, j) * ct**j, and power is r**(n - j)
+        shift = tuple(k * j for k in et)
+        for e, c in power.items():
+            e = tuple(map(operator.add, e, shift))
+            out[e] = out.get(e, 0) + coeff * c
+        coeff = coeff * ct * (n - j) // (j + 1)
+    dn = d ** n
+    return tuple(sorted(((e, Fraction(c, dn)) for e, c in out.items() if c),
+                        key=_EXPS, reverse=True))
 
 
 class Scalar:
@@ -148,32 +213,58 @@ class Scalar:
         den = tuple((tuple(e[i] for i in used), _to_fraction(c) / lead) for e, c in dt)
         return cls(sub_gens, num, den)
 
-    # ---------------------------------------------------------------- monomials
+    # ---------------------------------------------------------------- Laurent polynomials
 
-    def _mono(self):
-        """(exponents by gen, coefficient) of a Laurent monomial, zero
-        included, else None.  The denominator is monic, so its one term
-        carries coefficient 1."""
-        if len(self._num) > 1 or len(self._den) > 1:
+    def _laurent_pair(self, other):
+        """(gens, terms of self, terms of other) when both denominators have
+        one term, else None.  gens is the union of both gen lists in the
+        global order, and each value is read as a dict from exponent vector
+        over gens to coefficient; its monic denominator only shifts the
+        exponents."""
+        if len(self._den) > 1 or len(other._den) > 1:
             return None
-        if not self._num:
-            return {}, Fraction(0)
-        (en, c), ((ed, _),) = self._num[0], self._den
-        return {g: n - d for g, n, d in zip(self._gens, en, ed) if n != d}, c
+        gens = self._gens if self._gens == other._gens \
+            else _gens_union(self._gens, other._gens)
+        return gens, self._laurent(gens), other._laurent(gens)
+
+    def _laurent(self, gens: tuple[str, ...]) -> dict:
+        ((ed, _),) = self._den
+        if gens == self._gens:
+            return {tuple(map(operator.sub, en, ed)): c for en, c in self._num}
+        # each gen of gens read from its place in self._gens, or from a 0
+        # appended past the end
+        at = _positions(self._gens, gens)
+        return {tuple(map((*map(operator.sub, en, ed), 0).__getitem__, at)): c
+                for en, c in self._num}
 
     @classmethod
-    def _from_mono(cls, exps: dict, c: Fraction) -> "Scalar":
-        """The canonical form of c times the product of g**exps[g]; the
-        form _from_frac gives the same value."""
-        if not c:
+    def _from_laurent(cls, terms: dict, gens: tuple[str, ...]) -> "Scalar":
+        """The canonical form of the sum of c * gens**e over terms {e: c};
+        the form _from_frac gives the same value.  The denominator is the
+        monic monomial that lifts the least exponent of each gen to 0."""
+        terms = [t for t in terms.items() if t[1]]
+        if not terms:
             return _ZERO
-        gens = _gens_order([g for g, e in exps.items() if e])
-        return cls(gens, ((tuple(max(exps[g], 0) for g in gens), c),),
-                   ((tuple(max(-exps[g], 0) for g in gens), _ONE_C),))
+        if len(terms) == 1:
+            # a monomial, the common case: the exponents split by sign
+            ((e, c),) = terms
+            if not all(e):
+                gens = tuple([g for g, k in zip(gens, e) if k])
+                e = [k for k in e if k]
+            return cls(gens, ((tuple([k if k > 0 else 0 for k in e]), c),),
+                       ((tuple([-k if k < 0 else 0 for k in e]), _ONE_C),))
+        cols = list(zip(*[e for e, _ in terms]))
+        used = [i for i, col in enumerate(cols) if any(col)]
+        shift = [(i, max(-min(cols[i]), 0)) for i in used]
+        num = sorted([(tuple([e[i] + s for i, s in shift]), c) for e, c in terms],
+                     key=_EXPS, reverse=True)
+        return cls(tuple([gens[i] for i in used]), tuple(num),
+                   ((tuple([s for _, s in shift]), _ONE_C),))
 
     # ---------------------------------------------------------------- sympy glue
 
     def _lift(self, field: FracField, gens: tuple[str, ...]):
+        # stored forms are reduced and monic, so no cancel is needed
         from sympy import QQ
         pos = {g: i for i, g in enumerate(gens)}
         width = len(gens)
@@ -189,10 +280,10 @@ class Scalar:
 
         if not self._num:
             return field.zero
-        return field.new(poly(self._num), poly(self._den))
+        return field.raw_new(poly(self._num), poly(self._den))
 
     def _binary(self, other, op) -> "Scalar":
-        gens = _gens_order(set(self._gens) | set(other._gens))
+        gens = _gens_union(self._gens, other._gens)
         field = _field(gens)
         return Scalar._from_frac(op(self._lift(field, gens), other._lift(field, gens)), gens)
 
@@ -224,31 +315,39 @@ class Scalar:
             return Scalar.from_rational(x)
         return None
 
+    def _sum(self, o, op) -> "Scalar":
+        # op is operator.add or operator.sub
+        pair = self._laurent_pair(o)
+        if pair is None:
+            return self._binary(o, op)
+        gens, p, q = pair
+        for e, c in q.items():
+            p[e] = op(p.get(e, 0), c)
+        return Scalar._from_laurent(p, gens)
+
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._binary(o, operator.add)
+        return NotImplemented if o is None else self._sum(o, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._binary(o, operator.sub)
+        return NotImplemented if o is None else self._sum(o, operator.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o._binary(self, operator.sub)
+        return NotImplemented if o is None else o._sum(self, operator.sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m, n = self._mono(), o._mono()
-        if m is None or n is None:
+        pair = self._laurent_pair(o)
+        if pair is None:
             return self._binary(o, operator.mul)
-        exps = dict(m[0])
-        for g, e in n[0].items():
-            exps[g] = exps.get(g, 0) + e
-        return Scalar._from_mono(exps, m[1] * n[1])
+        gens, p, q = pair
+        return Scalar._from_laurent(_poly_mul(p, q), gens)
 
     __rmul__ = __mul__
 
@@ -258,13 +357,10 @@ class Scalar:
             return NotImplemented
         if o.is_zero:
             raise ScalarDomainError("division by zero scalar")
-        m, n = self._mono(), o._mono()
-        if m is None or n is None:
+        if len(o._num) > 1 or len(o._den) > 1:
             return self._binary(o, operator.truediv)
-        exps = dict(m[0])
-        for g, e in n[0].items():
-            exps[g] = exps.get(g, 0) - e
-        return Scalar._from_mono(exps, m[1] / n[1])
+        # the inverse of a monomial is a monomial, so no gcd is needed
+        return self * o ** -1
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -284,12 +380,17 @@ class Scalar:
             if n < 0:
                 raise ScalarDomainError("inversion of zero scalar")
             return _ZERO
-        m = self._mono()
-        if m is not None:
-            return Scalar._from_mono({g: e * n for g, e in m[0].items()}, m[1] ** n)
-        gens = self._gens
-        field = _field(gens)
-        return Scalar._from_frac(self._lift(field, gens) ** n, gens)
+        # p/q reduced with q monic makes p**n/q**n reduced with a monic
+        # denominator, since lex leading terms multiply; for n < 0 the
+        # inverse (q/c)/(p/c), c the leading coefficient of p, is raised
+        num, den = self._num, self._den
+        if n < 0:
+            n, c = -n, num[0][1]
+            num, den = den, num
+            if c != 1:
+                num = tuple([(e, d / c) for e, d in num])
+                den = tuple([(e, d / c) for e, d in den])
+        return Scalar(self._gens, _poly_pow(num, n), _poly_pow(den, n))
 
     def inverse(self) -> "Scalar":
         return self ** -1

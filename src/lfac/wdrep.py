@@ -25,7 +25,7 @@ from .errors import LfacValueError, UnsupportedTensor
 from .scalar import Scalar
 from .splitrat import SplitRational
 
-__all__ = ["CharPart", "IrredPart", "Block", "WDRep", "SP_MAX",
+__all__ = ["CharPart", "IrredPart", "Block", "WDRep", "SP_MAX", "BLOCK_MAX",
            "check_sp_index", "sp", "sp_tensor",
            "tensor", "tensor_lfactor", "tensor_summands", "lfactor",
            "similitude_check", "dual", "twist"]
@@ -36,6 +36,14 @@ _TRIV = Character.trivial()
 # widest tensor of two blocks within it, sp(500) x sp(500), has 501 blocks,
 # and both it and its L-factor print in under 10 kB.
 SP_MAX = 1000
+
+# The most blocks of any representation; a tensor product counts its blocks
+# before it builds any.  The bound is set by output size too: a
+# representation of 1000 blocks of a plain character prints in about 20 kB.
+# It admits sp(500) x sp(500) and sp(30) x sp(30) x sp(30) (721 blocks) but
+# refuses a fourth factor sp(30) (19,871 blocks) and the sum of two
+# sp(30) x sp(30) x sp(30) (1442 blocks).
+BLOCK_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,14 @@ def check_sp_index(n: int) -> None:
         raise LfacValueError("sp index must be at most %d" % SP_MAX)
 
 
+def check_block_count(count: int) -> None:
+    """Refuse a representation of more than BLOCK_MAX blocks with
+    LfacValueError."""
+    if count > BLOCK_MAX:
+        raise LfacValueError("representation would have %d blocks, more than %d"
+                             % (count, BLOCK_MAX))
+
+
 @dataclass(frozen=True)
 class Block:
     part: WeilPart
@@ -159,6 +175,8 @@ class WDRep:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks=()):
+        blocks = tuple(blocks)
+        check_block_count(len(blocks))
         self.blocks = tuple(sorted(blocks, key=Block.sort_key))
 
     @property
@@ -237,7 +255,10 @@ def _part_product(p: WeilPart, q: WeilPart) -> WeilPart:
 
 
 def tensor(w1: WDRep, w2: WDRep) -> WDRep:
-    """Blockwise tensor product; rejects irreducible x irreducible pairs."""
+    """Blockwise tensor product; rejects irreducible x irreducible pairs and
+    a product of more than BLOCK_MAX blocks, counted before any is built."""
+    check_block_count(sum(min(b1.n, b2.n) + 1
+                          for b1 in w1.blocks for b2 in w2.blocks))
     out = []
     for b1 in w1.blocks:
         for b2 in w2.blocks:

@@ -93,17 +93,17 @@ def _fresh_child(argvs):
 
 
 def test_sympy_loads_only_for_a_genuine_sum():
-    # monomial arithmetic never imports sympy: not the suites, not 19 of
-    # the 20 golden cases; (a + b)^2/(a*b) is a genuine sum and does
-    others = [c for c in CASES if c[0] != "03_eval_scalar.txt"]
-    child = _fresh_child([argv for _, argv in others])
+    # Laurent-polynomial arithmetic never imports sympy: not the suites, not
+    # the 20 golden cases, not a sum of constants or of like monomials; a
+    # quotient by a two-term polynomial needs a gcd and does
+    sums = [["eval", "1 + 1"], ["eval", "a*v + a*v"]]
+    child = _fresh_child([argv for _, argv in CASES] + sums)
     assert child["sympy"] is False
     assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
-                             for g, _ in others]
-    child = _fresh_child([["eval", "(a + b)^2/(a*b)"]])
+                             for g, _ in CASES] + ["2\n", "2*a*v\n"]
+    child = _fresh_child([["eval", "(a^2 - b^2)/(a - b)"]])
     assert child["sympy"] is True
-    assert child["outs"] == [
-        (GOLDEN / "03_eval_scalar.txt").read_text(encoding="utf-8")]
+    assert child["outs"] == ["a + b\n"]
 
 
 def test_syntax_error_exit_2(capsys):
@@ -135,10 +135,14 @@ def test_domain_error_exit_2(capsys):
     "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "1" * 5000,
     "a^" + "1" * 5000, "2^20000", "sp(1001)", "unr(a) x sp(1001)",
     "(unr(a) x sp(501)) x sp(500)", "sp(2^20000)",
+    "sp(30) x sp(30) x sp(30) x sp(30)",
+    "L(sp(20) x sp(20) x sp(20) x sp(20) x sp(20))",
+    "(sp(30) x sp(30) x sp(30)) + (sp(30) x sp(30) x sp(30))",
 ], ids=["unr0", "ram0", "ratio0", "irr1", "sp-1", "ram-q", "parens",
         "minus-chain", "long-literal", "long-exponent", "unprintable",
         "sp-past-bound", "block-past-bound", "tensor-past-bound",
-        "sp-huge"])
+        "sp-huge", "tensor-blocks-past-bound", "tensor-chain-lfactor",
+        "sum-blocks-past-bound"])
 def test_bad_value_exit_2(capsys, expr):
     assert main(["eval", "--", expr]) == 2
     out, err = capsys.readouterr()

@@ -1,4 +1,5 @@
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac.errors import HalfIntegerError, ScalarDomainError
-from lfac.scalar import (RESERVED_NAMES, Scalar, _field, half_integer,
-                         scalar_canonicalize)
+from lfac.scalar import (RESERVED_NAMES, Scalar, _field, _gens_order,
+                         half_integer, scalar_canonicalize)
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
 v = Scalar.v_power(1)
@@ -133,7 +134,7 @@ def test_inverse_roundtrip(x):
         assert (1 / x) * x == 1
 
 
-# ------------------------------------------------- monomial fast path vs sympy
+# ------------------------------------------------------ monomials vs sympy
 
 def _form(x):
     return (x._gens, x._num, x._den)
@@ -164,7 +165,7 @@ def monomials(draw):
 @settings(max_examples=200, deadline=None)
 @given(monomials(), monomials(), st.integers(-4, 4).filter(bool))
 def test_monomial_fast_path_matches_sympy(x, y, n):
-    assert x._mono() is not None
+    assert len(x._num) <= 1 and len(x._den) == 1
     assert _form(x * y) == _form(x._binary(y, operator.mul))
     if not y.is_zero:
         assert _form(x / y) == _form(x._binary(y, operator.truediv))
@@ -178,6 +179,95 @@ def test_monomial_fast_path_matches_sympy(x, y, n):
 @given(scalars())
 def test_negation_matches_sympy(x):
     assert _form(-x) == _form(_sympy_neg(x))
+
+
+# ------------------------------------------ Laurent-polynomial path vs sympy
+
+@st.composite
+def laurents(draw):
+    """Laurent polynomials of 1-4 terms over a, b, v, w with rational
+    coefficients, summed by the sympy path alone.  A term may be the
+    negative of an earlier one, so sums cancel to zero or to constants."""
+    s, seen = Scalar.zero, []
+    for _ in range(draw(st.integers(1, 4))):
+        if seen and draw(st.booleans()):
+            t = _sympy_neg(draw(st.sampled_from(seen)))
+        else:
+            t = draw(monomials())
+        seen.append(t)
+        s = s._binary(t, operator.add)
+    return s
+
+
+@st.composite
+def rational_functions(draw):
+    """Quotients of Laurent polynomials, reduced by the sympy path."""
+    return draw(laurents())._binary(
+        draw(laurents().filter(lambda y: not y.is_zero)), operator.truediv)
+
+
+def _same(fast, slow):
+    assert _form(fast) == _form(slow)
+    assert hash(fast) == hash(slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurents(), laurents(), monomials(), st.integers(-4, 4))
+def test_laurent_path_matches_sympy(x, y, m, n):
+    for op in (operator.add, operator.sub, operator.mul):
+        _same(op(x, y), x._binary(y, op))
+    if not m.is_zero:
+        _same(x / m, x._binary(m, operator.truediv))
+    if n == 0:
+        _same(x ** n, Scalar.one)
+    elif not x.is_zero:
+        _same(x ** n, _sympy_pow(x, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_functions(), st.integers(-4, 4).filter(bool))
+def test_power_of_rational_function_matches_sympy(x, n):
+    if not x.is_zero:
+        _same(x ** n, _sympy_pow(x, n))
+
+
+def _best_of_3(f):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        out = f()
+        times.append(time.perf_counter() - start)
+    return out, min(times)
+
+
+def test_large_power_matches_sympy_and_is_no_slower():
+    # a base whose terms collide: 81 output terms from 10,626 multinomials
+    x = sum((v ** k for k in range(5)), Scalar.zero)
+    _same(x ** 20, _sympy_pow(x, 20))
+    _same(x ** -20, _sympy_pow(x, -20))
+    # sympy's power, the route ** took before, expands a base of at most 5
+    # terms by multinomial coefficients; the binomial split of _poly_pow
+    # must not be slower on such a base (about 4x faster when measured)
+    x = a + b + Scalar.symbol("c")
+    fast, t_fast = _best_of_3(lambda: x ** 150)
+    slow, t_slow = _best_of_3(lambda: _sympy_pow(x, 150))
+    _same(fast, slow)
+    assert len(fast._num) == 11476
+    assert t_fast <= t_slow, (t_fast, t_slow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(laurents(), rational_functions()))
+def test_raw_lift_needs_no_cancel(x):
+    # stored forms are reduced with a monic denominator, so lifting them
+    # without a gcd gives the element cancel would give; the field is one
+    # gen wider than the value, so unused gens are dropped again
+    gens = _gens_order(set(x._gens) | {"c"})
+    field = _field(gens)
+    el = x._lift(field, gens)
+    assert _form(Scalar._from_frac(field.new(el.numer, el.denom), gens)) \
+        == _form(Scalar._from_frac(field.raw_new(el.numer, el.denom), gens)) \
+        == _form(x)
 
 
 def test_two_term_operand_takes_sympy_path(monkeypatch):
@@ -194,8 +284,10 @@ def test_two_term_operand_takes_sympy_path(monkeypatch):
     assert _form((a / v) / s) == (
         ("a", "b", "v"), (((1, 0, 0), one),),
         (((1, 0, 1), one), ((0, 1, 1), one)))
-    assert calls == [operator.mul, operator.truediv]
-    # a power of a sum lifts once, outside _binary
+    # a sum times a monomial stays a Laurent polynomial; only the quotient
+    # by the two-term a + b needs a gcd
+    assert calls == [operator.truediv]
+    # a power of a reduced fraction needs no gcd either
     assert _form(s ** -2) == (
         ("a", "b"), (((0, 0), one),),
         (((2, 0), one), ((1, 1), Fraction(2)), ((0, 2), one)))

@@ -9,9 +9,9 @@ from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.verify import TrialProfile, random_rep
 from lfac.render import text
-from lfac.wdrep import (SP_MAX, Block, CharPart, IrredPart, WDRep, char_rep,
-                        dual, lfactor, part_dual, similitude_check, sp,
-                        sp_tensor,
+from lfac.wdrep import (BLOCK_MAX, SP_MAX, Block, CharPart, IrredPart, WDRep,
+                        char_rep, dual, lfactor, part_dual, similitude_check,
+                        sp, sp_tensor,
                         tensor, tensor_lfactor,
                         tensor_summands, twist)
 
@@ -161,6 +161,29 @@ def test_lfactor_builds_one_split_rational(monkeypatch):
 def test_sp_index_bound(build):
     with pytest.raises(LfacValueError, match="sp index"):
         build()
+
+
+def test_tensor_block_bound(monkeypatch):
+    # the count is exact: BLOCK_MAX one-block products pass, one more fails
+    ones = [Block(CharPart(unr(a)), 0)] * BLOCK_MAX
+    assert len(tensor(WDRep(ones), sp(0)).blocks) == BLOCK_MAX
+    assert len(evaluate_text("sp(30) x sp(30) x sp(30)").blocks) == 721
+    assert len(evaluate_text("(unr(a) x sp(500)) x sp(500)").blocks) == 501
+    # a refused product builds no block
+    built = []
+    monkeypatch.setattr(Block, "__post_init__", lambda self: built.append(1))
+    with pytest.raises(LfacValueError, match="19871 blocks"):
+        evaluate_text("sp(30) x sp(30) x sp(30) x sp(30)")
+    with pytest.raises(LfacValueError, match="1001 blocks, more than 1000"):
+        tensor(WDRep(ones[:143]), WDRep(ones[:7]))
+    # the four sp(30) and the two products that pass
+    assert len(built) == 4 + 31 + 721
+    # every representation obeys the bound, not only a tensor product
+    with pytest.raises(LfacValueError, match="%d blocks" % (BLOCK_MAX + 1)):
+        WDRep(ones + ones[:1])
+    w = evaluate_text("sp(30) x sp(30) x sp(30)")
+    with pytest.raises(LfacValueError, match="1442 blocks"):
+        w + w
 
 
 def test_largest_tensor_is_linear_and_small(monkeypatch):

@@ -24,8 +24,8 @@ class HalfIntegerError(LfacError, ValueError):
 class LfacValueError(LfacError, ValueError):
     """A value outside its domain: a zero character value, an irreducible
     part of dimension below 2, an sp index outside 0..SP_MAX, a
-    representation of more than BLOCK_MAX blocks, a bad or reserved symbol
-    name."""
+    representation of more than BLOCK_MAX blocks, a power of more than
+    POWER_TERMS_MAX terms, a bad or reserved symbol name."""
 
 
 def _printable(to_text):

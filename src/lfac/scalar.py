@@ -13,17 +13,25 @@ Conventions in force throughout the package:
 * Symbols are python identifiers.  "q", "X", "x" and "sp" are reserved by
   the expression language and rejected here.
 
-Arithmetic that needs no gcd is computed here on exponent vectors:
+Arithmetic is computed here on exponent vectors wherever no multivariate
+gcd is needed:
 
 * sums, differences and products of Laurent polynomials (any numerator over
   a one-term denominator, Laurent monomials, zero and the rational constants
   included), read as dicts from exponent vector to coefficient;
-* every integer power: if p/q is reduced with q monic, so is p**n/q**n;
-* a quotient by a Laurent monomial, as the product with its inverse;
+* every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
+  power estimated past POWER_TERMS_MAX terms is refused before it expands;
+* every quotient, as the product with the inverse, which is reduced too;
+* a product of reduced fractions n1/d1 * n2/d2, whose gcd is
+  gcd(n1, d2) * gcd(n2, d1): each factor is a monomial when a side has one
+  term, or found by exact division after the monomial content of the
+  denominator is split off, or is a monomial when that denominator is
+  certified irreducible by having degree 1 in a gen (see _cancel);
 * negation.
 
-Everything else, a sum, product or quotient in which a denominator of two or
-more terms takes part or is made, lifts both operands into sympy's sparse
+Everything else, a sum or difference in which a denominator of two or more
+terms takes part, or a product whose gcd none of the rules above decides
+(such as (a^2 - b^2)/(a^3 - b^3)), lifts both operands into sympy's sparse
 rational-function fields, which cancel the multivariate gcd (Scalar._binary,
 also the oracle the paths above are tested against).  sympy is imported on
 the first such operation or on the first substitution that leaves symbols,
@@ -42,7 +50,8 @@ from fractions import Fraction
 from .errors import (HalfIntegerError, LfacValueError, ScalarDomainError,
                      _printable)
 
-__all__ = ["Scalar", "scalar_canonicalize", "half_integer", "RESERVED_NAMES"]
+__all__ = ["Scalar", "scalar_canonicalize", "half_integer", "RESERVED_NAMES",
+           "POWER_TERMS_MAX"]
 
 RESERVED_NAMES = frozenset({"q", "X", "x", "sp"})
 
@@ -104,8 +113,29 @@ def _to_fraction(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _sorted_terms(poly) -> list:
-    return sorted(poly.terms(), key=_EXPS, reverse=True)
+# The most terms a power may expand to, by the estimate of _power_terms; a
+# larger power raises LfacValueError before it expands.  The bound is set by
+# time and output size, like wdrep.SP_MAX and wdrep.BLOCK_MAX: it admits
+# (a + b + c)^400 (80,601 terms) and (a + b)^2000, but refuses
+# (a + b)^-100000, whose binomial coefficients are too long to print anyway.
+POWER_TERMS_MAX = 100000
+
+
+def _power_terms(terms, n: int) -> int:
+    """An upper bound on the terms of the n-th power of a polynomial of k
+    terms: the number C(n + k - 1, k - 1) of products of n of its terms, or
+    the number of exponent vectors in the box that n times its range of
+    exponents spans, whichever is less.  For k >= 2 both are at least n + 1,
+    so a huge n needs neither."""
+    k = len(terms)
+    if k == 1:
+        return 1
+    if n > POWER_TERMS_MAX:
+        return n + 1
+    box = 1
+    for col in zip(*[e for e, _ in terms]):
+        box *= n * (max(col) - min(col)) + 1
+    return min(math.comb(n + k - 1, k - 1), box)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -150,6 +180,76 @@ def _poly_pow(terms, n: int) -> tuple[Term, ...]:
     dn = d ** n
     return tuple(sorted(((e, Fraction(c, dn)) for e, c in out.items() if c),
                         key=_EXPS, reverse=True))
+
+
+def _shift(p: dict, m) -> dict:
+    """p divided by the monomial gens**m, which must divide it."""
+    return {tuple(map(operator.sub, e, m)): c for e, c in p.items()}
+
+
+def _exact_quotient(p: dict, d: dict):
+    """p / d when the polynomial d divides p exactly, else None.  This is
+    lex long division, which for one divisor leaves remainder 0 exactly
+    when d divides p; it stops at the first leading term that the leading
+    term of d does not divide, since that term would stay in the remainder.
+    Every term a step adds is below the leading term it removed, so a heap
+    of negated exponent vectors yields the leading terms in turn."""
+    import heapq  # here, so that a cold start that never divides skips it
+    ld = max(d)
+    lc = d[ld]
+    tail = [(e, c) for e, c in d.items() if e != ld]
+    p = dict(p)
+    heap = [tuple(map(operator.neg, e)) for e in p]
+    heapq.heapify(heap)
+    q = {}
+    while heap:
+        lp = tuple(map(operator.neg, heapq.heappop(heap)))
+        c = p.pop(lp)
+        if not c:
+            continue
+        e = tuple(map(operator.sub, lp, ld))
+        if min(e) < 0:
+            return None
+        c = q[e] = c / lc
+        for et, ct in tail:
+            t = tuple(map(operator.add, et, e))
+            if t in p:
+                p[t] -= c * ct
+            else:
+                p[t] = -c * ct
+                heapq.heappush(heap, tuple(map(operator.neg, t)))
+    return q
+
+
+def _linear(d: dict) -> bool:
+    """True when d, free of monomial content, has degree 1 in some gen x and
+    its coefficient of x or of 1 is a single term.  A common factor of the
+    two coefficients would then be a monomial dividing every term of d, so
+    there is none: d is primitive of degree 1 in x and hence irreducible."""
+    for col in zip(*d):
+        if max(col) == 1 and (col.count(1) == 1 or col.count(0) == 1):
+            return True
+    return False
+
+
+def _cancel(n: dict, d: dict):
+    """(n / g, d / g) for g the gcd of the polynomials n and d, or None when
+    deciding g would take a multivariate gcd.  g is a monomial when either
+    side has one term.  Otherwise d splits as m * d0, m its monomial content
+    (the least exponent of each gen over its terms): if d0 divides n, g is
+    d0 times a monomial; if d0 is certified irreducible by _linear, g is a
+    monomial.  In every case the monomial left is the least exponent of each
+    gen over the terms of both sides."""
+    if len(n) > 1 and len(d) > 1:
+        m = tuple(map(min, zip(*d)))
+        d0 = _shift(d, m)
+        q = _exact_quotient(n, d0)
+        if q is not None:
+            n, d = q, {m: _ONE_C}
+        elif not _linear(d0):
+            return None
+    g = tuple(map(min, zip(*n, *d)))
+    return _shift(n, g), _shift(d, g)
 
 
 class Scalar:
@@ -201,16 +301,25 @@ class Scalar:
     @classmethod
     def _from_frac(cls, el, gens: tuple[str, ...]) -> "Scalar":
         """Extract the canonical form of a FracElement over the given gens."""
-        nt = _sorted_terms(el.numer)
-        dt = _sorted_terms(el.denom)
+        return cls._from_polys({e: _to_fraction(c) for e, c in el.numer.terms()},
+                               {e: _to_fraction(c) for e, c in el.denom.terms()},
+                               gens)
+
+    @classmethod
+    def _from_polys(cls, num: dict, den: dict, gens: tuple[str, ...]) -> "Scalar":
+        """The canonical form of num/den, two polynomials {exponent vector
+        over gens: coefficient} with no common factor; zero terms are
+        dropped, as are the gens neither uses."""
+        nt = sorted([t for t in num.items() if t[1]], key=_EXPS, reverse=True)
         if not nt:
-            return cls((), (), (((), Fraction(1)),))
+            return _ZERO
+        dt = sorted([t for t in den.items() if t[1]], key=_EXPS, reverse=True)
         used = [i for i in range(len(gens))
                 if any(t[0][i] for t in nt) or any(t[0][i] for t in dt)]
         sub_gens = tuple(gens[i] for i in used)
-        lead = _to_fraction(dt[0][1])
-        num = tuple((tuple(e[i] for i in used), _to_fraction(c) / lead) for e, c in nt)
-        den = tuple((tuple(e[i] for i in used), _to_fraction(c) / lead) for e, c in dt)
+        lead = dt[0][1]
+        num = tuple((tuple(e[i] for i in used), c / lead) for e, c in nt)
+        den = tuple((tuple(e[i] for i in used), c / lead) for e, c in dt)
         return cls(sub_gens, num, den)
 
     # ---------------------------------------------------------------- Laurent polynomials
@@ -282,6 +391,32 @@ class Scalar:
             return field.zero
         return field.raw_new(poly(self._num), poly(self._den))
 
+    # ---------------------------------------------------------------- reduced fractions
+
+    def _polys(self, gens: tuple[str, ...]) -> tuple[dict, dict]:
+        """Numerator and denominator as dicts over gens, a superset of
+        self._gens in the global order."""
+        if gens == self._gens:
+            return dict(self._num), dict(self._den)
+        at = _positions(self._gens, gens)
+        return tuple({tuple(map((*e, 0).__getitem__, at)): c for e, c in terms}
+                     for terms in (self._num, self._den))
+
+    def _product(self, other) -> "Scalar":
+        """self * other for reduced fractions n1/d1 and n2/d2.  Since
+        gcd(n1, d1) = gcd(n2, d2) = 1, the gcd of n1*n2 and d1*d2 is
+        gcd(n1, d2) * gcd(n2, d1), and _cancel finds each of those on
+        exponent vectors or gives up; only then does _binary take a gcd."""
+        gens = _gens_union(self._gens, other._gens)
+        n1, d1 = self._polys(gens)
+        n2, d2 = other._polys(gens)
+        c1 = _cancel(n1, d2)
+        c2 = c1 and _cancel(n2, d1)
+        if c2 is None:
+            return self._binary(other, operator.mul)
+        return Scalar._from_polys(_poly_mul(c1[0], c2[0]),
+                                  _poly_mul(c2[1], c1[1]), gens)
+
     def _binary(self, other, op) -> "Scalar":
         gens = _gens_union(self._gens, other._gens)
         field = _field(gens)
@@ -345,7 +480,7 @@ class Scalar:
             return NotImplemented
         pair = self._laurent_pair(o)
         if pair is None:
-            return self._binary(o, operator.mul)
+            return self._product(o)
         gens, p, q = pair
         return Scalar._from_laurent(_poly_mul(p, q), gens)
 
@@ -357,9 +492,7 @@ class Scalar:
             return NotImplemented
         if o.is_zero:
             raise ScalarDomainError("division by zero scalar")
-        if len(o._num) > 1 or len(o._den) > 1:
-            return self._binary(o, operator.truediv)
-        # the inverse of a monomial is a monomial, so no gcd is needed
+        # the inverse of a reduced fraction is reduced, so no gcd is needed
         return self * o ** -1
 
     def __rtruediv__(self, other):
@@ -390,6 +523,11 @@ class Scalar:
             if c != 1:
                 num = tuple([(e, d / c) for e, d in num])
                 den = tuple([(e, d / c) for e, d in den])
+        if n == 1:
+            return Scalar(self._gens, num, den)
+        if max(_power_terms(num, n), _power_terms(den, n)) > POWER_TERMS_MAX:
+            raise LfacValueError("power too large: more than %d terms"
+                                 % POWER_TERMS_MAX)
         return Scalar(self._gens, _poly_pow(num, n), _poly_pow(den, n))
 
     def inverse(self) -> "Scalar":

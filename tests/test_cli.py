@@ -92,18 +92,41 @@ def _fresh_child(argvs):
     return json.loads(proc.stdout)
 
 
+# sums-style requests: Satake values that are two-term sums, as in the
+# sums benchmark workload
+SUM_ARGVS = [
+    ["lfactor", "gsp4.IIa(unr(a*v + b), unr(a*v + b*v))", "gl2.st(unr(a + b*v))"],
+    ["eval", "gsp4.free(unr(b + b*v) x sp(1) + unr(a + b*v)"
+             " + unr(b + b*v)^2*unr(a + b*v)^-1, unr(b + b*v)^2)"],
+    ["poles", "--exceptional", "gsp4.VIa(unr(a + b))", "gl2.st(unr(a*v + b*v))"],
+]
+
+
+def _in_process(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
 def test_sympy_loads_only_for_a_genuine_sum():
     # Laurent-polynomial arithmetic never imports sympy: not the suites, not
-    # the 20 golden cases, not a sum of constants or of like monomials; a
-    # quotient by a two-term polynomial needs a gcd and does
-    sums = [["eval", "1 + 1"], ["eval", "a*v + a*v"]]
-    child = _fresh_child([argv for _, argv in CASES] + sums)
+    # the 20 golden cases, not a sum of constants or of like monomials; nor
+    # does a product of reduced fractions whose gcd is decided by exact
+    # division, as in sums-style requests.  A quotient whose gcd needs a
+    # multivariate gcd does
+    sums = [["eval", "1 + 1"], ["eval", "a*v + a*v"],
+            ["eval", "(a^2 - b^2)/(a - b)"],
+            ["eval", "1/(a*v + a) * (a*v + a)^2"]]
+    child = _fresh_child([argv for _, argv in CASES] + sums + SUM_ARGVS)
     assert child["sympy"] is False
     assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
-                             for g, _ in CASES] + ["2\n", "2*a*v\n"]
-    child = _fresh_child([["eval", "(a^2 - b^2)/(a - b)"]])
+                             for g, _ in CASES] \
+        + ["2\n", "2*a*v\n", "a + b\n", "a*v + a\n"] \
+        + [_in_process(argv) for argv in SUM_ARGVS]
+    child = _fresh_child([["eval", "(a^2 - b^2)/(a^3 - b^3)"]])
     assert child["sympy"] is True
-    assert child["outs"] == ["a + b\n"]
+    assert child["outs"] == ["(a + b)/(a^2 + a*b + b^2)\n"]
 
 
 def test_syntax_error_exit_2(capsys):
@@ -138,11 +161,12 @@ def test_domain_error_exit_2(capsys):
     "sp(30) x sp(30) x sp(30) x sp(30)",
     "L(sp(20) x sp(20) x sp(20) x sp(20) x sp(20))",
     "(sp(30) x sp(30) x sp(30)) + (sp(30) x sp(30) x sp(30))",
+    "(a + b)^99999999", "(a + b)^-100000",
 ], ids=["unr0", "ram0", "ratio0", "irr1", "sp-1", "ram-q", "parens",
         "minus-chain", "long-literal", "long-exponent", "unprintable",
         "sp-past-bound", "block-past-bound", "tensor-past-bound",
         "sp-huge", "tensor-blocks-past-bound", "tensor-chain-lfactor",
-        "sum-blocks-past-bound"])
+        "sum-blocks-past-bound", "power-huge", "power-past-bound"])
 def test_bad_value_exit_2(capsys, expr):
     assert main(["eval", "--", expr]) == 2
     out, err = capsys.readouterr()

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfac.errors import HalfIntegerError, ScalarDomainError
-from lfac.scalar import (RESERVED_NAMES, Scalar, _field, _gens_order,
-                         half_integer, scalar_canonicalize)
+from lfac.errors import HalfIntegerError, LfacValueError, ScalarDomainError
+from lfac.scalar import (POWER_TERMS_MAX, RESERVED_NAMES, Scalar, _field,
+                         _gens_order, half_integer, scalar_canonicalize)
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
 v = Scalar.v_power(1)
@@ -231,6 +231,47 @@ def test_power_of_rational_function_matches_sympy(x, n):
         _same(x ** n, _sympy_pow(x, n))
 
 
+@st.composite
+def binomials(draw):
+    """c1*m1 + c2*m2 for distinct monomials m1, m2 over a, b, v."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    e1, e2 = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    s = Scalar.zero
+    for e in (e1, e2):
+        t = Scalar.from_rational(draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
+        for x, k in zip((a, b, v), e):
+            if k:
+                t = t._binary(_sympy_pow(x, k), operator.mul)
+        s = s._binary(t, operator.add)
+    return s
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """Two rational functions times powers of the same 1-3 binomials, each
+    power between -2 and 2, reduced by the sympy path: their denominators
+    are products and powers of binomials that the other side may share."""
+    pool = draw(st.lists(binomials(), min_size=1, max_size=3))
+    pair = []
+    for _ in range(2):
+        s = draw(st.one_of(laurents(), rational_functions()))
+        for f in pool:
+            k = draw(st.integers(-2, 2))
+            if k:
+                s = s._binary(_sympy_pow(f, k), operator.mul)
+        pair.append(s)
+    return pair
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_factor_pairs())
+def test_reduced_product_matches_sympy(pair):
+    x, y = pair
+    _same(x * y, x._binary(y, operator.mul))
+    if not y.is_zero:
+        _same(x / y, x._binary(y, operator.truediv))
+
+
 def _best_of_3(f):
     times = []
     for _ in range(3):
@@ -270,13 +311,18 @@ def test_raw_lift_needs_no_cancel(x):
         == _form(x)
 
 
-def test_two_term_operand_takes_sympy_path(monkeypatch):
+@pytest.fixture
+def binary_calls(monkeypatch):
+    """The op of every Scalar._binary call made while the test runs."""
     calls = []
     binary = Scalar._binary
     monkeypatch.setattr(Scalar, "_binary", lambda self, other, op:
                         calls.append(op) or binary(self, other, op))
+    return calls
+
+
+def test_two_term_operand_needs_no_gcd(binary_calls):
     s = a + b
-    calls.clear()
     one = Fraction(1)
     assert _form(s * (a * v)) == (
         ("a", "b", "v"), (((2, 0, 1), one), ((1, 1, 1), one)),
@@ -284,14 +330,53 @@ def test_two_term_operand_takes_sympy_path(monkeypatch):
     assert _form((a / v) / s) == (
         ("a", "b", "v"), (((1, 0, 0), one),),
         (((1, 0, 1), one), ((0, 1, 1), one)))
-    # a sum times a monomial stays a Laurent polynomial; only the quotient
-    # by the two-term a + b needs a gcd
-    assert calls == [operator.truediv]
+    # a sum times a monomial stays a Laurent polynomial, and the quotient by
+    # the two-term a + b has a monomial numerator, so its gcd is a monomial
+    assert binary_calls == []
     # a power of a reduced fraction needs no gcd either
     assert _form(s ** -2) == (
         ("a", "b"), (((0, 0), one),),
         (((2, 0), one), ((1, 1), Fraction(2)), ((0, 2), one)))
     assert str(-s / (2 * b)) == "(-1/2*a - 1/2*b)/b"
+    assert binary_calls == []
+
+
+@pytest.mark.parametrize("make, text, binary", [
+    # monomial gcd: one side of each cross pair has one term
+    (lambda: (a ** 2 / (a + b)) * (b / a), "a*b/(a + b)", False),
+    # exact division; the monomial content a of a*v + a is split off first
+    (lambda: (a ** 2 - b ** 2) / (a - b), "a + b", False),
+    (lambda: (v + 1) / (a * v + a), "a^-1", False),
+    # exact division where the square of the content-free part divides
+    (lambda: 1 / (a * v + a) * (a * v + a) ** 2, "a*v + a", False),
+    (lambda: (a + b) ** 3 / (a * b + b ** 2), "(a^2 + 2*a*b + b^2)/b", False),
+    # degree 1 in v with a one-term coefficient: irreducible, no division
+    (lambda: (a + b) / (v + b), "(a + b)/(b + v)", False),
+    (lambda: (a * a + a * b) / (a * v + a * b), "(a + b)/(b + v)", False),
+    # degree 1 in v, but both coefficients a^2 + a*b and a*b + b^2 have two
+    # terms: no certificate, so the gcd a + b is found by sympy
+    (lambda: 1 / ((a + b) * (a * v + b)) * (a + b), "1/(a*v + b)", True),
+    (lambda: (a ** 2 - b ** 2) / (a ** 3 - b ** 3),
+     "(a + b)/(a^2 + a*b + b^2)", True),
+], ids=["monomial", "division", "content", "square", "square-content",
+        "linear", "linear-content", "near-miss", "fallback"])
+def test_reduced_product_branches(binary_calls, make, text, binary):
+    x = make()
+    assert str(x) == text
+    assert binary_calls == ([operator.mul] if binary else [])
+
+
+def test_power_bound():
+    # the estimate is exact for these: no collisions, or a box that fills
+    assert len(((a + b + c) ** 400)._num) == 80601
+    assert len(((a + b) ** 2000)._num) == 2001
+    assert len((sum((v ** k for k in range(5)), Scalar.zero) ** 200)._num) == 801
+    assert a ** (10 ** 6) * a ** -(10 ** 6) == 1
+    for n in (POWER_TERMS_MAX, -POWER_TERMS_MAX, 10 ** 5000):
+        with pytest.raises(LfacValueError, match="power too large"):
+            (a + b) ** n
+    with pytest.raises(LfacValueError, match="power too large"):
+        (a + b + c) ** 500
 
 
 def test_hash_is_cached_and_route_free():

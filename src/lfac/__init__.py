@@ -7,6 +7,8 @@ pole classifications with their splittings, and seeded randomized checks of
 the formula-level identities.
 """
 
+import importlib
+
 from .catalog import (Gl2Param, Gsp4Param, default_catalog, free,
                       from_catalog, gl2_param, gsp4_param, load_catalog,
                       nov_lfactor, principal_series, rs_lfactor, sc_irred4,
@@ -25,13 +27,24 @@ from .poles import (NovSplit, PoleEntry, PoleReport, PsSplit,
                     ps_split, subregular_poles)
 from .scalar import Scalar, half_integer, scalar_canonicalize
 from .splitrat import IdealGen, SplitRational, ideal_generator
-from .verify import (CheckReport, TrialProfile, check_corollary62,
-                     check_lemma71, check_soudry, check_theoremA, run_suite)
 from .wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
                     lfactor, similitude_check, sp, sp_tensor, tensor,
                     tensor_lfactor, tensor_summands, twist)
 
 __version__ = "0.1.0"
+
+# the verify suites and their unipoly oracle load on first use, not here
+_VERIFY_NAMES = frozenset({"CheckReport", "TrialProfile", "check_corollary62",
+                           "check_lemma71", "check_soudry", "check_theoremA",
+                           "run_suite"})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES or name == "verify":
+        # import_module, since `from . import verify` would call back here
+        verify = importlib.import_module(__name__ + ".verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "Block", "CatalogFormatError", "CentralCharacterMismatch", "CharPart",

@@ -17,7 +17,6 @@ pairing factors (those agreements are what the verify module rechecks).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
@@ -26,6 +25,7 @@ from .errors import (CatalogFormatError, CentralCharacterMismatch,
                      LfacValueError, SimilitudeViolation,
                      TypeConstraintViolation, UnsupportedPair,
                      UnsupportedTensor)
+from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, char_rep,
@@ -41,8 +41,7 @@ _TRIV = Character.trivial()
 
 # --------------------------------------------------------------------- GL(2)
 
-@dataclass(frozen=True)
-class Gl2Param:
+class Gl2Param(Record):
     rep: WDRep
     central: Character
     kind: str                     # principal-series | steinberg-twist | supercuspidal
@@ -104,8 +103,7 @@ def gl2_param(kind: str, *args, **kwargs) -> Gl2Param:
 
 # -------------------------------------------------------------------- GSp(4)
 
-@dataclass(frozen=True)
-class Gsp4Param:
+class Gsp4Param(Record):
     rep: WDRep
     similitude: Character
     st_type: str                                  # catalog type tag or FREE
@@ -221,8 +219,7 @@ def theta_lift(tau1: Gl2Param, tau2: Gl2Param) -> Gsp4Param:
 
 # ------------------------------------------------------- transcribed catalog
 
-@dataclass(frozen=True)
-class CatalogShape:
+class CatalogShape(Record):
     name: str
     params: tuple[tuple[str, str], ...]       # (param name, "char" | "irred")
     requires: tuple[tuple[str, str], ...]     # (constraint, param name)
@@ -377,8 +374,7 @@ def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
     return _make(WDRep(blocks), sim, name, args)
 
 
-@dataclass(frozen=True)
-class Gsp4Type:
+class Gsp4Type(Record):
     """One GSp(4) constructor as the expression language spells it.
 
     sig has one letter per argument: "l" a bare-name label, "c" a

@@ -22,7 +22,6 @@ evaluate_text with the declared parameters bound in env.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from . import catalog as cat
@@ -394,7 +393,7 @@ def _star(w: WDRep) -> WDRep:
     if len(w.blocks) == 1 and w.blocks[0].n == 0 \
             and isinstance(w.blocks[0].part, IrredPart):
         part = w.blocks[0].part
-        return WDRep([Block(replace(part, starred=not part.starred), 0)])
+        return WDRep([Block(part.replace(starred=not part.starred), 0)])
     raise LfacEvalError("star needs a lone irreducible summand")
 
 

@@ -18,11 +18,11 @@ meet at one root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog as _catalog
 from .chars import Character
+from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .wdrep import Block, CharPart, lfactor, sp, tensor_summands
@@ -37,16 +37,14 @@ SUBREGULAR2 = "subregular-case2"
 REGULAR = "regular"
 
 
-@dataclass(frozen=True)
-class PoleEntry:
+class PoleEntry(Record):
     root: Scalar
     classification: str
     witnesses: tuple[Block, ...]
     bessel: tuple[Character, Character] | None = None
 
 
-@dataclass(frozen=True)
-class PoleReport:
+class PoleReport(Record):
     entries: tuple[PoleEntry, ...]
 
     def roots(self, classification=None) -> tuple[Scalar, ...]:
@@ -86,8 +84,7 @@ def exceptional_poles(pi, sigma) -> PoleReport:
     return PoleReport(_sorted_entries(entries))
 
 
-@dataclass(frozen=True)
-class NovSplit:
+class NovSplit(Record):
     full: SplitRational
     regular: SplitRational
     exceptional: SplitRational
@@ -138,8 +135,7 @@ def subregular_poles(pi) -> PoleReport:
     return PoleReport(_sorted_entries(entries.values()))
 
 
-@dataclass(frozen=True)
-class PsSplit:
+class PsSplit(Record):
     full: SplitRational
     exceptional: SplitRational
     subregular: SplitRational

@@ -10,6 +10,7 @@ meant to be parsed back.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import catalog as cat
 from . import poles as _poles
@@ -17,7 +18,6 @@ from .chars import Character
 from .errors import LfacValueError
 from .scalar import Scalar
 from .splitrat import IdealGen, SplitRational
-from .verify import CheckReport
 from .wdrep import Block, CharPart, IrredPart, WDRep
 
 __all__ = ["SCHEMA", "text", "to_json", "unicodize"]
@@ -26,6 +26,12 @@ SCHEMA = "lfac-1"
 
 
 # -------------------------------------------------------------------- text
+
+def _is_check_report(value) -> bool:
+    # a CheckReport exists only once verify is loaded, so never load it here
+    verify = sys.modules.get(__package__ + ".verify")
+    return verify is not None and isinstance(value, verify.CheckReport)
+
 
 def _part_text(part) -> str:
     if isinstance(part, CharPart):
@@ -131,7 +137,7 @@ def text(value) -> str:
     if isinstance(value, tuple) and len(value) == 2 \
             and all(isinstance(c, Character) for c in value):
         return "bessel(%s, %s)" % value
-    if isinstance(value, CheckReport):
+    if _is_check_report(value):
         return value.summary()
     raise TypeError("no text form for %r" % type(value).__name__)
 
@@ -210,7 +216,7 @@ def to_json(value):
     if isinstance(value, tuple) and len(value) == 2 \
             and all(isinstance(c, Character) for c in value):
         return {"kind": "bessel", "pair": [str(value[0]), str(value[1])]}
-    if isinstance(value, CheckReport):
+    if _is_check_report(value):
         return {"kind": "checkreport", "suite": value.suite,
                 "trials": value.trials, "passed": value.passed,
                 "failures": [{"trial": f.trial, "seed": f.seed,

@@ -20,7 +20,8 @@ gcd is needed:
   a one-term denominator, Laurent monomials, zero and the rational constants
   included), read as dicts from exponent vector to coefficient;
 * every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
-  power estimated past POWER_TERMS_MAX terms is refused before it expands;
+  power estimated past POWER_TERMS_MAX terms, or with coefficients
+  estimated longer than str() prints, is refused before it expands;
 * every quotient, as the product with the inverse, which is reduced too;
 * a product of reduced fractions n1/d1 * n2/d2, whose gcd is
   gcd(n1, d2) * gcd(n2, d1): each factor is a monomial when a side has one
@@ -45,6 +46,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .errors import (HalfIntegerError, LfacValueError, ScalarDomainError,
@@ -117,7 +119,10 @@ def _to_fraction(c) -> Fraction:
 # larger power raises LfacValueError before it expands.  The bound is set by
 # time and output size, like wdrep.SP_MAX and wdrep.BLOCK_MAX: it admits
 # (a + b + c)^400 (80,601 terms) and (a + b)^2000, but refuses
-# (a + b)^-100000, whose binomial coefficients are too long to print anyway.
+# (a + b)^-100000.  A power within it whose coefficients, by the estimate of
+# _power_digits, would have more digits than str() prints an int with
+# (sys.get_int_max_str_digits(), 4300 by default) is refused as well, such
+# as (a + b)^-99999, whose binomial coefficients run to 30,000 digits.
 POWER_TERMS_MAX = 100000
 
 
@@ -136,6 +141,21 @@ def _power_terms(terms, n: int) -> int:
     for col in zip(*[e for e, _ in terms]):
         box *= n * (max(col) - min(col)) + 1
     return min(math.comb(n + k - 1, k - 1), box)
+
+
+def _power_digits(terms, n: int) -> float:
+    """An upper bound on the decimal digits of the numerators and the
+    denominators of the coefficients of the n-th power of a polynomial of
+    two or more terms (0 for one term, whose power does not expand).  On
+    coefficients scaled to integers by the lcm d of their denominators,
+    every coefficient of the power is at most s**n / d**n, s the sum of the
+    absolute scaled coefficients, so it has at most n * log10(max(s, d))
+    digits above and below."""
+    if len(terms) < 2:
+        return 0
+    d = math.lcm(*(c.denominator for _, c in terms))
+    s = sum(abs(c.numerator) * (d // c.denominator) for _, c in terms)
+    return n * math.log10(max(s, d))
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -193,12 +213,23 @@ def _exact_quotient(p: dict, d: dict):
     when d divides p; it stops at the first leading term that the leading
     term of d does not divide, since that term would stay in the remainder.
     Every term a step adds is below the leading term it removed, so a heap
-    of negated exponent vectors yields the leading terms in turn."""
+    of negated exponent vectors yields the leading terms in turn.  The
+    division runs on integer coefficients: p is scaled by the lcm of its
+    denominators, and d to a primitive integer polynomial, so by Gauss's
+    lemma an exact quotient has integer coefficients too, and a leading
+    coefficient that the leading coefficient of d does not divide also
+    ends it."""
     import heapq  # here, so that a cold start that never divides skips it
+    sp = math.lcm(*(c.denominator for c in p.values()))
+    sd = math.lcm(*(c.denominator for c in d.values()))
+    p = {e: c.numerator * (sp // c.denominator) for e, c in p.items()}
+    d = {e: c.numerator * (sd // c.denominator) for e, c in d.items()}
+    g = math.gcd(*d.values())
+    if g != 1:
+        d = {e: c // g for e, c in d.items()}
     ld = max(d)
     lc = d[ld]
     tail = [(e, c) for e, c in d.items() if e != ld]
-    p = dict(p)
     heap = [tuple(map(operator.neg, e)) for e in p]
     heapq.heapify(heap)
     q = {}
@@ -208,9 +239,9 @@ def _exact_quotient(p: dict, d: dict):
         if not c:
             continue
         e = tuple(map(operator.sub, lp, ld))
-        if min(e) < 0:
+        if min(e) < 0 or c % lc:
             return None
-        c = q[e] = c / lc
+        c = q[e] = c // lc
         for et, ct in tail:
             t = tuple(map(operator.add, et, e))
             if t in p:
@@ -218,7 +249,9 @@ def _exact_quotient(p: dict, d: dict):
             else:
                 p[t] = -c * ct
                 heapq.heappush(heap, tuple(map(operator.neg, t)))
-    return q
+    # p/d is the integer quotient times sd / (sp * g)
+    scale = Fraction(sd, sp * g)
+    return {e: c * scale for e, c in q.items()}
 
 
 def _linear(d: dict) -> bool:
@@ -528,6 +561,12 @@ class Scalar:
         if max(_power_terms(num, n), _power_terms(den, n)) > POWER_TERMS_MAX:
             raise LfacValueError("power too large: more than %d terms"
                                  % POWER_TERMS_MAX)
+        # 0, or no such limit before Python 3.10.7, means str() prints any int
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        if digits and max(_power_digits(num, n),
+                          _power_digits(den, n)) > digits:
+            raise LfacValueError("power too large: coefficients of more "
+                                 "than %d digits" % digits)
         return Scalar(self._gens, _poly_pow(num, n), _poly_pow(den, n))
 
     def inverse(self) -> "Scalar":

@@ -18,10 +18,10 @@ base contributing exponent 0 there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ScalarDomainError, _printable
+from .record import Record
 from .scalar import Scalar, half_integer
 
 __all__ = ["SplitRational", "IdealGen", "ideal_generator"]
@@ -211,8 +211,7 @@ class SplitRational:
         return "SplitRational(%s)" % self
 
 
-@dataclass(frozen=True)
-class IdealGen:
+class IdealGen(Record):
     """Canonical generator of a sum of principal fractional ideals."""
     generator: SplitRational
 

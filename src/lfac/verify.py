@@ -14,13 +14,13 @@ representation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import catalog as cat
 from .chars import Character
 from .errors import TypeConstraintViolation
 from .poles import subregular_poles
+from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .unipoly import expand_split, rational_equal
@@ -38,8 +38,7 @@ TRIAL_STRIDE = 1_000_003
 _LETTERS = [c for c in "abcdefghijklmnoprstuwyz" if c not in "qvx"]
 
 
-@dataclass(frozen=True)
-class TrialProfile:
+class TrialProfile(Record):
     seed: int
     block_budget: int = 4
     max_sp: int = 3
@@ -47,21 +46,26 @@ class TrialProfile:
     allow_irred: bool = False
 
     def derived(self, i: int) -> "TrialProfile":
-        return replace(self, seed=self.seed * TRIAL_STRIDE + i)
+        return self.replace(seed=self.seed * TRIAL_STRIDE + i)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Record):
     trial: int
     seed: int
     detail: str
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record, frozen=False):
     suite: str
     trials: int = 0
-    failures: list[Failure] = field(default_factory=list)
+    failures: list[Failure] | None = None
+
+    def __init__(self, suite: str, trials: int = 0,
+                 failures: list[Failure] | None = None):
+        # one report per trial: plain stores, and a new list for each
+        self.suite = suite
+        self.trials = trials
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -300,8 +304,8 @@ def check_corollary62(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
         raise TypeConstraintViolation("corollary62 route needs a principal "
                                       "series sigma")
     # for a principal-series sigma, theoremA is just the route comparison
-    return replace(check_theoremA(pi, sigma, numeric_seed),
-                   suite="corollary62")
+    return check_theoremA(pi, sigma, numeric_seed).replace(
+        suite="corollary62")
 
 
 def check_soudry(tau1: cat.Gl2Param, tau2: cat.Gl2Param, sigma: cat.Gl2Param,
@@ -336,7 +340,7 @@ def _trials(suite: str, trials: int, seed: int, profile: TrialProfile,
     out = CheckReport(suite)
     for r in fixed:
         out.merge(r)
-    base = replace(profile, seed=seed)
+    base = profile.replace(seed=seed)
     for i in range(trials):
         p = base.derived(i)
         r = trial(p, random.Random(p.seed))

@@ -18,10 +18,9 @@ sp(n) contributes 1/(1 - alpha v^{-n} X), everything else contributes 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .chars import Character
 from .errors import LfacValueError, UnsupportedTensor
+from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
 
@@ -46,9 +45,21 @@ SP_MAX = 1000
 BLOCK_MAX = 1000
 
 
-@dataclass(frozen=True)
-class CharPart:
+class CharPart(Record):
     char: Character
+
+    # CharPart and Block are the records built and compared most, so they
+    # spell out what Record would do generically
+    def __init__(self, char: Character):
+        object.__setattr__(self, "char", char)
+
+    def __eq__(self, other):
+        if other.__class__ is CharPart:
+            return (self.char,) == (other.char,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.char,))
 
     @property
     def dim(self) -> int:
@@ -64,8 +75,7 @@ class CharPart:
         return CharPart(self.char.substitute(values))
 
 
-@dataclass(frozen=True)
-class IrredPart:
+class IrredPart(Record):
     """A formal irreducible Weil representation of dimension >= 2.
 
     base_det is the determinant character of the plain labelled irreducible;
@@ -90,7 +100,7 @@ class IrredPart:
         return d * self.twist ** self.dim
 
     def twisted(self, chi: Character) -> "IrredPart":
-        return replace(self, twist=self.twist * chi)
+        return self.replace(twist=self.twist * chi)
 
     def sort_key(self):
         sd = self.selfdual_twist
@@ -113,10 +123,10 @@ def part_dual(p: WeilPart) -> WeilPart:
         return CharPart(p.char.inverse())
     if p.dim == 2 and not p.starred:
         # rho^vee = rho (x) det(rho)^{-1}, valid for any 2-dimensional rep
-        return replace(p, twist=p.base_det.inverse() * p.twist.inverse())
+        return p.replace(twist=p.base_det.inverse() * p.twist.inverse())
     if p.selfdual_twist is not None and not p.starred:
-        return replace(p, twist=p.selfdual_twist * p.twist.inverse())
-    return replace(p, starred=not p.starred, twist=p.twist.inverse())
+        return p.replace(twist=p.selfdual_twist * p.twist.inverse())
+    return p.replace(starred=not p.starred, twist=p.twist.inverse())
 
 
 def part_twist(p: WeilPart, chi: Character) -> WeilPart:
@@ -153,10 +163,22 @@ def check_block_count(count: int) -> None:
                              % (count, BLOCK_MAX))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     part: WeilPart
     n: int
+
+    def __init__(self, part: WeilPart, n: int):
+        object.__setattr__(self, "part", part)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is Block:
+            return (self.part, self.n) == (other.part, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.part, self.n))
 
     def __post_init__(self):
         check_sp_index(self.n)

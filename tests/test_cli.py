@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lfac
 import lfac.catalog
 import lfac.verify
-from lfac.cli import main
+from lfac.cli import SUITE_NAMES, main
 from lfac.verify import CheckReport
 from test_dsl import _fuzz_text
 
@@ -82,11 +82,11 @@ print(json.dumps({"outs": outs, "sympy": "sympy" in sys.modules}))
 """
 
 
-def _fresh_child(argvs):
+def _fresh_child(argvs, script=_NO_SYMPY):
     src = str(pathlib.Path(lfac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -127,6 +127,50 @@ def test_sympy_loads_only_for_a_genuine_sum():
     child = _fresh_child([["eval", "(a^2 - b^2)/(a^3 - b^3)"]])
     assert child["sympy"] is True
     assert child["outs"] == ["(a + b)/(a^2 + a*b + b^2)\n"]
+
+
+_LAZY = """
+import io, json, sys
+from contextlib import redirect_stdout
+import lfac
+from lfac.cli import main
+
+def loaded():
+    return [m for m in ("dataclasses", "lfac.verify", "lfac.unipoly")
+            if m in sys.modules]
+
+seen, outs = [loaded()], []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    outs.append(out.getvalue())
+    seen.append(loaded())
+from lfac import CheckReport, run_suite
+assert run_suite("lemma71", 2, 1)[0].passed and CheckReport("x").passed
+seen.append(loaded())
+from lfac import *
+missing = [n for n in lfac.__all__ if n not in globals()]
+print(json.dumps({"seen": seen, "outs": outs, "missing": missing}))
+"""
+
+
+def test_verify_loads_only_when_used():
+    # import lfac and the 19 goldens that do not verify load neither the
+    # dataclasses module nor the suites and their oracle; asking lfac for
+    # a suite name loads them, and the star import still gives every name
+    plain = [(g, argv) for g, argv in CASES if argv[0] != "verify"]
+    assert len(plain) == 19
+    child = _fresh_child([argv for _, argv in plain], _LAZY)
+    assert child["seen"] == [[]] * 20 + [["lfac.verify", "lfac.unipoly"]]
+    assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
+                             for g, _ in plain]
+    assert child["missing"] == []
+
+
+def test_suite_choices_match_the_suites():
+    # the parser spells the suite names out so that it need not load verify
+    assert list(SUITE_NAMES) == sorted(lfac.verify.SUITES)
 
 
 def test_syntax_error_exit_2(capsys):

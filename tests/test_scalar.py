@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac.errors import HalfIntegerError, LfacValueError, ScalarDomainError
-from lfac.scalar import (POWER_TERMS_MAX, RESERVED_NAMES, Scalar, _field,
-                         _gens_order, half_integer, scalar_canonicalize)
+from lfac.scalar import (POWER_TERMS_MAX, RESERVED_NAMES, Scalar,
+                         _exact_quotient, _field, _gens_order, _poly_mul,
+                         half_integer, scalar_canonicalize)
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
 v = Scalar.v_power(1)
@@ -272,6 +273,46 @@ def test_reduced_product_matches_sympy(pair):
         _same(x / y, x._binary(y, operator.truediv))
 
 
+@st.composite
+def divisors(draw):
+    """Polynomials of 2-3 terms over a, b, v whose coefficients are
+    fractions, the leading one included, so the divisor is not monic."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeffs = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    s = Scalar.zero
+    for e in draw(st.lists(exps, min_size=2, max_size=3, unique=True)):
+        t = Scalar.from_rational(draw(coeffs))
+        for x, k in zip((a, b, v), e):
+            if k:
+                t = t._binary(_sympy_pow(x, k), operator.mul)
+        s = s._binary(t, operator.add)
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurents(), divisors(), divisors())
+def test_exact_quotient_matches_sympy(x, d, e):
+    gens = _gens_order(set(x._gens) | {"a", "b", "v"})
+    one = {tuple(0 for _ in gens): Fraction(1)}
+    p, dd = x._polys(gens)[0], d._polys(gens)[0]
+    pd = {k: c for k, c in _poly_mul(p, dd).items() if c}
+    # on integer coefficients, p*d divides by d whatever d's leading
+    # coefficient, and p*d + e divides exactly when sympy finds no
+    # denominator
+    assert _exact_quotient(pd, dd) == {k: c for k, c in p.items() if c}
+    top = Scalar._from_polys(pd, one, gens) + e
+    q = _exact_quotient(top._polys(gens)[0], dd)
+    slow = top._binary(d, operator.truediv)
+    if q is None:
+        assert slow._den != ((tuple(0 for _ in slow._gens), Fraction(1)),)
+    else:
+        _same(Scalar._from_polys(q, one, gens), slow)
+    # and through Scalar division, which reaches it via _cancel
+    n = x._binary(d, operator.mul)
+    for num in (n, x, top):
+        _same(num / d, num._binary(d, operator.truediv))
+
+
 def _best_of_3(f):
     times = []
     for _ in range(3):
@@ -377,6 +418,18 @@ def test_power_bound():
             (a + b) ** n
     with pytest.raises(LfacValueError, match="power too large"):
         (a + b + c) ** 500
+    # within the term bound, but with binomial coefficients of about 30,000
+    # digits, past what str() prints: refused before it expands
+    start = time.perf_counter()
+    with pytest.raises(LfacValueError, match="more than 4300 digits"):
+        (a + b) ** -99999
+    assert time.perf_counter() - start < 0.5
+    # the coefficients of (a/1000 + b/1000)^n have denominators of 3n + 1
+    # digits, though their numerators have fewer than n/3
+    x = (a / 1000 + b / 1000) ** 1400
+    assert str(x).startswith("1/1%s*a^1400 + " % ("0" * 4200))
+    with pytest.raises(LfacValueError, match="4300 digits"):
+        (a / 1000 + b / 1000) ** 1450
 
 
 def test_hash_is_cached_and_route_free():

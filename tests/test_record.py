@@ -87,7 +87,7 @@ def test_fields_repr_eq(cls):
     assert x != object()
 
 
-def test_block_repr():
+def test_repr_examples():
     assert repr(EXAMPLES[Block]) == \
         "Block(part=CharPart(char=Character(unr(a))), n=1)"
     assert repr(TrialProfile(3)) == ("TrialProfile(seed=3, block_budget=4, "

@@ -33,6 +33,10 @@ from .wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
 
 __version__ = "0.1.0"
 
+# the names of the verify suites, here so that the CLI parser can offer them
+# without loading the suites; verify.SUITES is built in this order
+SUITE_NAMES = ("lemma71", "soudry", "theoremA")
+
 # the verify suites and their unipoly oracle load on first use, not here
 _VERIFY_NAMES = frozenset({"CheckReport", "TrialProfile", "check_corollary62",
                            "check_lemma71", "check_soudry", "check_theoremA",

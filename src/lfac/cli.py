@@ -12,9 +12,9 @@ import argparse
 import json
 import sys
 
+from . import SUITE_NAMES, render
 from . import catalog as cat
 from . import poles as _poles
-from . import render
 from .dsl import evaluate_text, lfactor_of
 from .errors import LfacError, LfacSyntaxError
 
@@ -135,11 +135,6 @@ def _cmd_verify(args) -> int:
 
 
 # -------------------------------------------------------------------- wiring
-
-# sorted(verify.SUITES), spelled out so that building the parser does not
-# load the suites; a test keeps the two equal
-SUITE_NAMES = ("lemma71", "soudry", "theoremA")
-
 
 def _at_least(low: int):
     def integer(text: str) -> int:  # argparse names the type in its errors

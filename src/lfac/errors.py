@@ -25,8 +25,8 @@ class LfacValueError(LfacError, ValueError):
     """A value outside its domain: a zero character value, an irreducible
     part of dimension below 2, an sp index outside 0..SP_MAX, a
     representation of more than BLOCK_MAX blocks, a power of more than
-    POWER_TERMS_MAX terms or with coefficients longer than str() prints
-    (estimated before it expands), a bad or reserved symbol name."""
+    POWER_TERMS_MAX terms or with coefficients of more than POWER_DIGITS_MAX
+    digits (estimated before it expands), a bad or reserved symbol name."""
 
 
 def _printable(to_text):

@@ -16,10 +16,9 @@ decorator would generate:
 
 The methods are closures over the field list, made once per class, so
 nothing is compiled or exec'd and a cold start never loads the dataclasses
-module.  A subclass may define its own __init__, __eq__ or __hash__, which
-then stand.  ``class R(Record, frozen=False)`` may be assigned to and is
-unhashable.  Fields are those of the class itself, not of a record it
-derives from.
+module.  A subclass may define its own __init__, which then stands.
+``class R(Record, frozen=False)`` may be assigned to and is unhashable.
+Fields are those of the class itself, not of a record it derives from.
 """
 
 from __future__ import annotations
@@ -111,13 +110,11 @@ class Record:
             # like a dataclass, call __post_init__ only if the class has one
             cls.__init__ = _initializer(cls.__name__, fields, defaults,
                                         hasattr(cls, "__post_init__"))
-        if "__eq__" not in own:
-            cls.__eq__ = _equality(values)
+        cls.__eq__ = _equality(values)
         if not frozen:
             cls.__hash__ = None
             return
-        if "__hash__" not in own:
-            cls.__hash__ = _hashing(values)
+        cls.__hash__ = _hashing(values)
         cls.__setattr__ = _refuse_set
         cls.__delattr__ = _refuse_delete
 

@@ -21,7 +21,7 @@ gcd is needed:
   included), read as dicts from exponent vector to coefficient;
 * every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
   power estimated past POWER_TERMS_MAX terms, or with coefficients
-  estimated longer than str() prints, is refused before it expands;
+  estimated past POWER_DIGITS_MAX digits, is refused before it expands;
 * every quotient, as the product with the inverse, which is reduced too;
 * a product of reduced fractions n1/d1 * n2/d2, whose gcd is
   gcd(n1, d2) * gcd(n2, d1): each factor is a monomial when a side has one
@@ -46,14 +46,13 @@ import functools
 import math
 import operator
 import re
-import sys
 from fractions import Fraction
 
 from .errors import (HalfIntegerError, LfacValueError, ScalarDomainError,
                      _printable)
 
 __all__ = ["Scalar", "scalar_canonicalize", "half_integer", "RESERVED_NAMES",
-           "POWER_TERMS_MAX"]
+           "POWER_TERMS_MAX", "POWER_DIGITS_MAX"]
 
 RESERVED_NAMES = frozenset({"q", "X", "x", "sp"})
 
@@ -119,11 +118,17 @@ def _to_fraction(c) -> Fraction:
 # larger power raises LfacValueError before it expands.  The bound is set by
 # time and output size, like wdrep.SP_MAX and wdrep.BLOCK_MAX: it admits
 # (a + b + c)^400 (80,601 terms) and (a + b)^2000, but refuses
-# (a + b)^-100000.  A power within it whose coefficients, by the estimate of
-# _power_digits, would have more digits than str() prints an int with
-# (sys.get_int_max_str_digits(), 4300 by default) is refused as well, such
-# as (a + b)^-99999, whose binomial coefficients run to 30,000 digits.
+# (a + b)^-100000.
 POWER_TERMS_MAX = 100000
+
+# The most decimal digits, by the estimate of _power_digits, of the
+# numerators and denominators of a power's coefficients; a longer power
+# raises LfacValueError before it expands, such as (a + b)^-99999, whose
+# binomial coefficients run to 30,000 digits.  The bound is the default limit
+# of Python's str() on int digits, so whether a power is refused does not
+# depend on that run-time setting; printing still guards whatever limit is in
+# force (errors._printable).
+POWER_DIGITS_MAX = 4300
 
 
 def _power_terms(terms, n: int) -> int:
@@ -561,12 +566,10 @@ class Scalar:
         if max(_power_terms(num, n), _power_terms(den, n)) > POWER_TERMS_MAX:
             raise LfacValueError("power too large: more than %d terms"
                                  % POWER_TERMS_MAX)
-        # 0, or no such limit before Python 3.10.7, means str() prints any int
-        digits = getattr(sys, "get_int_max_str_digits", int)()
-        if digits and max(_power_digits(num, n),
-                          _power_digits(den, n)) > digits:
+        if max(_power_digits(num, n),
+               _power_digits(den, n)) > POWER_DIGITS_MAX:
             raise LfacValueError("power too large: coefficients of more "
-                                 "than %d digits" % digits)
+                                 "than %d digits" % POWER_DIGITS_MAX)
         return Scalar(self._gens, _poly_pow(num, n), _poly_pow(den, n))
 
     def inverse(self) -> "Scalar":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import SUITE_NAMES
 from . import catalog as cat
 from .chars import Character
 from .errors import TypeConstraintViolation
@@ -400,8 +401,8 @@ def _suite_soudry(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
     return _trials("soudry", trials, seed, profile, trial)
 
 
-SUITES = {"lemma71": _suite_lemma71, "theoremA": _suite_theoremA,
-          "soudry": _suite_soudry}
+SUITES = dict(zip(SUITE_NAMES, (_suite_lemma71, _suite_soudry,
+                                _suite_theoremA)))
 
 
 def run_suite(name: str, trials: int, seed: int,

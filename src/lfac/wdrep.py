@@ -48,19 +48,6 @@ BLOCK_MAX = 1000
 class CharPart(Record):
     char: Character
 
-    # CharPart and Block are the records built and compared most, so they
-    # spell out what Record would do generically
-    def __init__(self, char: Character):
-        object.__setattr__(self, "char", char)
-
-    def __eq__(self, other):
-        if other.__class__ is CharPart:
-            return (self.char,) == (other.char,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.char,))
-
     @property
     def dim(self) -> int:
         return 1
@@ -166,19 +153,6 @@ def check_block_count(count: int) -> None:
 class Block(Record):
     part: WeilPart
     n: int
-
-    def __init__(self, part: WeilPart, n: int):
-        object.__setattr__(self, "part", part)
-        object.__setattr__(self, "n", n)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is Block:
-            return (self.part, self.n) == (other.part, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.part, self.n))
 
     def __post_init__(self):
         check_sp_index(self.n)

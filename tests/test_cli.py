@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lfac
 import lfac.catalog
 import lfac.verify
-from lfac.cli import SUITE_NAMES, main
+from lfac.cli import main
 from lfac.verify import CheckReport
 from test_dsl import _fuzz_text
 
@@ -166,11 +166,6 @@ def test_verify_loads_only_when_used():
     assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
                              for g, _ in plain]
     assert child["missing"] == []
-
-
-def test_suite_choices_match_the_suites():
-    # the parser spells the suite names out so that it need not load verify
-    assert list(SUITE_NAMES) == sorted(lfac.verify.SUITES)
 
 
 def test_syntax_error_exit_2(capsys):

@@ -1,4 +1,5 @@
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac.errors import HalfIntegerError, LfacValueError, ScalarDomainError
-from lfac.scalar import (POWER_TERMS_MAX, RESERVED_NAMES, Scalar,
-                         _exact_quotient, _field, _gens_order, _poly_mul,
+from lfac.scalar import (POWER_DIGITS_MAX, POWER_TERMS_MAX, RESERVED_NAMES,
+                         Scalar, _exact_quotient, _field, _gens_order, _poly_mul,
                          half_integer, scalar_canonicalize)
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
@@ -421,15 +422,24 @@ def test_power_bound():
     # within the term bound, but with binomial coefficients of about 30,000
     # digits, past what str() prints: refused before it expands
     start = time.perf_counter()
-    with pytest.raises(LfacValueError, match="more than 4300 digits"):
+    with pytest.raises(LfacValueError,
+                       match="more than %d digits" % POWER_DIGITS_MAX):
         (a + b) ** -99999
     assert time.perf_counter() - start < 0.5
     # the coefficients of (a/1000 + b/1000)^n have denominators of 3n + 1
     # digits, though their numerators have fewer than n/3
     x = (a / 1000 + b / 1000) ** 1400
     assert str(x).startswith("1/1%s*a^1400 + " % ("0" * 4200))
-    with pytest.raises(LfacValueError, match="4300 digits"):
+    with pytest.raises(LfacValueError, match="%d digits" % POWER_DIGITS_MAX):
         (a / 1000 + b / 1000) ** 1450
+    # the bound is the module's, not the interpreter's run-time setting
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(LfacValueError, match="power too large"):
+            (a + b) ** -99999
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_hash_is_cached_and_route_free():

@@ -16,9 +16,8 @@ pairing factors (those agreements are what the verify module rechecks).
 
 from __future__ import annotations
 
+import os
 import re
-from importlib import resources
-from typing import Callable
 
 from .chars import Character
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
@@ -227,6 +226,10 @@ class CatalogShape(Record):
     similitude: str
 
 
+# the shipped catalog, read next to this module rather than through
+# importlib.resources, which would load pathlib, zipfile and tempfile
+_BUILTIN_CATALOG = os.path.join(os.path.dirname(__file__), "data",
+                                "catalog_types.txt")
 _PARAM_RE = re.compile(r"\A([A-Za-z_][A-Za-z0-9_]*):(char|irred)\Z")
 _TYPE_RE = re.compile(r"\A[A-Za-z0-9_]+\Z")   # what gsp4.NAME can spell
 
@@ -234,8 +237,8 @@ _TYPE_RE = re.compile(r"\A[A-Za-z0-9_]+\Z")   # what gsp4.NAME can spell
 def load_catalog(path=None) -> dict[str, CatalogShape]:
     """Parse a catalog data file; default is the one shipped with the package."""
     if path is None:
-        text = resources.files("lfac").joinpath("data/catalog_types.txt") \
-                        .read_text(encoding="utf-8")
+        with open(_BUILTIN_CATALOG, encoding="utf-8") as fh:
+            text = fh.read()
         where = "<builtin catalog>"
     else:
         where = str(path)

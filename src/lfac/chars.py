@@ -49,6 +49,14 @@ class Character:
         self.satake = satake
 
     @classmethod
+    def _raw(cls, tag: tuple, satake: Scalar) -> "Character":
+        # private: tag already normalised and satake a nonzero Scalar
+        chi = object.__new__(cls)
+        chi.tag = tag
+        chi.satake = satake
+        return chi
+
+    @classmethod
     def trivial(cls) -> "Character":
         return _TRIVIAL
 
@@ -80,11 +88,19 @@ class Character:
             return self
         if self.is_trivial:
             return other
-        return Character(self.tag + other.tag, self.satake * other.satake)
+        satake = self.satake * other.satake
+        # a tag meets another only when both sides are ramified
+        if self.tag and other.tag:
+            return Character(self.tag + other.tag, satake)
+        return Character._raw(self.tag or other.tag, satake)
 
     def __pow__(self, n):
         n = int(n)
-        return Character([(name, e * n) for name, e in self.tag], self.satake ** n)
+        if n == 0:
+            return _TRIVIAL
+        # scaling every exponent by n != 0 keeps the tag sorted and nonzero
+        return Character._raw(tuple([(name, e * n) for name, e in self.tag]),
+                              self.satake ** n)
 
     def inverse(self) -> "Character":
         return self ** -1

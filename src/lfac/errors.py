@@ -26,7 +26,8 @@ class LfacValueError(LfacError, ValueError):
     part of dimension below 2, an sp index outside 0..SP_MAX, a
     representation of more than BLOCK_MAX blocks, a power of more than
     POWER_TERMS_MAX terms or with coefficients of more than POWER_DIGITS_MAX
-    digits (estimated before it expands), a bad or reserved symbol name."""
+    digits (estimated before it is computed, for a one-term base such as
+    3^20000000 as for a sum), a bad or reserved symbol name."""
 
 
 def _printable(to_text):

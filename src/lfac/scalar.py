@@ -16,12 +16,21 @@ Conventions in force throughout the package:
 Arithmetic is computed here on exponent vectors wherever no multivariate
 gcd is needed:
 
-* sums, differences and products of Laurent polynomials (any numerator over
-  a one-term denominator, Laurent monomials, zero and the rational constants
-  included), read as dicts from exponent vector to coefficient;
+* products of two Laurent monomials (a one-term numerator over a one-term
+  denominator, the nonzero rational constants included), the common case,
+  directly on signed exponent vectors: the coefficients multiply, the
+  exponents add, the gens whose exponent cancels to 0 are dropped and the
+  rest split by sign into numerator and denominator (_monomial_product);
+* sums, differences and the other products of Laurent polynomials (any
+  numerator over a one-term denominator, zero included), read as dicts
+  from exponent vector to coefficient;
 * every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
   power estimated past POWER_TERMS_MAX terms, or with coefficients
-  estimated past POWER_DIGITS_MAX digits, is refused before it expands;
+  estimated past POWER_DIGITS_MAX digits, is refused before it expands.
+  That holds for a one-term base too, whose coefficient c**n is refused
+  when n * log10(max(|p|, q)) passes the bound for c = p/q in lowest
+  terms, so 3^20000000 is refused at once while v^-99999999999 (c = 1) and
+  2^14000 (4215 digits) are not;
 * every quotient, as the product with the inverse, which is reduced too;
 * a product of reduced fractions n1/d1 * n2/d2, whose gcd is
   gcd(n1, d2) * gcd(n2, d1): each factor is a monomial when a side has one
@@ -150,17 +159,26 @@ def _power_terms(terms, n: int) -> int:
 
 def _power_digits(terms, n: int) -> float:
     """An upper bound on the decimal digits of the numerators and the
-    denominators of the coefficients of the n-th power of a polynomial of
-    two or more terms (0 for one term, whose power does not expand).  On
+    denominators of the coefficients of the n-th power of a polynomial.  On
     coefficients scaled to integers by the lcm d of their denominators,
     every coefficient of the power is at most s**n / d**n, s the sum of the
     absolute scaled coefficients, so it has at most n * log10(max(s, d))
-    digits above and below."""
-    if len(terms) < 2:
+    digits above and below.  For one term p/q that is n * log10(max(|p|, q)),
+    the digits of p**n or q**n to within one, and 0 for a coefficient of
+    +-1, whose powers of any size stay short."""
+    if len(terms) == 1:
+        c = terms[0][1]
+        m = max(abs(c.numerator), c.denominator)
+    else:
+        d = math.lcm(*(c.denominator for _, c in terms))
+        m = max(d, sum(abs(c.numerator) * (d // c.denominator)
+                       for _, c in terms))
+    if m == 1:
         return 0
-    d = math.lcm(*(c.denominator for _, c in terms))
-    s = sum(abs(c.numerator) * (d // c.denominator) for _, c in terms)
-    return n * math.log10(max(s, d))
+    # log10(m) >= log10(2), so capping n where the estimate already passes
+    # POWER_DIGITS_MAX changes no verdict, and a huge n cannot overflow the
+    # float product
+    return min(n, 4 * POWER_DIGITS_MAX) * math.log10(m)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -393,13 +411,8 @@ class Scalar:
         if not terms:
             return _ZERO
         if len(terms) == 1:
-            # a monomial, the common case: the exponents split by sign
             ((e, c),) = terms
-            if not all(e):
-                gens = tuple([g for g, k in zip(gens, e) if k])
-                e = [k for k in e if k]
-            return cls(gens, ((tuple([k if k > 0 else 0 for k in e]), c),),
-                       ((tuple([-k if k < 0 else 0 for k in e]), _ONE_C),))
+            return cls._monomial(gens, e, c)
         cols = list(zip(*[e for e, _ in terms]))
         used = [i for i, col in enumerate(cols) if any(col)]
         shift = [(i, max(-min(cols[i]), 0)) for i in used]
@@ -407,6 +420,39 @@ class Scalar:
                      key=_EXPS, reverse=True)
         return cls(tuple([gens[i] for i in used]), tuple(num),
                    ((tuple([s for _, s in shift]), _ONE_C),))
+
+    @classmethod
+    def _monomial(cls, gens: tuple[str, ...], e, c: Fraction) -> "Scalar":
+        """The canonical form of c * gens**e for a nonzero c and a signed
+        exponent vector e: the gens whose exponent is 0 are dropped and
+        the exponents split by sign into a monic denominator."""
+        if not all(e):
+            gens = tuple([g for g, k in zip(gens, e) if k])
+            e = [k for k in e if k]
+        return cls(gens, ((tuple([k if k > 0 else 0 for k in e]), c),),
+                   ((tuple([-k if k < 0 else 0 for k in e]), _ONE_C),))
+
+    def _monomial_product(self, other) -> "Scalar":
+        """self * other for two Laurent monomials (one-term numerators and
+        denominators), on signed exponent vectors over the union of gens."""
+        ((n1, c1),), ((d1, _),) = self._num, self._den
+        ((n2, c2),), ((d2, _),) = other._num, other._den
+        c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+        if not other._gens:
+            # a rational constant only scales the coefficient
+            return self if c2 == 1 else Scalar(self._gens, ((n1, c),), self._den)
+        if not self._gens:
+            return other if c1 == 1 else Scalar(other._gens, ((n2, c),), other._den)
+        e1 = map(operator.sub, n1, d1)
+        e2 = map(operator.sub, n2, d2)
+        gens = self._gens
+        if gens != other._gens:
+            # each gen of the union read from its place in each operand, or
+            # from a 0 appended past the end
+            gens = _gens_union(gens, other._gens)
+            e1 = map((*e1, 0).__getitem__, _positions(self._gens, gens))
+            e2 = map((*e2, 0).__getitem__, _positions(other._gens, gens))
+        return Scalar._monomial(gens, tuple(map(operator.add, e1, e2)), c)
 
     # ---------------------------------------------------------------- sympy glue
 
@@ -516,6 +562,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if len(self._num) == len(o._num) == len(self._den) == len(o._den) == 1:
+            return self._monomial_product(o)
         pair = self._laurent_pair(o)
         if pair is None:
             return self._product(o)

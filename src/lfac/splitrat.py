@@ -33,6 +33,11 @@ def _as_scalar(x) -> Scalar:
     return Scalar.from_rational(x)
 
 
+def _sorted_factors(pairs) -> tuple:
+    return tuple(sorted([(b, e) for b, e in pairs if e],
+                        key=lambda p: p[0].sort_key()))
+
+
 class SplitRational:
     """A unit times a monomial in X times split linear factors.
 
@@ -59,9 +64,20 @@ class SplitRational:
             merged[beta] = merged.get(beta, 0) + e
         self.unit = unit
         self.xpower = int(xpower)
-        self.factors = tuple(sorted(
-            ((b, e) for b, e in merged.items() if e != 0),
-            key=lambda p: p[0].sort_key()))
+        self.factors = _sorted_factors(merged.items())
+
+    @classmethod
+    def _canonical(cls, unit: Scalar, xpower: int, pairs) -> "SplitRational":
+        """Private: skips the coercion and the merge of __init__.
+        Precondition: unit is a nonzero Scalar, xpower an int, and pairs
+        the items of a {base: exponent} map, that is (base, exponent) pairs
+        with distinct nonzero Scalar bases and int exponents.  Only the zero
+        exponents are dropped and the factors sorted."""
+        f = object.__new__(cls)
+        f.unit = unit
+        f.xpower = xpower
+        f.factors = _sorted_factors(pairs)
+        return f
 
     # ---------------------------------------------------------------- build
 
@@ -79,13 +95,18 @@ class SplitRational:
     def __mul__(self, other):
         if not isinstance(other, SplitRational):
             return NotImplemented
-        return SplitRational(self.unit * other.unit,
-                             self.xpower + other.xpower,
-                             self.factors + other.factors)
+        merged = dict(self.factors)
+        for b, e in other.factors:
+            merged[b] = merged.get(b, 0) + e
+        # most units are 1, and a product with 1 need not be computed
+        u, w = self.unit, other.unit
+        unit = w if u.is_one else u if w.is_one else u * w
+        return SplitRational._canonical(unit, self.xpower + other.xpower,
+                                        merged.items())
 
     def inverse(self) -> "SplitRational":
-        return SplitRational(self.unit.inverse(), -self.xpower,
-                             [(b, -e) for b, e in self.factors])
+        return SplitRational._canonical(self.unit.inverse(), -self.xpower,
+                                        [(b, -e) for b, e in self.factors])
 
     def __truediv__(self, other):
         if not isinstance(other, SplitRational):
@@ -94,15 +115,19 @@ class SplitRational:
 
     def __pow__(self, n):
         n = int(n)
-        return SplitRational(self.unit ** n, self.xpower * n,
-                             [(b, e * n) for b, e in self.factors])
+        return SplitRational._canonical(self.unit ** n, self.xpower * n,
+                                        [(b, e * n) for b, e in self.factors])
 
     def shift(self, t) -> "SplitRational":
         """The substitution s -> s + t for a half-integer t, i.e. X -> v^{-2t} X."""
         t = half_integer(t)
+        if not t:
+            return self
         w = Scalar.v_power(int(-2 * t))
-        return SplitRational(self.unit * w ** self.xpower, self.xpower,
-                             [(b * w, e) for b, e in self.factors])
+        unit = self.unit * w ** self.xpower if self.xpower else self.unit
+        # b -> b * w is injective, so the bases stay distinct
+        return SplitRational._canonical(unit, self.xpower,
+                                        [(b * w, e) for b, e in self.factors])
 
     # ---------------------------------------------------------------- queries
 

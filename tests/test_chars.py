@@ -32,6 +32,35 @@ def test_trivial_shortcut_matches_full_product(tag, k, e):
         assert str(chi * triv) == str(full)
 
 
+tags = st.sampled_from([(), (("eta", 1),), (("eta", -1),), (("xi", 2),),
+                        (("eta", -1), ("xi", 2)), (("eta", 2), ("xi", -1))])
+
+
+@st.composite
+def characters(draw):
+    coeff = draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+    satake = coeff * a ** draw(st.integers(-2, 2)) * v ** draw(st.integers(-3, 3))
+    return Character(draw(tags), satake)
+
+
+def _same_char(fast, slow):
+    assert (fast.tag, fast.satake) == (slow.tag, slow.satake)
+    assert str(fast) == str(slow) and hash(fast) == hash(slow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(characters(), characters(), st.integers(-3, 3))
+def test_kept_tags_match_normalising_constructor(x, y, n):
+    # the product keeps the ramified side's tag, and a power scales it,
+    # without normalising again: the same as Character(tag, satake) does
+    _same_char(x * y, Character(x.tag + y.tag, x.satake * y.satake))
+    _same_char(y * x, Character(y.tag + x.tag, y.satake * x.satake))
+    _same_char(x ** n, Character([(t, e * n) for t, e in x.tag],
+                                 x.satake ** n))
+    _same_char(x.inverse(), Character([(t, -e) for t, e in x.tag],
+                                      x.satake ** -1))
+
+
 def test_group_laws():
     x = unr(a)
     y = ram("eta", v)

@@ -82,11 +82,12 @@ print(json.dumps({"outs": outs, "sympy": "sympy" in sys.modules}))
 """
 
 
-def _fresh_child(argvs, script=_NO_SYMPY):
+def _fresh_child(argvs, script=_NO_SYMPY, flags=()):
     src = str(pathlib.Path(lfac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, *flags, "-c", script,
+                           json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -168,6 +169,23 @@ def test_verify_loads_only_when_used():
     assert child["missing"] == []
 
 
+_BARE = """
+import json, sys
+import lfac
+heavy = ("importlib.resources", "typing", "pathlib", "zipfile", "tempfile")
+print(json.dumps({"catalog": sorted(lfac.catalog.default_catalog()),
+                  "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_import_loads_no_resource_machinery():
+    # without site (python -S), which may import some of these itself,
+    # import lfac reads the shipped catalog with a plain open
+    child = _fresh_child([], _BARE, flags=["-S"])
+    assert child["catalog"] == sorted(lfac.catalog.default_catalog())
+    assert child["loaded"] == []
+
+
 def test_syntax_error_exit_2(capsys):
     assert main(["eval", "unr(a"]) == 2
     out, err = capsys.readouterr()
@@ -200,12 +218,15 @@ def test_domain_error_exit_2(capsys):
     "sp(30) x sp(30) x sp(30) x sp(30)",
     "L(sp(20) x sp(20) x sp(20) x sp(20) x sp(20))",
     "(sp(30) x sp(30) x sp(30)) + (sp(30) x sp(30) x sp(30))",
-    "(a + b)^99999999", "(a + b)^-100000",
+    "(a + b)^99999999", "(a + b)^-100000", "3^20000000", "(2*a)^20000000",
+    "2^14000 * 2^14000",
 ], ids=["unr0", "ram0", "ratio0", "irr1", "sp-1", "ram-q", "parens",
         "minus-chain", "long-literal", "long-exponent", "unprintable",
         "sp-past-bound", "block-past-bound", "tensor-past-bound",
         "sp-huge", "tensor-blocks-past-bound", "tensor-chain-lfactor",
-        "sum-blocks-past-bound", "power-huge", "power-past-bound"])
+        "sum-blocks-past-bound", "power-huge", "power-past-bound",
+        "monomial-power-huge", "monomial-power-coefficient",
+        "unprintable-product"])
 def test_bad_value_exit_2(capsys, expr):
     assert main(["eval", "--", expr]) == 2
     out, err = capsys.readouterr()

@@ -226,6 +226,44 @@ def test_laurent_path_matches_sympy(x, y, m, n):
         _same(x ** n, _sympy_pow(x, n))
 
 
+@st.composite
+def monomial_pairs(draw):
+    """Two nonzero Laurent monomials built by the sympy path alone, on equal,
+    overlapping or disjoint gens (a rational constant has none), with
+    fractional or negative coefficients; where both use a gen, the second
+    exponent may be the negative of the first, so the product drops it."""
+    coeffs = st.fractions(-4, 4, max_denominator=6).filter(bool)
+    g1 = draw(st.lists(st.sampled_from("abvw"), unique=True, max_size=3))
+    shape = draw(st.sampled_from(["equal", "overlap", "disjoint"]))
+    if shape == "equal":
+        g2 = g1
+    elif shape == "disjoint":
+        g2 = draw(st.lists(st.sampled_from([g for g in "abvw" if g not in g1]),
+                           unique=True, max_size=2))
+    else:
+        g2 = draw(st.lists(st.sampled_from("abvw"), unique=True, max_size=3))
+    e1 = {g: draw(exps.filter(bool)) for g in g1}
+    e2 = {g: -e1[g] if g in e1 and draw(st.booleans())
+          else draw(exps.filter(bool)) for g in g2}
+    pair = []
+    for es in (e1, e2):
+        s = Scalar.from_rational(draw(coeffs))
+        for g, e in es.items():
+            s = s._binary(_sympy_pow(Scalar.symbol(g), e), operator.mul)
+        pair.append(s)
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_monomial_product_matches_binary(pair):
+    for x, y in (pair, pair[::-1]):
+        assert len(x._num) == len(x._den) == len(y._num) == len(y._den) == 1
+        slow = x._binary(y, operator.mul)
+        _same(x._monomial_product(y), slow)
+        _same(x * y, slow)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_functions(), st.integers(-4, 4).filter(bool))
 def test_power_of_rational_function_matches_sympy(x, n):
@@ -432,6 +470,19 @@ def test_power_bound():
     assert str(x).startswith("1/1%s*a^1400 + " % ("0" * 4200))
     with pytest.raises(LfacValueError, match="%d digits" % POWER_DIGITS_MAX):
         (a / 1000 + b / 1000) ** 1450
+    # a one-term coefficient p/q is bounded too, by n * log10(max(|p|, q)),
+    # before its power is taken; a coefficient of +-1 has no digit bound
+    for x in (Scalar.from_rational(3), 2 * a, a / 3, -a / 7):
+        for n in (20000000, -20000000):
+            start = time.perf_counter()
+            with pytest.raises(LfacValueError, match="%d digits" % POWER_DIGITS_MAX):
+                x ** n
+            assert time.perf_counter() - start < 0.5
+    assert len(str(Scalar.from_rational(2) ** 14000)) == 4215
+    assert str(Scalar.from_rational(-1) ** (10 ** 5000 + 1)) == "-1"
+    assert str(v ** -99999999999) == "v^-99999999999"
+    with pytest.raises(LfacValueError, match="power too large"):
+        Scalar.from_rational(2) ** 14300
     # the bound is the module's, not the interpreter's run-time setting
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

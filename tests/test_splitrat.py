@@ -145,6 +145,46 @@ def test_shift_homomorphism(x, s, t):
     assert x.shift(s).xpower == x.xpower
 
 
+units = st.sampled_from([Scalar.one, Scalar.from_rational(-2), a,
+                         Fraction(1, 2) * b * v ** -1])
+
+
+@st.composite
+def canonical_inputs(draw):
+    """Split rationals whose units may be 1 and whose bases reorder under a
+    shift: a sorts before a*v, but a*v^-1 after a."""
+    pairs = [(draw(betas | st.just(a * v ** -1)), draw(exps))
+             for _ in range(draw(st.integers(0, 4)))]
+    return SplitRational(unit=draw(units), xpower=draw(st.integers(-2, 2)),
+                         factors=pairs)
+
+
+def _same_split(fast, unit, xpower, factors):
+    # against the public constructor, which coerces, merges and sorts
+    slow = SplitRational(unit, xpower, factors)
+    assert (fast.unit, fast.xpower, fast.factors) == \
+        (slow.unit, slow.xpower, slow.factors)
+    assert str(fast) == str(slow) and hash(fast) == hash(slow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_inputs(), canonical_inputs(), st.integers(-3, 3),
+       st.sampled_from([0, Fraction(1, 2), -1, Fraction(-3, 2), 2]))
+def test_private_constructor_matches_public(x, y, n, t):
+    neg = [(b, -e) for b, e in y.factors]
+    _same_split(x * y, x.unit * y.unit, x.xpower + y.xpower,
+                x.factors + y.factors)
+    _same_split(x / y, x.unit / y.unit, x.xpower - y.xpower,
+                list(x.factors) + neg)
+    _same_split(y.inverse(), y.unit ** -1, -y.xpower, neg)
+    _same_split(x ** n, x.unit ** n, x.xpower * n,
+                [(b, e * n) for b, e in x.factors])
+    w = v ** int(-2 * t)
+    _same_split(x.shift(t), x.unit * w ** x.xpower, x.xpower,
+                [(b * w, e) for b, e in x.factors])
+    assert x.shift(0) is x
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(splitrats(), min_size=1, max_size=4))
 def test_generator_divides_inputs(fs):

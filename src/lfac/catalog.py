@@ -21,9 +21,9 @@ import re
 
 from .chars import Character
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
-                     LfacValueError, SimilitudeViolation,
-                     TypeConstraintViolation, UnsupportedPair,
-                     UnsupportedTensor)
+                     LfacEvalError, LfacSyntaxError, LfacValueError,
+                     SimilitudeViolation, TypeConstraintViolation,
+                     UnsupportedPair, UnsupportedTensor)
 from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
@@ -367,11 +367,19 @@ def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
         if kind == "trivial-det" and not part.det().is_trivial:
             raise TypeConstraintViolation(
                 "shape %s requires det(%s) trivial" % (name, pname))
+
+    def value(text, where):
+        # the expressions of a shape are read only here, on instantiation
+        try:
+            return evaluate_text(text, env=env)
+        except (LfacSyntaxError, LfacEvalError) as e:
+            raise CatalogFormatError("%s: %s" % (where, e)) from None
+
     blocks = []
     for text, n in shape.blocks:
-        val = evaluate_text(text, env=env)
-        blocks.append(Block(_as_part(val, "%s block %r" % (name, text)), n))
-    sim = evaluate_text(shape.similitude, env=env)
+        where = "%s block %r" % (name, text)
+        blocks.append(Block(_as_part(value(text, where), where), n))
+    sim = value(shape.similitude, "%s similitude %r" % (name, shape.similitude))
     if not isinstance(sim, Character):
         raise CatalogFormatError("%s: similitude must be a character" % name)
     return _make(WDRep(blocks), sim, name, args)

@@ -8,8 +8,16 @@ twist of a representation, 'x' is the tensor product (binding between '+'
 and '*'), '^' is an integer power, and a parenthesized group directly after
 a value multiplies it, so factored denominators like
 (1 - a*X)(1 - b*v^-1*X) read back in.  The lone subtraction producing a
-factored object is 1 - beta*X.  A run of '+'/'-', 'x' or '*'/'/' parses to
-one flat chain and evaluates in a loop, so its length is not limited.
+factored object is 1 - beta*X.
+
+The reader lexes the text in one regex pass into (kind, piece, offset)
+tokens; the line and column of a syntax error are worked out from its
+offset only when the error is raised.  The three binary operator levels
+('+'/'-', 'x', '*'/'/' with the implicit '*') share one loop over _LEVELS,
+and a run of one level's operators parses to one flat chain that evaluates
+in a loop, so its length is not limited.  Unary minus signs and '^'
+exponents are read in loops too, so the parser recurses only into groups
+and calls; the evaluator recurses once per call or unary minus.
 
 Every function is one row of the _SIMPLE table: a callable and a signature
 that _fn turns into the handler, with the arity check and the argument
@@ -35,174 +43,131 @@ from .wdrep import (Block, IrredPart, WDRep, char_rep, dual, lfactor, sp,
 
 __all__ = ["evaluate_text", "lfactor_of", "parse_scalar"]
 
+# whitespace and comments are the unnamed alternatives; "bad" catches any
+# other character
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+    \s+ | \#[^\n]*
   | (?P<number>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?)
   | (?P<op>[-+*/^(),])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
-
-def _tokenize(text: str):
-    line, col, pos = 1, 1, 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise LfacSyntaxError("unexpected character %r" % text[pos],
-                                  line, col)
-        kind = m.lastgroup
-        piece = m.group()
-        if kind not in ("ws", "comment"):
-            out.append((kind, piece, line, col))
-        nl = piece.count("\n")
-        if nl:
-            line += nl
-            col = len(piece) - piece.rfind("\n")
-        else:
-            col += len(piece)
-        pos = m.end()
-    out.append(("end", "", line, col))
-    return out
+# the binary operator levels, loosest first; at the last one a group
+# directly after a value is an implicit '*'
+_LEVELS = (("+", "-"), ("x",), ("*", "/", "("))
 
 
 class _Parser:
-    """Recursive descent over the token list.  A run of same-level binary
-    operators parses to one flat chain node, so only nesting recurses."""
+    """Recursive descent over (kind, piece, offset) tokens.  A run of one
+    level's operators parses to one flat chain node, so only nesting
+    recurses.  No name or number spells an operator, so a token is tested
+    by its piece alone."""
 
-    def __init__(self, tokens):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = [(m.lastgroup, m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+        self.toks.append(("end", "", len(text)))
         self.i = 0
+        for kind, piece, offset in self.toks:
+            if kind == "bad":
+                raise self.error("unexpected character %r" % piece, offset)
 
-    def peek(self):
-        return self.toks[self.i]
+    def error(self, msg, offset=None) -> LfacSyntaxError:
+        """msg at the line and column of offset (the current token's by
+        default), worked out only here."""
+        if offset is None:
+            offset = self.toks[self.i][2]
+        return LfacSyntaxError(msg, self.text.count("\n", 0, offset) + 1,
+                               offset - self.text.rfind("\n", 0, offset))
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def at(self, *pieces) -> bool:
+        return self.toks[self.i][1] in pieces
 
     def expect(self, op):
-        kind, piece, line, col = self.peek()
-        if kind == "op" and piece == op:
-            return self.next()
-        raise LfacSyntaxError("expected %r" % op, line, col)
+        if not self.at(op):
+            raise self.error("expected %r" % op)
+        self.i += 1
 
-    def fail(self, msg):
-        _, _, line, col = self.peek()
-        raise LfacSyntaxError(msg, line, col)
-
-    @staticmethod
-    def chain(first, rest):
-        return ("chain", first, rest) if rest else first
-
-    # expr := tens (("+" | "-") tens)*
-    def expr(self):
-        first, rest = self.tens(), []
-        while self.at_op("+", "-"):
-            rest.append((self.next()[1], self.tens()))
-        return self.chain(first, rest)
-
-    # tens := mul ("x" mul)*
-    def tens(self):
-        first, rest = self.mul(), []
-        while self.at_name("x"):
-            self.next()
-            rest.append(("x", self.mul()))
-        return self.chain(first, rest)
-
-    # mul := unary (("*" | "/") unary | group)*   -- group = implicit '*'
-    def mul(self):
-        first, rest = self.unary(), []
-        while True:
-            if self.at_op("*", "/"):
-                rest.append((self.next()[1], self.unary()))
-            elif self.at_op("("):
-                rest.append(("*", self.unary()))
-            else:
-                return self.chain(first, rest)
-
-    def unary(self):
-        if self.at_op("-"):
-            self.next()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while self.at_op("^"):
-            self.next()
-            node = ("pow", node, self.int_exponent())
+    def parse(self):
+        node = self.expr()
+        kind, piece, _ = self.toks[self.i]
+        if kind != "end":
+            raise self.error("trailing input %r" % piece)
         return node
 
-    def int_exponent(self) -> int:
-        paren = self.at_op("(")
-        if paren:
-            self.next()
-        sign = 1
-        if self.at_op("-"):
-            self.next()
-            sign = -1
-        kind, piece, line, col = self.peek()
-        if kind != "number":
-            raise LfacSyntaxError("exponent must be an integer", line, col)
-        self.next()
+    def expr(self, level=0):
+        if level == len(_LEVELS):
+            return self.unary()
+        ops = _LEVELS[level]
+        first, rest = self.expr(level + 1), []
+        while self.at(*ops):
+            op = self.toks[self.i][1]
+            if op == "(":
+                op = "*"
+            else:
+                self.i += 1
+            rest.append((op, self.expr(level + 1)))
+        return ("chain", first, rest) if rest else first
+
+    def unary(self):
+        # unary minus signs, an atom and its '^' exponents
+        signs = 0
+        while self.at("-"):
+            self.i += 1
+            signs += 1
+        node = self.atom()
+        while self.at("^"):
+            self.i += 1
+            node = ("pow", node, self.exponent())
+        for _ in range(signs):
+            node = ("neg", node)
+        return node
+
+    def exponent(self) -> int:
+        paren = self.at("(")
+        self.i += paren
+        sign = -1 if self.at("-") else 1
+        self.i += sign < 0
+        digits = self.i
+        if self.toks[digits][0] != "number":
+            raise self.error("exponent must be an integer")
+        self.i += 1
         if paren:
             self.expect(")")
-        return sign * _literal(piece, line, col)
+        return sign * self.literal(digits)
+
+    def literal(self, i: int) -> int:
+        _, piece, offset = self.toks[i]
+        try:
+            return int(piece)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise self.error("integer literal of %d digits is too long"
+                             % len(piece), offset) from None
 
     def atom(self):
-        kind, piece, line, col = self.peek()
+        kind, piece, _ = self.toks[self.i]
+        if kind not in ("number", "name") and piece != "(":
+            raise self.error("expected a value")
+        self.i += 1
         if kind == "number":
-            self.next()
-            return ("num", Scalar.from_rational(_literal(piece, line, col)))
+            return ("num", Scalar.from_rational(self.literal(self.i - 1)))
         if kind == "name":
-            self.next()
             # only known or dotted function names consume a following '(';
             # anything else leaves it to juxtaposition, so X(1 - a*X)^2 groups right
-            if self.at_op("(") and (piece in _SIMPLE or "." in piece):
-                self.next()
-                args = []
-                if not self.at_op(")"):
-                    args.append(self.expr())
-                    while self.at_op(","):
-                        self.next()
-                        args.append(self.expr())
-                self.expect(")")
-                return ("call", piece, args)
-            return ("name", piece)
-        if kind == "op" and piece == "(":
-            self.next()
-            node = self.expr()
+            if not (self.at("(") and (piece in _SIMPLE or "." in piece)):
+                return ("name", piece)
+            self.i += 1
+            args = [] if self.at(")") else [self.expr()]
+            while args and self.at(","):
+                self.i += 1
+                args.append(self.expr())
             self.expect(")")
-            return node
-        self.fail("expected a value")
-
-    def at_op(self, *ops) -> bool:
-        kind, piece, _, _ = self.peek()
-        return kind == "op" and piece in ops
-
-    def at_name(self, name) -> bool:
-        kind, piece, _, _ = self.peek()
-        return kind == "name" and piece == name
-
-
-def _literal(piece: str, line: int, col: int) -> int:
-    try:
-        return int(piece)
-    except ValueError:  # past the interpreter's limit on integer digits
-        raise LfacSyntaxError("integer literal of %d digits is too long"
-                              % len(piece), line, col) from None
-
-
-def _parse(text: str):
-    p = _Parser(_tokenize(text))
-    node = p.expr()
-    kind, piece, line, col = p.peek()
-    if kind != "end":
-        raise LfacSyntaxError("trailing input %r" % piece, line, col)
-    return node
+            return ("call", piece, args)
+        node = self.expr()
+        self.expect(")")
+        return node
 
 
 # ----------------------------------------------------------------- coercion
@@ -508,10 +473,10 @@ def evaluate_text(text: str, env=None, catalog=None):
         **{k: f for k, f in _SIMPLE.items() if not k.startswith("gsp4.")},
         **_gsp4_fns(cat.gsp4_types(catalog))}
     try:
-        return _Evaluator(env, fns).run(_parse(text))
+        return _Evaluator(env, fns).run(_Parser(text).parse())
     except RecursionError:
-        # parser and evaluator recurse once per nesting level (a group, a
-        # unary minus, a call); operator chains are flat at any length
+        # the parser recurses once per group or call, the evaluator once
+        # per call or unary minus; operator chains are flat at any length
         raise LfacSyntaxError("expression nested too deeply", 1, 1) from None
 
 

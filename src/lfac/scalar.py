@@ -43,10 +43,11 @@ Everything else, a sum or difference in which a denominator of two or more
 terms takes part, or a product whose gcd none of the rules above decides
 (such as (a^2 - b^2)/(a^3 - b^3)), lifts both operands into sympy's sparse
 rational-function fields, which cancel the multivariate gcd (Scalar._binary,
-also the oracle the paths above are tested against).  sympy is imported on
-the first such operation or on the first substitution that leaves symbols,
-never by importing this module.  This module owns the canonical form, the
-ordering and the rendering.
+also the oracle the paths above are tested against).  _binary is the only
+way into sympy: it is imported on the first such operation, never by
+importing this module, and a substitution builds its result with the
+arithmetic above.  This module owns the canonical form, the ordering and
+the rendering.
 """
 
 from __future__ import annotations
@@ -517,10 +518,6 @@ class Scalar:
         return self == _ONE
 
     @property
-    def is_rational(self) -> bool:
-        return not self._gens
-
-    @property
     def symbols(self) -> tuple[str, ...]:
         return self._gens
 
@@ -637,39 +634,29 @@ class Scalar:
         """Substitute exact rational values for symbols (unknown keys ignored).
 
         Partial substitution is fine; a denominator collapsing to zero raises
-        ScalarDomainError.
+        ScalarDomainError.  Each side is rebuilt from its terms with Scalar
+        arithmetic, so the quotient is reduced like any other.
         """
         vals = {k: Fraction(v) for k, v in values.items() if k in self._gens}
         if not vals:
             return self
-        keep = [i for i, g in enumerate(self._gens) if g not in vals]
-        gens = tuple(self._gens[i] for i in keep)
+        gens = [Scalar.from_rational(vals[g]) if g in vals else Scalar.symbol(g)
+                for g in self._gens]
 
-        def project(terms):
-            d = {}
+        def side(terms):
+            out = _ZERO
             for exps, coeff in terms:
-                c = coeff
-                for g, e in zip(self._gens, exps):
-                    if g in vals and e:
-                        c *= vals[g] ** e
-                vec = tuple(exps[i] for i in keep)
-                d[vec] = d.get(vec, Fraction(0)) + c
-            return {k: v for k, v in d.items() if v}
+                term = Scalar.from_rational(coeff)
+                for g, e in zip(gens, exps):
+                    if e:
+                        term = term * g ** e
+                out = out + term
+            return out
 
-        num_d, den_d = project(self._num), project(self._den)
-        if not den_d:
+        den = side(self._den)
+        if den.is_zero:
             raise ScalarDomainError("substitution sends denominator to zero: %s" % self)
-        if not num_d:
-            return _ZERO
-        if not gens:
-            num = sum(num_d.values())  # single () key
-            den = sum(den_d.values())
-            return Scalar.from_rational(Fraction(num) / Fraction(den))
-        from sympy import QQ
-        field = _field(gens)
-        conv = lambda d: field.ring.from_dict(
-            {k: QQ(c.numerator, c.denominator) for k, c in d.items()})
-        return Scalar._from_frac(field.new(conv(num_d), conv(den_d)), gens)
+        return side(self._num) / den
 
     def sort_key(self):
         return (self._gens, self._num, self._den)

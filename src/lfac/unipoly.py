@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["polymul", "polyadd", "polygcd", "polydiv_exact", "expand_split",
+__all__ = ["polymul", "polygcd", "polydiv_exact", "expand_split",
            "rational_equal", "ideal_normal_form"]
 
 
@@ -21,15 +21,6 @@ def _trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def polyadd(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
 
 
 def polymul(p, q):

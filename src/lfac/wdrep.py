@@ -122,16 +122,13 @@ def part_twist(p: WeilPart, chi: Character) -> WeilPart:
     return p.twisted(chi)
 
 
-def _unramified_twist_equal(p: IrredPart, q: IrredPart) -> bool:
-    return (p.dim == q.dim and p.label == q.label and p.starred == q.starred
-            and p.base_det == q.base_det
-            and p.selfdual_twist == q.selfdual_twist
-            and p.twist.tag == q.twist.tag)
-
-
 def twin_pair(p: IrredPart, q: IrredPart) -> bool:
     """Whether q is an unramified twist of p^vee (the undetermined tensor case)."""
-    return _unramified_twist_equal(part_dual(p), q)
+    d = part_dual(p)
+    return (d.dim == q.dim and d.label == q.label and d.starred == q.starred
+            and d.base_det == q.base_det
+            and d.selfdual_twist == q.selfdual_twist
+            and d.twist.tag == q.twist.tag)
 
 
 def check_sp_index(n: int) -> None:

@@ -1,4 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import lfac
 
 # three types declared only in a catalog file: a char param, an irred param
 # with its determinant, and an irred param whose determinant must be trivial
@@ -30,3 +37,15 @@ def three_shape_catalog(tmp_path_factory):
     f = tmp_path_factory.mktemp("three") / "cat.txt"
     f.write_text(THREE_SHAPES)
     return str(f)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run python with the given arguments in a fresh interpreter that
+    imports lfac from where the tests do; returns the CompletedProcess."""
+    src = str(pathlib.Path(lfac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return lambda *args: subprocess.run([sys.executable, *args], env=env,
+                                        capture_output=True, text=True,
+                                        timeout=120)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
@@ -9,6 +11,7 @@ from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
                           type_IXa, type_VIa, type_VII, type_VIIIa, type_Va,
                           type_X, type_XIa)
 from lfac.chars import Character
+from lfac.cli import main
 from lfac.errors import (CatalogFormatError, CentralCharacterMismatch,
                          SimilitudeViolation, TypeConstraintViolation,
                          UnsupportedPair)
@@ -231,6 +234,29 @@ def test_load_catalog_rejects(tmp_path, body, fragment):
     with pytest.raises(CatalogFormatError) as ex:
         load_catalog(f)
     assert fragment in str(ex.value)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("block unr(a sp 0\nsimilitude sigma^2",
+     "Z block 'unr(a': expected ')' (line 1, col 6)"),
+    ("block sigma sp 0\nsimilitude tensor(sigma)",
+     "Z similitude 'tensor(sigma)': tensor takes 2 arguments"),
+], ids=["block-syntax", "similitude-eval"])
+def test_expression_errors_name_type_and_text(tmp_path, capsys, body, message):
+    f = tmp_path / "cat.txt"
+    f.write_text("catalog-format 1\ntype Z\nparams sigma:char\n" + body + "\n")
+    shapes = load_catalog(f)  # expressions are read on instantiation
+    with pytest.raises(CatalogFormatError) as ex:
+        from_catalog("Z", {"sigma": unr(a)}, shapes)
+    assert str(ex.value) == message
+    argv = ["eval", "gsp4.Z(unr(a))", "--catalog", str(f)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert main(argv + ["--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "CatalogFormatError",
+                                        "message": message}
+    assert err == ""
 
 
 def test_types_generated_from_params(three_shape_catalog):

@@ -190,6 +190,12 @@ def test_catalog_override(tmp_path):
     pytest.param("1" * 5000, 1, 1, id="long-literal"),
     pytest.param("a + 2^" + "1" * 5000, 1, 7, id="long-exponent"),
     pytest.param("a^(-" + "1" * 5000 + ")", 1, 5, id="long-negative-exponent"),
+    # the line after a comment line, and the very end of multi-line text
+    pytest.param("# a note\n  a + $", 2, 7, id="after-comment-line"),
+    pytest.param("a +  # a note\n# more\n )", 3, 2, id="after-two-comments"),
+    pytest.param("(a +\n b", 2, 3, id="end-of-second-line"),
+    pytest.param("a +\n\n", 3, 1, id="end-after-newline"),
+    pytest.param("a +\n# a note", 2, 9, id="end-in-comment"),
 ])
 def test_syntax_error_positions(text, line, col):
     with pytest.raises(LfacSyntaxError) as ex:
@@ -215,6 +221,23 @@ def test_eval_errors():
 def test_deep_input_is_a_syntax_error(text):
     with pytest.raises(LfacSyntaxError):
         ev(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(" * 160 + "a" + ")" * 160, "a"),
+    ("dual(" * 159 + "unr(a)" + ")" * 159, "unr(a^-1) x sp(0)"),
+], ids=["groups", "calls"])
+def test_160_nesting_levels_evaluate(fresh_python, text, value):
+    # in a fresh interpreter, as on the command line: the limit is the
+    # interpreter's recursion limit less the depth of the caller
+    proc = fresh_python("-m", "lfac", "eval", text)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, value + "\n", "")
+
+
+def test_minus_chain_limit_is_a_syntax_error():
+    with pytest.raises(LfacSyntaxError) as ex:
+        ev("-" * 3000 + "1")
+    assert str(ex.value) == "expression nested too deeply (line 1, col 1)"
 
 
 @pytest.mark.parametrize("text, value", [

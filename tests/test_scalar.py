@@ -391,6 +391,68 @@ def test_raw_lift_needs_no_cancel(x):
         == _form(x)
 
 
+def _substitute_oracle(x, values):
+    """The substitution as sympy's field reduces it: project the terms, then
+    field.new and _from_frac."""
+    from sympy import QQ
+    vals = {k: Fraction(val) for k, val in values.items() if k in x._gens}
+    keep = [i for i, g in enumerate(x._gens) if g not in vals]
+    gens = tuple(x._gens[i] for i in keep)
+
+    def project(terms):
+        d = {}
+        for exps, coeff in terms:
+            for g, e in zip(x._gens, exps):
+                if g in vals and e:
+                    coeff *= vals[g] ** e
+            key = tuple(exps[i] for i in keep)
+            d[key] = d.get(key, Fraction(0)) + coeff
+        return {k: co for k, co in d.items() if co}
+
+    num, den = project(x._num), project(x._den)
+    if not den:
+        raise ScalarDomainError("substitution sends denominator to zero: %s" % x)
+    if not num:
+        return Scalar.zero
+    if not gens:
+        return Scalar.from_rational(num[()] / den[()])
+    field = _field(gens)
+    ring = lambda d: field.ring.from_dict(
+        {k: QQ(co.numerator, co.denominator) for k, co in d.items()})
+    return Scalar._from_frac(field.new(ring(num), ring(den)), gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(laurents(), rational_functions()),
+       st.dictionaries(st.sampled_from("abvw"),
+                       st.fractions(-3, 3, max_denominator=3), max_size=4))
+def test_substitute_matches_sympy(x, values):
+    # partial and full substitutions, zero values included
+    try:
+        slow = _substitute_oracle(x, values)
+    except ScalarDomainError as e:
+        with pytest.raises(ScalarDomainError) as ex:
+            x.substitute(values)
+        assert str(ex.value) == str(e)
+    else:
+        _same(x.substitute(values), slow)
+
+
+def test_substitution_leaving_symbols_needs_no_sympy(fresh_python):
+    proc = fresh_python("-c", "import sys\n"
+                        "from lfac.scalar import Scalar\n"
+                        "a, b, c = map(Scalar.symbol, 'abc')\n"
+                        "x = ((a*b + 1)/(c*(a - b))).substitute({'a': 2})\n"
+                        "print(x, 'sympy' in sys.modules)\n")
+    assert proc.stdout == "(-2*b - 1)/(b*c - 2*c) False\n", proc.stderr
+
+
+def test_substitution_that_needs_a_gcd(binary_calls):
+    x = ((a ** 2 - b ** 2) / (a ** 3 - b ** 3 + c)).substitute({"c": 0})
+    assert str(x) == "(a + b)/(a^2 + a*b + b^2)"
+    assert binary_calls == [operator.mul]
+
+
 @pytest.fixture
 def binary_calls(monkeypatch):
     """The op of every Scalar._binary call made while the test runs."""

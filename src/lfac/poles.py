@@ -103,13 +103,13 @@ def nov_split(pi, sigma) -> NovSplit:
 
 def _steinberg_cond(chi: Character, root: Scalar) -> bool:
     # chi_pi |.|^{2 s0 + 1} trivial at q^{s0} = root
-    return chi.is_unramified and chi.satake == root ** 2 * Scalar.v_power(2)
+    return chi.is_unramified and chi.satake == (root ** 2).times_v(2)
 
 
 def _bessel(chi: Character, root: Scalar):
-    v = Scalar.v_power(1)
-    return (Character.unramified(v * root),
-            chi * Character.unramified((v * root).inverse()))
+    vr = root.times_v(1)
+    return (Character.unramified(vr),
+            chi * Character.unramified(vr.inverse()))
 
 
 def subregular_poles(pi) -> PoleReport:
@@ -118,7 +118,7 @@ def subregular_poles(pi) -> PoleReport:
     stei = _group(tensor_summands(pi.rep, sp(0), 1))
     entries: dict[Scalar, PoleEntry] = {}
     for gamma, mult in stei.items():
-        root = gamma * Scalar.v_power(-1)
+        root = gamma.times_v(-1)
         if _steinberg_cond(chi, root):
             wit = (Block(CharPart(Character.unramified(gamma)), 1),) * mult
             entries[root] = PoleEntry(root, SUBREGULAR2, wit,

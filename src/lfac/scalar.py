@@ -21,6 +21,10 @@ gcd is needed:
   directly on signed exponent vectors: the coefficients multiply, the
   exponents add, the gens whose exponent cancels to 0 are dropped and the
   rest split by sign into numerator and denominator (_monomial_product);
+* a product with a power v**k of v, the shift of a Satake value and of
+  s -> s + t, as an offset of the v exponents (times_v): v is the last gen,
+  so the term order and the monic denominator stay, and only the v content
+  that both sides then share cancels;
 * sums, differences and the other products of Laurent polynomials (any
   numerator over a one-term denominator, zero included), read as dicts
   from exponent vector to coefficient;
@@ -455,6 +459,46 @@ class Scalar:
             e2 = map((*e2, 0).__getitem__, _positions(other._gens, gens))
         return Scalar._monomial(gens, tuple(map(operator.add, e1, e2)), c)
 
+    def times_v(self, k: int) -> "Scalar":
+        """self * v**k, built on the v exponents alone.
+
+        v is the last gen, so adding k to the v exponent of every numerator
+        term keeps the term order and the monic leading denominator term.
+        Of p*v**k / q, p/q reduced, only the v content both sides share
+        cancels: the smaller of their least v exponents.
+
+        >>> a = Scalar.symbol("a")
+        >>> str(((a + Scalar.v_power(1)) / Scalar.v_power(2)).times_v(3))
+        'a*v + v^2'
+        """
+        k = int(k)
+        if not k or not self._num:
+            return self
+        gens, num, den = self._gens, self._num, self._den
+        if not gens or gens[-1] != "v":
+            # p/q free of v: p*v**k / q, or p / (q*v**-k), is reduced
+            gens = gens + ("v",)
+            up, down = (k, 0) if k > 0 else (0, -k)
+            return Scalar(gens, tuple([(e + (up,), c) for e, c in num]),
+                          tuple([(e + (down,), c) for e, c in den]))
+        if len(num) == 1 and len(den) == 1:
+            ((en, c),), ((ed, one),) = num, den
+            k += en[-1] - ed[-1]
+            if not k:
+                return Scalar(gens[:-1], ((en[:-1], c),), ((ed[:-1], one),))
+            up, down = (k, 0) if k > 0 else (0, -k)
+            return Scalar(gens, ((en[:-1] + (up,), c),),
+                          ((ed[:-1] + (down,), one),))
+        cut = min(min([e[-1] for e, _ in num]) + k,
+                  min([e[-1] for e, _ in den]))
+        up = k - cut
+        num = tuple([(e[:-1] + (e[-1] + up,), c) for e, c in num])
+        den = tuple([(e[:-1] + (e[-1] - cut,), c) for e, c in den])
+        if not any(e[-1] for e, _ in num) and not any(e[-1] for e, _ in den):
+            return Scalar(gens[:-1], tuple([(e[:-1], c) for e, c in num]),
+                          tuple([(e[:-1], c) for e, c in den]))
+        return Scalar(gens, num, den)
+
     # ---------------------------------------------------------------- sympy glue
 
     def _lift(self, field: FracField, gens: tuple[str, ...]):
@@ -515,7 +559,9 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        return self == _ONE
+        # a constant has no gens and the monic denominator 1
+        return self is _ONE or (not self._gens and len(self._num) == 1
+                                and self._num[0][1] == 1)
 
     @property
     def symbols(self) -> tuple[str, ...]:

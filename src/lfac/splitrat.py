@@ -87,8 +87,14 @@ class SplitRational:
 
     @classmethod
     def from_poles(cls, betas) -> "SplitRational":
-        """The L-factor with simple poles at the given bases: prod 1/(1 - b X)."""
-        return cls(factors=[(b, -1) for b in betas])
+        """The L-factor with simple poles at the given bases: prod 1/(1 - b X).
+        Int and Fraction bases are coerced, and zero bases dropped."""
+        merged: dict[Scalar, int] = {}
+        for b in betas:
+            b = _as_scalar(b)
+            if not b.is_zero:
+                merged[b] = merged.get(b, 0) - 1
+        return cls._canonical(Scalar.one, 0, merged.items())
 
     # ---------------------------------------------------------------- ring ops
 
@@ -119,15 +125,17 @@ class SplitRational:
                                         [(b, e * n) for b, e in self.factors])
 
     def shift(self, t) -> "SplitRational":
-        """The substitution s -> s + t for a half-integer t, i.e. X -> v^{-2t} X."""
+        """The substitution s -> s + t for a half-integer t, i.e. X -> v^{-2t} X.
+        The unit and every base move by a power of v, an offset of their v
+        exponents (Scalar.times_v)."""
         t = half_integer(t)
         if not t:
             return self
-        w = Scalar.v_power(int(-2 * t))
-        unit = self.unit * w ** self.xpower if self.xpower else self.unit
-        # b -> b * w is injective, so the bases stay distinct
+        k = int(-2 * t)
+        unit = self.unit.times_v(k * self.xpower)
+        # b -> b * v^k is injective, so the bases stay distinct
         return SplitRational._canonical(unit, self.xpower,
-                                        [(b * w, e) for b, e in self.factors])
+                                        [(b.times_v(k), e) for b, e in self.factors])
 
     # ---------------------------------------------------------------- queries
 

@@ -93,7 +93,7 @@ def _symbols(profile: TrialProfile) -> list[str]:
 
 def _random_satake(rng: random.Random, syms) -> Scalar:
     s = Scalar.symbol(rng.choice(syms)) ** rng.choice([1, 1, 1, 2, -1])
-    return s * Scalar.v_power(rng.randint(-3, 3))
+    return s.times_v(rng.randint(-3, 3))
 
 
 def _random_char(rng: random.Random, syms, ramified_rate=0.25) -> Character:

@@ -209,6 +209,9 @@ def sp(n: int) -> WDRep:
     return WDRep([Block(CharPart(_TRIV), int(n))])
 
 
+_SP0 = sp(0)
+
+
 def char_rep(chi: Character, n: int = 0) -> WDRep:
     return WDRep([Block(CharPart(chi), n)])
 
@@ -263,27 +266,28 @@ def tensor(w1: WDRep, w2: WDRep) -> WDRep:
 
 def _unramified_lines(w1: WDRep, w2: WDRep, what: str):
     """(satake, sp range) for each unramified character line of w1 (x) w2.
-    An irreducible-times-irreducible pair that is provably not dual up to an
-    unramified twist holds none, so it is skipped even though its block
-    decomposition is unknown; a twin pair raises."""
+    Only a character-times-character pair holds one; an irreducible times a
+    character is irreducible.  An irreducible-times-irreducible pair that is
+    provably not dual up to an unramified twist holds none, so it is skipped
+    even though its block decomposition is unknown; a twin pair raises."""
     for b1 in w1.blocks:
         for b2 in w2.blocks:
             p, q = b1.part, b2.part
-            if isinstance(p, IrredPart) and isinstance(q, IrredPart):
-                if twin_pair(p, q):
-                    raise UnsupportedTensor(
-                        "unramified-twist-of-dual pair (%s, %s): %s not "
-                        "determined by declared data" % (p.label, q.label, what))
-                continue
-            part = _part_product(p, q)
-            if isinstance(part, CharPart) and part.char.is_unramified:
-                yield part.char.satake, sp_tensor(b1.n, b2.n)
+            if isinstance(p, CharPart) and isinstance(q, CharPart):
+                chi = p.char * q.char
+                if chi.is_unramified:
+                    yield chi.satake, sp_tensor(b1.n, b2.n)
+            elif (isinstance(p, IrredPart) and isinstance(q, IrredPart)
+                  and twin_pair(p, q)):
+                raise UnsupportedTensor(
+                    "unramified-twist-of-dual pair (%s, %s): %s not "
+                    "determined by declared data" % (p.label, q.label, what))
 
 
 def tensor_lfactor(w1: WDRep, w2: WDRep) -> SplitRational:
     """L-factor of w1 (x) w2, defined whenever no block pair is a twin pair."""
     return SplitRational.from_poles(
-        alpha * Scalar.v_power(-k)
+        alpha.times_v(-k)
         for alpha, ks in _unramified_lines(w1, w2, "L-factor") for k in ks)
 
 
@@ -296,7 +300,7 @@ def tensor_summands(w1: WDRep, w2: WDRep, n: int) -> tuple[Scalar, ...]:
 
 
 def lfactor(w: WDRep) -> SplitRational:
-    return tensor_lfactor(w, sp(0))
+    return tensor_lfactor(w, _SP0)
 
 
 def similitude_check(w: WDRep, chi: Character) -> bool:

@@ -565,3 +565,47 @@ def test_hash_is_cached_and_route_free():
         built = [Scalar.from_rational(r), (a / a) * r, (a + r) - a,
                  Scalar.from_rational(2 * r) / 2]
         assert {hash(x) for x in built} == {hash(Fraction(r))}
+
+
+# ------------------------------------------------------- times a power of v
+
+_TIMES_V_CASES = [
+    Scalar.zero, Scalar.one, Scalar.from_rational(Fraction(-3, 2)),
+    a * b ** -2, 2 * a * v ** 3, Fraction(1, 3) * v ** -2,
+    Scalar.symbol("w") * v,
+    (a + v) / (b * v ** 2 + a * v), c / (v ** 2 + c), v / (a + b),
+    (a * v ** 2 + b) / (c - v), (a + b * v ** 3) / v ** 2,
+    (a + b) * v ** 2, 1 / ((a + b) * v),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(_TIMES_V_CASES), monomials(), laurents(),
+                 rational_functions()),
+       st.one_of(st.integers(-6, 6),
+                 st.sampled_from([10 ** 30, -10 ** 30, 10 ** 30 + 1])))
+def test_times_v_matches_product(x, k):
+    fast, slow = x.times_v(k), x * Scalar.v_power(k)
+    assert fast.sort_key() == slow.sort_key()
+    assert hash(fast) == hash(slow) and str(fast) == str(slow)
+
+
+def test_times_v_is_an_offset(binary_calls):
+    s = (a + v) / (b * v ** 2 + a * v)
+    assert str(s.times_v(1)) == "(a + v)/(a + b*v)"
+    assert str(s.times_v(2)) == "(a*v + v^2)/(a + b*v)"
+    # the v content left on the denominator only, and then none at all
+    assert str((c / (v ** 2 + c)).times_v(-1)) == "c/(c*v + v^3)"
+    assert (a * v).times_v(-1).symbols == ("a",)
+    assert ((a + b) * v ** 2).times_v(-2).symbols == ("a", "b")
+    assert (v ** 2).times_v(-2) == 1
+    assert s.times_v(0) is s and Scalar.zero.times_v(5) is Scalar.zero
+    assert str(v.times_v(10 ** 30)) == "v^%d" % (10 ** 30 + 1)
+    assert binary_calls == []
+
+
+def test_is_one_reads_the_stored_form():
+    assert Scalar.one.is_one and (a / a).is_one and v.times_v(-1).is_one
+    assert Scalar.from_rational(Fraction(4, 4)).is_one
+    for x in (Scalar.zero, Scalar.from_rational(-1), a, v, a / (a + 1)):
+        assert not x.is_one

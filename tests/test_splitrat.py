@@ -167,10 +167,16 @@ def _same_split(fast, unit, xpower, factors):
     assert str(fast) == str(slow) and hash(fast) == hash(slow)
 
 
+# pole bases: repeated ones, zero, and int and Fraction ones to coerce
+pole_bases = st.lists(betas | st.sampled_from(
+    [Scalar.zero, 0, 7, Fraction(-1, 2), Scalar.from_rational(7)]), max_size=6)
+
+
 @settings(max_examples=150, deadline=None)
 @given(canonical_inputs(), canonical_inputs(), st.integers(-3, 3),
-       st.sampled_from([0, Fraction(1, 2), -1, Fraction(-3, 2), 2]))
-def test_private_constructor_matches_public(x, y, n, t):
+       st.sampled_from([0, Fraction(1, 2), -1, Fraction(-3, 2), 2]),
+       pole_bases)
+def test_private_constructor_matches_public(x, y, n, t, poles):
     neg = [(b, -e) for b, e in y.factors]
     _same_split(x * y, x.unit * y.unit, x.xpower + y.xpower,
                 x.factors + y.factors)
@@ -183,6 +189,8 @@ def test_private_constructor_matches_public(x, y, n, t):
     _same_split(x.shift(t), x.unit * w ** x.xpower, x.xpower,
                 [(b * w, e) for b, e in x.factors])
     assert x.shift(0) is x
+    _same_split(SplitRational.from_poles(poles), 1, 0,
+                [(b, -1) for b in poles])
 
 
 @settings(max_examples=60, deadline=None)

@@ -115,6 +115,38 @@ def test_tensor_lfactor_matches_tensor_when_total():
     assert tensor_lfactor(w1, w2) == lfactor(tensor(w1, w2))
 
 
+def _char_blocks(w):
+    return WDRep(bl for bl in w.blocks if isinstance(bl.part, CharPart))
+
+
+@pytest.mark.parametrize("allow_irred", [False, True])
+def test_tensor_lines_match_tensor(allow_irred):
+    defined = 0
+    for seed in range(60):
+        w1, w2 = (random_rep(TrialProfile(seed * 2 + i, allow_irred=allow_irred))
+                  for i in (0, 1))
+        got = tensor_lfactor(w1, w2)
+        if w1.character_parted or w2.character_parted:
+            defined += 1
+            assert got == lfactor(tensor(w1, w2)), seed
+        # an irreducible x character pair adds no pole
+        assert got == tensor_lfactor(_char_blocks(w1), _char_blocks(w2)), seed
+    assert defined >= 30
+
+
+def test_tensor_lines_twin_message():
+    rho = IrredPart(2, "t1", base_det=unr(a))
+    w = char_rep(unr(b), 1) + WDRep([Block(rho, 0)])
+    twin = twist(dual(WDRep([Block(rho, 2)])), unr(b))
+    for f, what in ((lambda: tensor_lfactor(w, twin), "L-factor"),
+                    (lambda: tensor_lfactor(twin, w), "L-factor"),
+                    (lambda: tensor_summands(w, twin, 0), "summands")):
+        with pytest.raises(UnsupportedTensor) as ex:
+            f()
+        assert str(ex.value) == ("unramified-twist-of-dual pair (t1, t1): %s "
+                                 "not determined by declared data" % what)
+
+
 def _per_block_lfactor(w):
     # the reference: one factor per unramified character block, multiplied
     out = SplitRational.one()
@@ -135,13 +167,21 @@ def test_lfactor_matches_per_block_product():
 
 
 def test_lfactor_builds_one_split_rational(monkeypatch):
+    # counts both ways to build one: the public constructor and _canonical
     calls = []
     init = SplitRational.__init__
+    canonical = SplitRational._canonical
 
     def counting_init(self, *args, **kwargs):
         calls.append(None)
         init(self, *args, **kwargs)
+
+    def counting_canonical(cls, *args):
+        calls.append(None)
+        return canonical(*args)
     monkeypatch.setattr(SplitRational, "__init__", counting_init)
+    monkeypatch.setattr(SplitRational, "_canonical",
+                        classmethod(counting_canonical))
     per_call = set()
     for k in (1, 10, 60):
         w = WDRep(Block(CharPart(unr(a * v ** i)), i % 4) for i in range(k))

@@ -25,9 +25,10 @@ gcd is needed:
   s -> s + t, as an offset of the v exponents (times_v): v is the last gen,
   so the term order and the monic denominator stay, and only the v content
   that both sides then share cancels;
-* sums, differences and the other products of Laurent polynomials (any
-  numerator over a one-term denominator, zero included), read as dicts
-  from exponent vector to coefficient;
+* sums and differences over one-term denominators m1 and m2 (Laurent
+  polynomials, zero included): over their lcm m, the elementwise max of the
+  exponents, the numerator is n1*(m/m1) +- n2*(m/m2), and only the monomial
+  content it shares with m cancels (_sum);
 * every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
   power estimated past POWER_TERMS_MAX terms, or with coefficients
   estimated past POWER_DIGITS_MAX digits, is refused before it expands.
@@ -36,11 +37,12 @@ gcd is needed:
   terms, so 3^20000000 is refused at once while v^-99999999999 (c = 1) and
   2^14000 (4215 digits) are not;
 * every quotient, as the product with the inverse, which is reduced too;
-* a product of reduced fractions n1/d1 * n2/d2, whose gcd is
-  gcd(n1, d2) * gcd(n2, d1): each factor is a monomial when a side has one
-  term, or found by exact division after the monomial content of the
-  denominator is split off, or is a monomial when that denominator is
-  certified irreducible by having degree 1 in a gen (see _cancel);
+* every other product, of reduced fractions n1/d1 * n2/d2 (Laurent
+  polynomials included), whose gcd is gcd(n1, d2) * gcd(n2, d1): each
+  factor is a monomial when a side has one term, or found by exact
+  division after the monomial content of the denominator is split off, or
+  is a monomial when that denominator is certified irreducible by having
+  degree 1 in a gen (see _cancel);
 * negation.
 
 Everything else, a sum or difference in which a denominator of two or more
@@ -369,62 +371,24 @@ class Scalar:
     @classmethod
     def _from_polys(cls, num: dict, den: dict, gens: tuple[str, ...]) -> "Scalar":
         """The canonical form of num/den, two polynomials {exponent vector
-        over gens: coefficient} with no common factor; zero terms are
-        dropped, as are the gens neither uses."""
+        over gens: Fraction coefficient} with no common factor: zero terms
+        are dropped, both sides are sorted in descending lex order and
+        divided by the leading coefficient of den unless it is 1, and a gen
+        neither side uses is dropped."""
         nt = sorted([t for t in num.items() if t[1]], key=_EXPS, reverse=True)
         if not nt:
             return _ZERO
         dt = sorted([t for t in den.items() if t[1]], key=_EXPS, reverse=True)
-        used = [i for i in range(len(gens))
-                if any(t[0][i] for t in nt) or any(t[0][i] for t in dt)]
-        sub_gens = tuple(gens[i] for i in used)
         lead = dt[0][1]
-        num = tuple((tuple(e[i] for i in used), c / lead) for e, c in nt)
-        den = tuple((tuple(e[i] for i in used), c / lead) for e, c in dt)
-        return cls(sub_gens, num, den)
-
-    # ---------------------------------------------------------------- Laurent polynomials
-
-    def _laurent_pair(self, other):
-        """(gens, terms of self, terms of other) when both denominators have
-        one term, else None.  gens is the union of both gen lists in the
-        global order, and each value is read as a dict from exponent vector
-        over gens to coefficient; its monic denominator only shifts the
-        exponents."""
-        if len(self._den) > 1 or len(other._den) > 1:
-            return None
-        gens = self._gens if self._gens == other._gens \
-            else _gens_union(self._gens, other._gens)
-        return gens, self._laurent(gens), other._laurent(gens)
-
-    def _laurent(self, gens: tuple[str, ...]) -> dict:
-        ((ed, _),) = self._den
-        if gens == self._gens:
-            return {tuple(map(operator.sub, en, ed)): c for en, c in self._num}
-        # each gen of gens read from its place in self._gens, or from a 0
-        # appended past the end
-        at = _positions(self._gens, gens)
-        return {tuple(map((*map(operator.sub, en, ed), 0).__getitem__, at)): c
-                for en, c in self._num}
-
-    @classmethod
-    def _from_laurent(cls, terms: dict, gens: tuple[str, ...]) -> "Scalar":
-        """The canonical form of the sum of c * gens**e over terms {e: c};
-        the form _from_frac gives the same value.  The denominator is the
-        monic monomial that lifts the least exponent of each gen to 0."""
-        terms = [t for t in terms.items() if t[1]]
-        if not terms:
-            return _ZERO
-        if len(terms) == 1:
-            ((e, c),) = terms
-            return cls._monomial(gens, e, c)
-        cols = list(zip(*[e for e, _ in terms]))
-        used = [i for i, col in enumerate(cols) if any(col)]
-        shift = [(i, max(-min(cols[i]), 0)) for i in used]
-        num = sorted([(tuple([e[i] + s for i, s in shift]), c) for e, c in terms],
-                     key=_EXPS, reverse=True)
-        return cls(tuple([gens[i] for i in used]), tuple(num),
-                   ((tuple([s for _, s in shift]), _ONE_C),))
+        if lead != 1:
+            nt = [(e, c / lead) for e, c in nt]
+            dt = [(e, c / lead) for e, c in dt]
+        used = [any(col) for col in zip(*[e for e, _ in nt], *[e for e, _ in dt])]
+        if not all(used):
+            nt = [(tuple([k for k, u in zip(e, used) if u]), c) for e, c in nt]
+            dt = [(tuple([k for k, u in zip(e, used) if u]), c) for e, c in dt]
+            gens = tuple([g for g, u in zip(gens, used) if u])
+        return cls(gens, tuple(nt), tuple(dt))
 
     @classmethod
     def _monomial(cls, gens: tuple[str, ...], e, c: Fraction) -> "Scalar":
@@ -504,21 +468,12 @@ class Scalar:
     def _lift(self, field: FracField, gens: tuple[str, ...]):
         # stored forms are reduced and monic, so no cancel is needed
         from sympy import QQ
-        pos = {g: i for i, g in enumerate(gens)}
-        width = len(gens)
-
-        def poly(terms):
-            d = {}
-            for exps, coeff in terms:
-                vec = [0] * width
-                for g, e in zip(self._gens, exps):
-                    vec[pos[g]] = e
-                d[tuple(vec)] = QQ(coeff.numerator, coeff.denominator)
-            return field.ring.from_dict(d)
-
         if not self._num:
             return field.zero
-        return field.raw_new(poly(self._num), poly(self._den))
+        num, den = (field.ring.from_dict({e: QQ(c.numerator, c.denominator)
+                                          for e, c in p.items()})
+                    for p in self._polys(gens))
+        return field.raw_new(num, den)
 
     # ---------------------------------------------------------------- reduced fractions
 
@@ -578,14 +533,26 @@ class Scalar:
         return None
 
     def _sum(self, o, op) -> "Scalar":
-        # op is operator.add or operator.sub
-        pair = self._laurent_pair(o)
-        if pair is None:
+        """self + o or self - o, op being operator.add or operator.sub.  Over
+        one-term denominators m1 and m2 the common denominator is their lcm
+        m, the elementwise max of the exponents, and the numerator is
+        n1*(m/m1) +- n2*(m/m2); only a monomial can divide both it and m,
+        and _cancel removes it.  A denominator of two or more terms takes a
+        gcd in _binary."""
+        if len(self._den) > 1 or len(o._den) > 1:
             return self._binary(o, op)
-        gens, p, q = pair
-        for e, c in q.items():
+        gens = _gens_union(self._gens, o._gens)
+        (n1, (m1,)), (n2, (m2,)) = self._polys(gens), o._polys(gens)
+        m = tuple(map(max, m1, m2))
+        # n1*(m/m1) is n1 shifted by m1 - m, whose entries are <= 0
+        p = n1 if m1 == m else _shift(n1, tuple(map(operator.sub, m1, m)))
+        if m2 != m:
+            n2 = _shift(n2, tuple(map(operator.sub, m2, m)))
+        for e, c in n2.items():
             p[e] = op(p.get(e, 0), c)
-        return Scalar._from_laurent(p, gens)
+        # a cancelled term would hold down the monomial content
+        p = {e: c for e, c in p.items() if c}
+        return Scalar._from_polys(*_cancel(p, {m: _ONE_C}), gens)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -607,11 +574,7 @@ class Scalar:
             return NotImplemented
         if len(self._num) == len(o._num) == len(self._den) == len(o._den) == 1:
             return self._monomial_product(o)
-        pair = self._laurent_pair(o)
-        if pair is None:
-            return self._product(o)
-        gens, p, q = pair
-        return Scalar._from_laurent(_poly_mul(p, q), gens)
+        return self._product(o)
 
     __rmul__ = __mul__
 

@@ -239,12 +239,11 @@ def sp_tensor(m: int, n: int) -> tuple[int, ...]:
 
 
 def _part_product(p: WeilPart, q: WeilPart) -> WeilPart:
-    if isinstance(p, CharPart) and isinstance(q, CharPart):
-        return CharPart(p.char * q.char)
-    if isinstance(p, CharPart):
-        return q.twisted(p.char)
+    # a product with a character is a twist by it
     if isinstance(q, CharPart):
-        return p.twisted(q.char)
+        return part_twist(p, q.char)
+    if isinstance(p, CharPart):
+        return part_twist(q, p.char)
     raise UnsupportedTensor(
         "tensor of two irreducible parts (%s, %s) has no declared block "
         "decomposition" % (p.label, q.label))

@@ -211,6 +211,14 @@ def rational_functions(draw):
 def _same(fast, slow):
     assert _form(fast) == _form(slow)
     assert hash(fast) == hash(slow)
+    # the canonical form itself, so that equal forms cannot both be wrong
+    gens, num, den = _form(fast)
+    for terms in (num, den):
+        assert all(isinstance(c, Fraction) for _, c in terms)
+        assert all(len(e) == len(gens) for e, _ in terms)
+        assert all(t1[0] > t2[0] for t1, t2 in zip(terms, terms[1:]))
+    assert den[0][1] == 1
+    assert all(any(col) for col in zip(*[e for e, _ in num + den]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -480,6 +488,16 @@ def test_two_term_operand_needs_no_gcd(binary_calls):
         ("a", "b"), (((0, 0), one),),
         (((2, 0), one), ((1, 1), Fraction(2)), ((0, 2), one)))
     assert str(-s / (2 * b)) == "(-1/2*a - 1/2*b)/b"
+    # sums over different one-term denominators m1, m2 are taken over their
+    # lcm, and only monomial content cancels
+    assert _form(a / v + b / v ** 2) == (
+        ("a", "b", "v"), (((1, 0, 1), one), ((0, 1, 0), one)),
+        (((0, 0, 2), one),))
+    assert _form(1 / a - 1 / b) == (
+        ("a", "b"), (((1, 0), -one), ((0, 1), one)), (((1, 1), one),))
+    assert _form(a * v / b - a * v / b + 1) == _form(Scalar.one)
+    assert _form((a + b) / v - a / v) == (
+        ("b", "v"), (((1, 0), one),), (((0, 1), one),))
     assert binary_calls == []
 
 

@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 # without loading the suites; verify.SUITES is built in this order
 SUITE_NAMES = ("lemma71", "soudry", "theoremA")
 
-# the verify suites and their unipoly oracle load on first use, not here
+# the verify suites load on first use, not here
 _VERIFY_NAMES = frozenset({"CheckReport", "TrialProfile", "check_corollary62",
                            "check_lemma71", "check_soudry", "check_theoremA",
                            "run_suite"})

@@ -17,7 +17,9 @@ offset only when the error is raised.  The three binary operator levels
 and a run of one level's operators parses to one flat chain that evaluates
 in a loop, so its length is not limited.  Unary minus signs and '^'
 exponents are read in loops too, so the parser recurses only into groups
-and calls; the evaluator recurses once per call or unary minus.
+and calls; the evaluator recurses once per call or unary minus.  Groups,
+calls and unary minus signs nest at most NEST_MAX deep, a fixed bound that
+does not depend on how deep the caller's stack already is.
 
 Every function is one row of the _SIMPLE table: a callable and a signature
 that _fn turns into the handler, with the arity check and the argument
@@ -57,6 +59,10 @@ _TOKEN_RE = re.compile(r"""
 # directly after a value is an implicit '*'
 _LEVELS = (("+", "-"), ("x",), ("*", "/", "("))
 
+# the deepest nesting of groups, calls and unary minus signs: at five parser
+# frames a level, 160 leave room under the default recursion limit of 1000
+NEST_MAX = 160
+
 
 class _Parser:
     """Recursive descent over (kind, piece, offset) tokens.  A run of one
@@ -70,6 +76,7 @@ class _Parser:
                      for m in _TOKEN_RE.finditer(text) if m.lastgroup]
         self.toks.append(("end", "", len(text)))
         self.i = 0
+        self.depth = -1  # the outermost operand is not nested
         for kind, piece, offset in self.toks:
             if kind == "bad":
                 raise self.error("unexpected character %r" % piece, offset)
@@ -98,26 +105,33 @@ class _Parser:
         return node
 
     def expr(self, level=0):
-        if level == len(_LEVELS):
-            return self.unary()
+        # unary reads the last level's operands directly: a frame less a level
         ops = _LEVELS[level]
-        first, rest = self.expr(level + 1), []
+        last = level + 1 == len(_LEVELS)
+        first = self.unary() if last else self.expr(level + 1)
+        rest = []
         while self.at(*ops):
             op = self.toks[self.i][1]
             if op == "(":
                 op = "*"
             else:
                 self.i += 1
-            rest.append((op, self.expr(level + 1)))
+            rest.append((op, self.unary() if last else self.expr(level + 1)))
         return ("chain", first, rest) if rest else first
 
     def unary(self):
-        # unary minus signs, an atom and its '^' exponents
+        # unary minus signs, an atom and its '^' exponents; every operand
+        # but the outermost is one level inside a group or call, and each
+        # minus sign nests one more
         signs = 0
         while self.at("-"):
             self.i += 1
             signs += 1
+        self.depth += signs + 1
+        if self.depth > NEST_MAX:
+            raise LfacSyntaxError("expression nested too deeply", 1, 1)
         node = self.atom()
+        self.depth -= signs + 1
         while self.at("^"):
             self.i += 1
             node = ("pow", node, self.exponent())
@@ -475,8 +489,9 @@ def evaluate_text(text: str, env=None, catalog=None):
     try:
         return _Evaluator(env, fns).run(_Parser(text).parse())
     except RecursionError:
-        # the parser recurses once per group or call, the evaluator once
-        # per call or unary minus; operator chains are flat at any length
+        # the parser refuses nesting past NEST_MAX itself; this is left for
+        # a caller whose own stack is nearly full, and for the evaluator
+        # on a long run of '^', which nests one power node per exponent
         raise LfacSyntaxError("expression nested too deeply", 1, 1) from None
 
 

@@ -343,13 +343,13 @@ class Scalar:
     def from_rational(cls, x) -> "Scalar":
         f = Fraction(x)
         if f == 0:
-            return cls((), (), (((), Fraction(1)),))
-        return cls((), (((), f),), (((), Fraction(1)),))
+            return cls((), (), (((), _ONE_C),))
+        return cls((), (((), f),), (((), _ONE_C),))
 
     @classmethod
     def symbol(cls, name: str) -> "Scalar":
         _check_name(name)
-        return cls((name,), (((1,), Fraction(1)),), (((0,), Fraction(1)),))
+        return cls((name,), (((1,), _ONE_C),), (((0,), _ONE_C),))
 
     @classmethod
     def v_power(cls, k: int) -> "Scalar":
@@ -358,8 +358,8 @@ class Scalar:
         if k == 0:
             return _ONE
         if k > 0:
-            return cls(("v",), (((k,), Fraction(1)),), (((0,), Fraction(1)),))
-        return cls(("v",), (((0,), Fraction(1)),), (((-k,), Fraction(1)),))
+            return cls(("v",), (((k,), _ONE_C),), (((0,), _ONE_C),))
+        return cls(("v",), (((0,), _ONE_C),), (((-k,), _ONE_C),))
 
     @classmethod
     def _from_frac(cls, el, gens: tuple[str, ...]) -> "Scalar":
@@ -747,7 +747,7 @@ class Scalar:
 
 _ONE_C = Fraction(1)
 _ZERO = Scalar((), (), (((), _ONE_C),))
-_ONE = Scalar((), (((), Fraction(1)),), (((), Fraction(1)),))
+_ONE = Scalar((), (((), _ONE_C),), (((), _ONE_C),))
 Scalar.zero = _ZERO
 Scalar.one = _ONE
 

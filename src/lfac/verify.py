@@ -4,11 +4,6 @@ Trials are derived deterministically from a profile: the same seed always
 produces the same representations, parameters and verdicts, on any platform.
 Each check returns a CheckReport; a failing trial records its derived seed
 and a textual counterexample so it can be replayed in isolation.
-
-Besides the exact route comparisons there is a numeric second opinion:
-specialize every symbol to random rationals and compare dense expansions
-through the unipoly oracle, which shares nothing with the factored
-representation.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from .poles import subregular_poles
 from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
-from .unipoly import expand_split, rational_equal
 from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, part_dual,
                     part_twist, sp, tensor, twist)
 
@@ -32,7 +26,7 @@ __all__ = ["TrialProfile", "CheckReport", "Failure", "random_rep",
            "random_gl2", "random_gsp4_free", "random_pairing",
            "check_lemma71", "check_theoremA", "check_soudry",
            "check_corollary62", "theoremA_fixed_cases", "run_suite",
-           "numeric_equal", "SUITES"]
+           "SUITES"]
 
 TRIAL_STRIDE = 1_000_003
 
@@ -194,54 +188,21 @@ def random_pairing(seed: int, allow_irred=True) -> tuple[cat.Gsp4Param, cat.Gl2P
     return pi, sigma
 
 
-# ------------------------------------------------------------- numeric mode
-
-def _split_symbols(*fs) -> set[str]:
-    out = set()
-    for f in fs:
-        out.update(f.unit.symbols)
-        for b, _ in f.factors:
-            out.update(b.symbols)
-    return out
-
-
-def numeric_equal(f: SplitRational, g: SplitRational, seed: int,
-                  attempts: int = 10) -> bool:
-    """Specialize every symbol to random nonzero rationals and compare dense
-    expansions; retries a draw that lands on a degenerate denominator."""
-    rng = random.Random(seed)
-    syms = sorted(_split_symbols(f, g))
-    for _ in range(attempts):
-        values = {s: Fraction(rng.randint(1, 40) * rng.choice([1, -1]),
-                              rng.randint(1, 7)) for s in syms}
-        try:
-            fs, gs = f.substitute(values), g.substitute(values)
-        except ZeroDivisionError:
-            continue
-        return rational_equal(expand_split(fs), expand_split(gs))
-    raise ValueError("could not find a nondegenerate specialization")
-
-
 # ------------------------------------------------------------- single checks
 
 def _blocks_with_n(w: WDRep, n: int) -> WDRep:
     return WDRep(b for b in w.blocks if b.n == n)
 
 
-def _compare(rep: CheckReport, a, b, numeric_seed, what: str, *context):
-    """Record a failure on rep when a != b or, given a seed, when the dense
-    oracle disagrees; the detail, naming the context, is built on failure."""
+def _compare(rep: CheckReport, a, b, what: str, *context):
+    """Record a failure on rep when a != b; the detail, naming the context,
+    is built on failure."""
     if a != b:
-        detail = "%s != %s" % (a, b)
-    elif numeric_seed is not None and not numeric_equal(a, b, numeric_seed):
-        detail = "numeric specialization disagrees"
-    else:
-        return
-    rep.record(0, 0, "%s: %s on %s"
-               % (what, detail, " / ".join(repr(c) for c in context)))
+        rep.record(0, 0, "%s: %s != %s on %s"
+                   % (what, a, b, " / ".join(repr(c) for c in context)))
 
 
-def check_lemma71(w: WDRep, numeric_seed=None) -> CheckReport:
+def check_lemma71(w: WDRep) -> CheckReport:
     """Both division identities on one representation.
 
     Identity 1: L(w,s) L(w,s+1) / L(w (x) sp(1), s+1/2) is the product of the
@@ -253,11 +214,9 @@ def check_lemma71(w: WDRep, numeric_seed=None) -> CheckReport:
     w1 = tensor(w, sp(1))
     l1 = lfactor(w1).shift(Fraction(1, 2))
     _compare(rep, l * l.shift(1) / l1, lfactor(_blocks_with_n(w, 0)),
-             numeric_seed, "identity 1", w)
+             "identity 1", w)
     _compare(rep, l1 * l1.shift(1) / lfactor(tensor(w1, sp(1))).shift(1),
-             lfactor(_blocks_with_n(w, 1)),
-             None if numeric_seed is None else numeric_seed + 1,
-             "identity 2", w)
+             lfactor(_blocks_with_n(w, 1)), "identity 2", w)
     return rep
 
 
@@ -275,8 +234,7 @@ def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
     raise TypeConstraintViolation("no product route for kind %r" % sigma.kind)
 
 
-def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
-                   numeric_seed=None) -> CheckReport:
+def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
     """Tensor route against product route for a non-supercuspidal sigma; for
     IIIa and IVa against plain Steinberg, additionally the closed form
     L(pi,s) L(pi,s+1) at s+1/2 and the absence of subregular poles."""
@@ -285,39 +243,36 @@ def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
                                       "non-supercuspidal sigma")
     rep = CheckReport("theoremA", 1)
     a = cat.nov_lfactor(pi, sigma)
-    _compare(rep, a, _product_route(pi, sigma), numeric_seed,
-             "routes disagree", pi.rep, sigma.rep)
+    _compare(rep, a, _product_route(pi, sigma), "routes disagree", pi.rep,
+             sigma.rep)
     if pi.st_type in ("IIIa", "IVa") and sigma.kind == "steinberg-twist" \
             and sigma.rep.blocks[0].part.char.is_trivial:
         l = lfactor(pi.rep)
-        _compare(rep, a.shift(Fraction(1, 2)), l * l.shift(1), None,
+        _compare(rep, a.shift(Fraction(1, 2)), l * l.shift(1),
                  "IIIa/IVa closed form", pi.rep)
         if subregular_poles(pi).subregular_roots():
             rep.record(0, 0, "unexpected subregular poles on %r" % (pi.rep,))
     return rep
 
 
-def check_corollary62(pi: cat.Gsp4Param, sigma: cat.Gl2Param,
-                      numeric_seed=None) -> CheckReport:
+def check_corollary62(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
     """Tensor-route pairing factor equals the product over the two inducing
     characters of a principal-series sigma."""
     if sigma.kind != "principal-series":
         raise TypeConstraintViolation("corollary62 route needs a principal "
                                       "series sigma")
     # for a principal-series sigma, theoremA is just the route comparison
-    return check_theoremA(pi, sigma, numeric_seed).replace(
-        suite="corollary62")
+    return check_theoremA(pi, sigma).replace(suite="corollary62")
 
 
-def check_soudry(tau1: cat.Gl2Param, tau2: cat.Gl2Param, sigma: cat.Gl2Param,
-                 numeric_seed=None) -> CheckReport:
+def check_soudry(tau1: cat.Gl2Param, tau2: cat.Gl2Param,
+                 sigma: cat.Gl2Param) -> CheckReport:
     """Pairing factor of the lift against the product of the two GL(2)
     factors."""
     rep = CheckReport("soudry", 1)
     _compare(rep, cat.nov_lfactor(cat.theta_lift(tau1, tau2), sigma),
              cat.rs_lfactor(tau1, sigma) * cat.rs_lfactor(tau2, sigma),
-             numeric_seed, "lift against product", tau1.rep, tau2.rep,
-             sigma.rep)
+             "lift against product", tau1.rep, tau2.rep, sigma.rep)
     return rep
 
 

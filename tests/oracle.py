@@ -1,9 +1,12 @@
-"""Dense univariate polynomials over Fraction, for brute-force cross-checks.
+"""The dense numeric oracle of the tests: univariate polynomials over
+Fraction, for brute-force cross-checks of the exact engine.
 
 This deliberately shares nothing with the factored representation: a fully
 specialized split rational is expanded to coefficient lists and compared or
 gcd-ed the pedestrian way, so it can serve as an independent oracle for the
-ideal and identity machinery.
+ideal and identity machinery.  numeric_equal specializes every symbol to
+random rationals and compares the dense expansions; numeric_second_opinion
+runs it on every comparison the lfac.verify checks make while it is active.
 
 A polynomial is a list of Fractions indexed by degree, no trailing zeros;
 the zero polynomial is [].
@@ -11,10 +14,16 @@ the zero polynomial is [].
 
 from __future__ import annotations
 
+import random
+from contextlib import contextmanager
 from fractions import Fraction
 
+from lfac import verify
+from lfac.splitrat import SplitRational
+
 __all__ = ["polymul", "polygcd", "polydiv_exact", "expand_split",
-           "rational_equal", "ideal_normal_form"]
+           "rational_equal", "ideal_normal_form", "numeric_equal",
+           "numeric_second_opinion"]
 
 
 def _trim(p: list) -> list:
@@ -112,3 +121,55 @@ def ideal_normal_form(num, den) -> tuple[list, list]:
     g = polygcd(num, den)
     num, den = polydiv_exact(num, g), polydiv_exact(den, g)
     return [x / num[0] for x in num], [x / den[0] for x in den]
+
+
+def _split_symbols(*fs) -> set[str]:
+    out = set()
+    for f in fs:
+        out.update(f.unit.symbols)
+        for b, _ in f.factors:
+            out.update(b.symbols)
+    return out
+
+
+def numeric_equal(f: SplitRational, g: SplitRational, seed: int,
+                  attempts: int = 10) -> bool:
+    """Specialize every symbol to random nonzero rationals and compare dense
+    expansions; retries a draw that lands on a degenerate denominator."""
+    rng = random.Random(seed)
+    syms = sorted(_split_symbols(f, g))
+    for _ in range(attempts):
+        values = {s: Fraction(rng.randint(1, 40) * rng.choice([1, -1]),
+                              rng.randint(1, 7)) for s in syms}
+        try:
+            fs, gs = f.substitute(values), g.substitute(values)
+        except ZeroDivisionError:
+            continue
+        return rational_equal(expand_split(fs), expand_split(gs))
+    raise ValueError("could not find a nondegenerate specialization")
+
+
+@contextmanager
+def numeric_second_opinion(seed: int):
+    """While active, every comparison of the lfac.verify checks whose exact
+    values agree is also checked by numeric_equal at seed + k, k counting
+    the comparisons checked so far; a disagreement is recorded on the
+    check's report like an exact one.  Yields the list of the names of the
+    comparisons checked, in order."""
+    exact = verify._compare
+    checked = []
+
+    def compare(rep, a, b, what, *context):
+        if a != b:
+            return exact(rep, a, b, what, *context)
+        k = len(checked)
+        checked.append(what)
+        if not numeric_equal(a, b, seed + k):
+            rep.record(0, 0, "%s: numeric specialization disagrees on %s"
+                       % (what, " / ".join(repr(c) for c in context)))
+
+    verify._compare = compare
+    try:
+        yield checked
+    finally:
+        verify._compare = exact

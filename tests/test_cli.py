@@ -137,8 +137,7 @@ import lfac
 from lfac.cli import main
 
 def loaded():
-    return [m for m in ("dataclasses", "lfac.verify", "lfac.unipoly")
-            if m in sys.modules]
+    return [m for m in ("dataclasses", "lfac.verify") if m in sys.modules]
 
 seen, outs = [loaded()], []
 for argv in json.loads(sys.argv[1]):
@@ -158,12 +157,12 @@ print(json.dumps({"seen": seen, "outs": outs, "missing": missing}))
 
 def test_verify_loads_only_when_used():
     # import lfac and the 19 goldens that do not verify load neither the
-    # dataclasses module nor the suites and their oracle; asking lfac for
-    # a suite name loads them, and the star import still gives every name
+    # dataclasses module nor the suites; asking lfac for a suite name loads
+    # the suites, and the star import still gives every name
     plain = [(g, argv) for g, argv in CASES if argv[0] != "verify"]
     assert len(plain) == 19
     child = _fresh_child([argv for _, argv in plain], _LAZY)
-    assert child["seen"] == [[]] * 20 + [["lfac.verify", "lfac.unipoly"]]
+    assert child["seen"] == [[]] * 20 + [["lfac.verify"]]
     assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
                              for g, _ in plain]
     assert child["missing"] == []

@@ -223,15 +223,38 @@ def test_deep_input_is_a_syntax_error(text):
         ev(text)
 
 
+# text nested the given number of levels deep, and the value at 160 levels
+_NESTINGS = {
+    "groups": (lambda k: "(" * k + "a" + ")" * k, "a"),
+    "calls": (lambda k: "dual(" * (k - 1) + "unr(a)" + ")" * (k - 1),
+              "unr(a^-1) x sp(0)"),
+    "minus": (lambda k: "-" * k + "a", "a"),
+}
+
+
 @pytest.mark.parametrize("text, value", [
-    ("(" * 160 + "a" + ")" * 160, "a"),
-    ("dual(" * 159 + "unr(a)" + ")" * 159, "unr(a^-1) x sp(0)"),
+    (_NESTINGS[k][0](160), _NESTINGS[k][1]) for k in ("groups", "calls")
 ], ids=["groups", "calls"])
 def test_160_nesting_levels_evaluate(fresh_python, text, value):
-    # in a fresh interpreter, as on the command line: the limit is the
-    # interpreter's recursion limit less the depth of the caller
+    # in a fresh interpreter, as on the command line
     proc = fresh_python("-m", "lfac", "eval", text)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, value + "\n", "")
+
+
+def _with_frames(extra: int, fn):
+    """fn() called with extra more frames on the stack."""
+    return fn() if extra == 0 else _with_frames(extra - 1, fn)
+
+
+@pytest.mark.parametrize("extra", [0, 100])
+@pytest.mark.parametrize("kind", sorted(_NESTINGS))
+def test_nesting_bound_does_not_depend_on_the_caller(kind, extra):
+    # 160 levels evaluate and 161 are refused, however deep the caller is
+    nest, value = _NESTINGS[kind]
+    assert render.text(_with_frames(extra, lambda: ev(nest(160)))) == value
+    with pytest.raises(LfacSyntaxError) as ex:
+        _with_frames(extra, lambda: ev(nest(161)))
+    assert str(ex.value) == "expression nested too deeply (line 1, col 1)"
 
 
 def test_minus_chain_limit_is_a_syntax_error():

@@ -9,9 +9,11 @@ from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.verify import (TRIAL_STRIDE, CheckReport, Failure, TrialProfile,
                          check_corollary62, check_lemma71, check_soudry,
-                         check_theoremA, numeric_equal, random_pairing,
-                         random_rep, run_suite, theoremA_fixed_cases)
+                         check_theoremA, random_pairing, random_rep,
+                         run_suite, theoremA_fixed_cases)
 from lfac.wdrep import char_rep, similitude_check
+
+from oracle import numeric_equal, numeric_second_opinion
 
 a = Scalar.symbol("a")
 b = Scalar.symbol("b")
@@ -80,8 +82,27 @@ def test_random_pairing_satisfies_similitude():
 
 def test_check_lemma71_worked_example():
     w = char_rep(unr(a)) + char_rep(unr(b), 1)
-    report = check_lemma71(w, numeric_seed=7)
+    with numeric_second_opinion(7) as checked:
+        report = check_lemma71(w)
     assert report.passed
+    assert checked == ["identity 1", "identity 2"]
+
+
+def test_second_opinion_flags_a_fault_equality_misses(monkeypatch):
+    # a shift by 1 that does nothing, under an equality that always holds:
+    # only the dense oracle can see the identities fail
+    shift = SplitRational.shift
+    monkeypatch.setattr(SplitRational, "shift",
+                        lambda f, t: f if t == 1 else shift(f, t))
+    monkeypatch.setattr(SplitRational, "__eq__", lambda f, g: True)
+    exact = lfac.verify._compare
+    with numeric_second_opinion(5) as checked:
+        report = run_suite("lemma71", 20, 5)[0]
+    assert len(checked) == 40
+    assert sorted({f.trial for f in report.failures}) == list(range(20))
+    assert all("numeric specialization disagrees" in f.detail
+               for f in report.failures)
+    assert lfac.verify._compare is exact
 
 
 def test_check_theoremA_rejects_supercuspidal_sigma():
@@ -94,12 +115,17 @@ def test_check_theoremA_fixed_cases():
     assert len(cases) == 4
     assert [pi.st_type for pi, _ in cases] == ["IVa", "IIIa", "SC", "SC"]
     for pi, sigma in cases:
-        assert check_theoremA(pi, sigma, numeric_seed=13).passed
+        with numeric_second_opinion(13) as checked:
+            assert check_theoremA(pi, sigma).passed
+        assert checked == ["routes disagree"] + ["IIIa/IVa closed form"] * (
+            pi.st_type in ("IIIa", "IVa"))
 
 
 def test_check_corollary62():
     sigma = principal_series(unr(a), unr(b))
-    assert check_corollary62(type_IVa(unr(a)), sigma, numeric_seed=3).passed
+    with numeric_second_opinion(3) as checked:
+        assert check_corollary62(type_IVa(unr(a)), sigma).passed
+    assert checked == ["routes disagree"]
     with pytest.raises(TypeConstraintViolation):
         check_corollary62(type_IVa(unr(a)), steinberg())
 
@@ -107,9 +133,10 @@ def test_check_corollary62():
 def test_check_soudry_worked_example():
     tau1 = steinberg(unr(a))
     tau2 = steinberg(unr(-a))
-    report = check_soudry(tau1, tau2, principal_series(unr(b), unr(a)),
-                          numeric_seed=17)
+    with numeric_second_opinion(17) as checked:
+        report = check_soudry(tau1, tau2, principal_series(unr(b), unr(a)))
     assert report.passed
+    assert checked == ["lift against product"]
 
 
 def test_check_soudry_supercuspidal_lift():

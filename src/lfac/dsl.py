@@ -15,9 +15,10 @@ tokens; the line and column of a syntax error are worked out from its
 offset only when the error is raised.  The three binary operator levels
 ('+'/'-', 'x', '*'/'/' with the implicit '*') share one loop over _LEVELS,
 and a run of one level's operators parses to one flat chain that evaluates
-in a loop, so its length is not limited.  Unary minus signs and '^'
-exponents are read in loops too, so the parser recurses only into groups
-and calls; the evaluator recurses once per call or unary minus.  Groups,
+in a loop, so its length is not limited.  Unary minus signs are read in a
+loop too, and a run of '^' exponents parses to one power node that
+evaluates in a loop, so the parser recurses only into groups and calls;
+the evaluator recurses once per call or unary minus.  Groups,
 calls and unary minus signs nest at most NEST_MAX deep, a fixed bound that
 does not depend on how deep the caller's stack already is.
 
@@ -132,9 +133,13 @@ class _Parser:
             raise LfacSyntaxError("expression nested too deeply", 1, 1)
         node = self.atom()
         self.depth -= signs + 1
+        exps = []
         while self.at("^"):
             self.i += 1
-            node = ("pow", node, self.exponent())
+            exps.append(self.exponent())
+        if exps:
+            # one node for the run, raised left to right: 2^3^2 is 64
+            node = ("pow", node, exps)
         for _ in range(signs):
             node = ("neg", node)
         return node
@@ -268,9 +273,11 @@ class _Evaluator:
             return -_as_scalar(self.run(node[1]))
         if tag == "pow":
             base = self.run(node[1])
-            if isinstance(base, (Scalar, SplitRational, Character)):
-                return base ** node[2]
-            raise LfacEvalError("cannot raise %s to a power" % _kind(base))
+            if not isinstance(base, (Scalar, SplitRational, Character)):
+                raise LfacEvalError("cannot raise %s to a power" % _kind(base))
+            for n in node[2]:
+                base = base ** n
+            return base
         raise LfacEvalError("unhandled node %r" % (tag,))
 
     def lookup(self, name):
@@ -338,8 +345,8 @@ def _tag_pairs(node, out):
     # the ram tag is a product of named generators with integer powers
     if node[0] == "name":
         out.append((node[1], 1))
-    elif node[0] == "pow" and node[1][0] == "name":
-        out.append((node[1][1], node[2]))
+    elif node[0] == "pow" and node[1][0] == "name" and len(node[2]) == 1:
+        out.append((node[1][1], node[2][0]))
     elif node[0] == "chain" and all(op == "*" for op, _ in node[2]):
         _tag_pairs(node[1], out)
         for _, factor in node[2]:
@@ -489,9 +496,9 @@ def evaluate_text(text: str, env=None, catalog=None):
     try:
         return _Evaluator(env, fns).run(_Parser(text).parse())
     except RecursionError:
-        # the parser refuses nesting past NEST_MAX itself; this is left for
-        # a caller whose own stack is nearly full, and for the evaluator
-        # on a long run of '^', which nests one power node per exponent
+        # the parser refuses nesting past NEST_MAX itself, and a run of '^'
+        # is one node; this is left for a caller whose own stack is nearly
+        # full
         raise LfacSyntaxError("expression nested too deeply", 1, 1) from None
 
 

@@ -13,8 +13,7 @@ Conventions in force throughout the package:
 * Symbols are python identifiers.  "q", "X", "x" and "sp" are reserved by
   the expression language and rejected here.
 
-Arithmetic is computed here on exponent vectors wherever no multivariate
-gcd is needed:
+Arithmetic is computed here on exponent vectors:
 
 * products of two Laurent monomials (a one-term numerator over a one-term
   denominator, the nonzero rational constants included), the common case,
@@ -25,10 +24,6 @@ gcd is needed:
   s -> s + t, as an offset of the v exponents (times_v): v is the last gen,
   so the term order and the monic denominator stay, and only the v content
   that both sides then share cancels;
-* sums and differences over one-term denominators m1 and m2 (Laurent
-  polynomials, zero included): over their lcm m, the elementwise max of the
-  exponents, the numerator is n1*(m/m1) +- n2*(m/m2), and only the monomial
-  content it shares with m cancels (_sum);
 * every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
   power estimated past POWER_TERMS_MAX terms, or with coefficients
   estimated past POWER_DIGITS_MAX digits, is refused before it expands.
@@ -37,23 +32,23 @@ gcd is needed:
   terms, so 3^20000000 is refused at once while v^-99999999999 (c = 1) and
   2^14000 (4215 digits) are not;
 * every quotient, as the product with the inverse, which is reduced too;
-* every other product, of reduced fractions n1/d1 * n2/d2 (Laurent
-  polynomials included), whose gcd is gcd(n1, d2) * gcd(n2, d1): each
-  factor is a monomial when a side has one term, or found by exact
-  division after the monomial content of the denominator is split off, or
-  is a monomial when that denominator is certified irreducible by having
-  degree 1 in a gen (see _cancel);
+* every other product, of reduced fractions n1/d1 * n2/d2, whose gcd is
+  gcd(n1, d2) * gcd(n2, d1) (_product);
+* every sum and difference, by Henrici's rule (_sum): with g = gcd(d1, d2),
+  d1 = e1*g and d2 = e2*g, n1/d1 +- n2/d2 is t/(e1*e2*g) for
+  t = n1*e2 +- n2*e1, and only gcd(t, g) is left to cancel;
 * negation.
 
-Everything else, a sum or difference in which a denominator of two or more
-terms takes part, or a product whose gcd none of the rules above decides
-(such as (a^2 - b^2)/(a^3 - b^3)), lifts both operands into sympy's sparse
-rational-function fields, which cancel the multivariate gcd (Scalar._binary,
-also the oracle the paths above are tested against).  _binary is the only
-way into sympy: it is imported on the first such operation, never by
-importing this module, and a substitution builds its result with the
-arithmetic above.  This module owns the canonical form, the ordering and
-the rendering.
+Every gcd is taken by _cancel.  It is a monomial when a side has one term,
+or is found by exact division after the monomial content of the
+denominator is split off, or is a monomial when that denominator is
+certified irreducible by having degree 1 in a gen.  A gcd none of these
+rules decides, such as that of (a^2 - b^2)/(a^3 - b^3), or that of the
+denominators of 1/(a + b)^2 + 1/(a + c)^2, comes from _gcd, a polynomial
+gcd with cofactors in sympy's sparse polynomial rings.  _gcd is the only
+way into sympy, for sums and products alike: it is imported on the first
+such gcd, never by importing this module.  This module owns the canonical
+form, the ordering and the rendering.
 """
 
 from __future__ import annotations
@@ -118,18 +113,6 @@ def _positions(sub: tuple[str, ...], gens: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(sub.index(g) if g in sub else len(sub) for g in gens)
 
 
-@functools.lru_cache(maxsize=None)
-def _field(gens: tuple[str, ...]) -> FracField:
-    from sympy import QQ
-    from sympy.polys.fields import FracField
-    from sympy.polys.orderings import lex
-    return FracField(gens, QQ, lex)
-
-
-def _to_fraction(c) -> Fraction:
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
 # The most terms a power may expand to, by the estimate of _power_terms; a
 # larger power raises LfacValueError before it expands.  The bound is set by
 # time and output size, like wdrep.SP_MAX and wdrep.BLOCK_MAX: it admits
@@ -190,7 +173,15 @@ def _power_digits(terms, n: int) -> float:
 
 def _poly_mul(p: dict, q: dict) -> dict:
     """The product of two polynomials held as {exponent vector: coefficient},
-    with int or Fraction coefficients; a cancelled term stays as a zero."""
+    with int or Fraction coefficients; a cancelled term stays as a zero.  A
+    monic one-term factor only shifts the exponents of the other, and the
+    factor 1 returns the other itself."""
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:
+        ((m, c),) = q.items()
+        if c == 1:
+            return _shift(p, tuple(map(operator.neg, m)))
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
@@ -233,7 +224,10 @@ def _poly_pow(terms, n: int) -> tuple[Term, ...]:
 
 
 def _shift(p: dict, m) -> dict:
-    """p divided by the monomial gens**m, which must divide it."""
+    """p divided by the monomial gens**m, which must divide it; p itself
+    when m is all zeros."""
+    if not any(m):
+        return p
     return {tuple(map(operator.sub, e, m)): c for e, c in p.items()}
 
 
@@ -296,23 +290,46 @@ def _linear(d: dict) -> bool:
 
 
 def _cancel(n: dict, d: dict):
-    """(n / g, d / g) for g the gcd of the polynomials n and d, or None when
-    deciding g would take a multivariate gcd.  g is a monomial when either
-    side has one term.  Otherwise d splits as m * d0, m its monomial content
-    (the least exponent of each gen over its terms): if d0 divides n, g is
-    d0 times a monomial; if d0 is certified irreducible by _linear, g is a
-    monomial.  In every case the monomial left is the least exponent of each
-    gen over the terms of both sides."""
+    """(n / g, d / g, g) for g the gcd of the polynomials n and d.  g is a
+    monomial when either side has one term.  Otherwise d splits as m * d0, m
+    its monomial content (the least exponent of each gen over its terms): if
+    d0 divides n, g is d0 times a monomial; if d0 is certified irreducible by
+    _linear, g is a monomial; else _gcd takes it.  The monomial is the least
+    exponent of each gen over the terms of both sides."""
+    g = None
     if len(n) > 1 and len(d) > 1:
         m = tuple(map(min, zip(*d)))
         d0 = _shift(d, m)
         q = _exact_quotient(n, d0)
         if q is not None:
-            n, d = q, {m: _ONE_C}
+            n, d, g = q, {m: _ONE_C}, d0
         elif not _linear(d0):
-            return None
-    g = tuple(map(min, zip(*n, *d)))
-    return _shift(n, g), _shift(d, g)
+            return _gcd(n, d)
+    k = tuple(map(min, zip(*n, *d)))
+    mono = {k: _ONE_C}
+    return _shift(n, k), _shift(d, k), mono if g is None else _poly_mul(g, mono)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(k: int):
+    # sympy's ring over Q in k gens with the lex order of the exponent
+    # vectors, imported on the first gcd _cancel cannot decide
+    from sympy import QQ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import PolyRing
+    return PolyRing(["x%d" % i for i in range(k)], QQ, lex)
+
+
+def _gcd(n: dict, d: dict):
+    """(n / g, d / g, g) for g the gcd of two polynomials of two or more
+    terms, by sympy's sparse polynomial gcd with cofactors: the one place the
+    package uses sympy."""
+    ring = _ring(len(next(iter(n))))
+    n, d = (ring.from_dict({e: ring.domain(c.numerator, c.denominator)
+                            for e, c in p.items()}) for p in (n, d))
+    g, n, d = n.cofactors(d)
+    return tuple({e: Fraction(int(c.numerator), int(c.denominator))
+                  for e, c in p.terms()} for p in (n, d, g))
 
 
 class Scalar:
@@ -360,13 +377,6 @@ class Scalar:
         if k > 0:
             return cls(("v",), (((k,), _ONE_C),), (((0,), _ONE_C),))
         return cls(("v",), (((0,), _ONE_C),), (((-k,), _ONE_C),))
-
-    @classmethod
-    def _from_frac(cls, el, gens: tuple[str, ...]) -> "Scalar":
-        """Extract the canonical form of a FracElement over the given gens."""
-        return cls._from_polys({e: _to_fraction(c) for e, c in el.numer.terms()},
-                               {e: _to_fraction(c) for e, c in el.denom.terms()},
-                               gens)
 
     @classmethod
     def _from_polys(cls, num: dict, den: dict, gens: tuple[str, ...]) -> "Scalar":
@@ -463,18 +473,6 @@ class Scalar:
                           tuple([(e[:-1], c) for e, c in den]))
         return Scalar(gens, num, den)
 
-    # ---------------------------------------------------------------- sympy glue
-
-    def _lift(self, field: FracField, gens: tuple[str, ...]):
-        # stored forms are reduced and monic, so no cancel is needed
-        from sympy import QQ
-        if not self._num:
-            return field.zero
-        num, den = (field.ring.from_dict({e: QQ(c.numerator, c.denominator)
-                                          for e, c in p.items()})
-                    for p in self._polys(gens))
-        return field.raw_new(num, den)
-
     # ---------------------------------------------------------------- reduced fractions
 
     def _polys(self, gens: tuple[str, ...]) -> tuple[dict, dict]:
@@ -489,22 +487,13 @@ class Scalar:
     def _product(self, other) -> "Scalar":
         """self * other for reduced fractions n1/d1 and n2/d2.  Since
         gcd(n1, d1) = gcd(n2, d2) = 1, the gcd of n1*n2 and d1*d2 is
-        gcd(n1, d2) * gcd(n2, d1), and _cancel finds each of those on
-        exponent vectors or gives up; only then does _binary take a gcd."""
+        gcd(n1, d2) * gcd(n2, d1), and _cancel takes each."""
         gens = _gens_union(self._gens, other._gens)
         n1, d1 = self._polys(gens)
         n2, d2 = other._polys(gens)
-        c1 = _cancel(n1, d2)
-        c2 = c1 and _cancel(n2, d1)
-        if c2 is None:
-            return self._binary(other, operator.mul)
-        return Scalar._from_polys(_poly_mul(c1[0], c2[0]),
-                                  _poly_mul(c2[1], c1[1]), gens)
-
-    def _binary(self, other, op) -> "Scalar":
-        gens = _gens_union(self._gens, other._gens)
-        field = _field(gens)
-        return Scalar._from_frac(op(self._lift(field, gens), other._lift(field, gens)), gens)
+        n1, d2, _ = _cancel(n1, d2)
+        n2, d1, _ = _cancel(n2, d1)
+        return Scalar._from_polys(_poly_mul(n1, n2), _poly_mul(d1, d2), gens)
 
     # ---------------------------------------------------------------- predicates
 
@@ -533,26 +522,25 @@ class Scalar:
         return None
 
     def _sum(self, o, op) -> "Scalar":
-        """self + o or self - o, op being operator.add or operator.sub.  Over
-        one-term denominators m1 and m2 the common denominator is their lcm
-        m, the elementwise max of the exponents, and the numerator is
-        n1*(m/m1) +- n2*(m/m2); only a monomial can divide both it and m,
-        and _cancel removes it.  A denominator of two or more terms takes a
-        gcd in _binary."""
-        if len(self._den) > 1 or len(o._den) > 1:
-            return self._binary(o, op)
+        """self + o or self - o, op being operator.add or operator.sub, by
+        Henrici's rule.  For reduced n1/d1 and n2/d2 let g = gcd(d1, d2),
+        d1 = e1*g and d2 = e2*g; the result is t/(e1*e2*g) for
+        t = n1*e2 +- n2*e1.  A factor of t and e1 divides n1*e2, which is
+        prime to e1, and likewise for e2, so gcd(t, e1*e2*g) = gcd(t, g):
+        the gcd of the product of the denominators is never taken.  Over
+        one-term denominators g is their elementwise min, and e1*e2*g
+        their lcm."""
         gens = _gens_union(self._gens, o._gens)
-        (n1, (m1,)), (n2, (m2,)) = self._polys(gens), o._polys(gens)
-        m = tuple(map(max, m1, m2))
-        # n1*(m/m1) is n1 shifted by m1 - m, whose entries are <= 0
-        p = n1 if m1 == m else _shift(n1, tuple(map(operator.sub, m1, m)))
-        if m2 != m:
-            n2 = _shift(n2, tuple(map(operator.sub, m2, m)))
-        for e, c in n2.items():
-            p[e] = op(p.get(e, 0), c)
+        n1, d1 = self._polys(gens)
+        n2, d2 = o._polys(gens)
+        e1, e2, g = _cancel(d1, d2)
+        # a copy, since the product may be n1 or e2 itself
+        t = dict(_poly_mul(n1, e2))
+        for e, c in _poly_mul(n2, e1).items():
+            t[e] = op(t.get(e, 0), c)
         # a cancelled term would hold down the monomial content
-        p = {e: c for e, c in p.items() if c}
-        return Scalar._from_polys(*_cancel(p, {m: _ONE_C}), gens)
+        t, g, _ = _cancel({e: c for e, c in t.items() if c}, g)
+        return Scalar._from_polys(t, _poly_mul(_poly_mul(e1, e2), g), gens)
 
     def __add__(self, other):
         o = self._coerce(other)

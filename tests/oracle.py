@@ -1,29 +1,76 @@
-"""The dense numeric oracle of the tests: univariate polynomials over
-Fraction, for brute-force cross-checks of the exact engine.
+"""The oracles of the tests: sympy's rational-function fields for Scalar
+arithmetic, and dense univariate polynomials over Fraction for brute-force
+cross-checks of the exact engine.
 
-This deliberately shares nothing with the factored representation: a fully
-specialized split rational is expanded to coefficient lists and compared or
-gcd-ed the pedestrian way, so it can serve as an independent oracle for the
-ideal and identity machinery.  numeric_equal specializes every symbol to
+binary(x, y, op) lifts two Scalars whole into sympy's sparse
+rational-function field over the union of their gens, applies op there and
+reads the canonical form back.  The package itself never lifts a fraction:
+it loads sympy only for a gcd _cancel cannot decide, for sums and products
+alike (lfac.scalar._gcd), so every route of scalar.py is checked against
+this one.
+
+The dense oracle deliberately shares nothing with the factored
+representation: a fully specialized split rational is expanded to
+coefficient lists and compared or gcd-ed the pedestrian way, so it can
+serve as an independent oracle for the ideal and identity machinery.  numeric_equal specializes every symbol to
 random rationals and compares the dense expansions; numeric_second_opinion
 runs it on every comparison the lfac.verify checks make while it is active.
 
-A polynomial is a list of Fractions indexed by degree, no trailing zeros;
+A dense polynomial is a list of Fractions indexed by degree, no trailing zeros;
 the zero polynomial is [].
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from contextlib import contextmanager
 from fractions import Fraction
 
 from lfac import verify
+from lfac.scalar import Scalar, _gens_union
 from lfac.splitrat import SplitRational
 
-__all__ = ["polymul", "polygcd", "polydiv_exact", "expand_split",
+__all__ = ["field", "lift", "from_frac", "binary", "polymul", "polygcd", "polydiv_exact", "expand_split",
            "rational_equal", "ideal_normal_form", "numeric_equal",
            "numeric_second_opinion"]
+
+
+@functools.lru_cache(maxsize=None)
+def field(gens: tuple[str, ...]):
+    from sympy import QQ
+    from sympy.polys.fields import FracField
+    from sympy.polys.orderings import lex
+    return FracField(gens, QQ, lex)
+
+
+def _to_fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def lift(x: Scalar, field, gens: tuple[str, ...]):
+    # stored forms are reduced and monic, so no cancel is needed
+    from sympy import QQ
+    if not x._num:
+        return field.zero
+    num, den = (field.ring.from_dict({e: QQ(c.numerator, c.denominator)
+                                      for e, c in p.items()})
+                for p in x._polys(gens))
+    return field.raw_new(num, den)
+
+
+def from_frac(el, gens: tuple[str, ...]) -> Scalar:
+    """Extract the canonical form of a FracElement over the given gens."""
+    return Scalar._from_polys({e: _to_fraction(c) for e, c in el.numer.terms()},
+                              {e: _to_fraction(c) for e, c in el.denom.terms()},
+                              gens)
+
+
+def binary(x: Scalar, y: Scalar, op) -> Scalar:
+    """op(x, y) computed in sympy's field over the union of their gens."""
+    gens = _gens_union(x._gens, y._gens)
+    f = field(gens)
+    return from_frac(op(lift(x, f, gens), lift(y, f, gens)), gens)
 
 
 def _trim(p: list) -> list:

@@ -9,7 +9,8 @@ from lfac.catalog import (Gl2Param, Gsp4Param, load_catalog, principal_series,
 from lfac import render
 from lfac.chars import Character
 from lfac.dsl import _SIMPLE, evaluate_text, parse_scalar
-from lfac.errors import LfacError, LfacEvalError, LfacSyntaxError
+from lfac.errors import (LfacError, LfacEvalError, LfacSyntaxError,
+                         ScalarDomainError)
 from lfac.poles import PoleEntry, PoleReport, SUBREGULAR2
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
@@ -267,10 +268,25 @@ def test_minus_chain_limit_is_a_syntax_error():
     ("+".join(["1"] * 3000), Scalar.from_rational(3000)),
     ("*".join(["a"] * 3000), a ** 3000),
     ("unr(a)" + " x sp(0)" * 3000, char_rep(unr(a))),
-], ids=["flat-sum", "flat-product", "flat-tensor"])
+    ("a" + "^1" * 3000, a),
+], ids=["flat-sum", "flat-product", "flat-tensor", "power-run"])
 def test_long_chains_evaluate(text, value):
-    # operator chains parse flat, so their length is not limited
+    # operator chains and runs of exponents parse flat, so their length is
+    # not limited
     assert ev(text) == value
+
+
+def test_power_runs_associate_left():
+    # a run of exponents is one node raised in a loop, left to right, at
+    # any depth of the caller
+    assert _with_frames(100, lambda: ev("a" + "^1" * 3000)) == a
+    assert ev("2^3^2") == 64
+    assert ev("a^2^-1") == 1 / a ** 2
+    with pytest.raises(ScalarDomainError):
+        ev("0^-1^0")
+    assert ev("ram(eta^2)") == Character.ramified("eta") ** 2
+    with pytest.raises(LfacEvalError, match="product of names"):
+        ev("ram(eta^2^3)")
 
 
 def test_long_rendered_sum_parses_back():

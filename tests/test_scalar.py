@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfac import scalar
 from lfac.errors import HalfIntegerError, LfacValueError, ScalarDomainError
 from lfac.scalar import (POWER_DIGITS_MAX, POWER_TERMS_MAX, RESERVED_NAMES,
-                         Scalar, _exact_quotient, _field, _gens_order, _poly_mul,
+                         Scalar, _exact_quotient, _gens_order, _poly_mul,
                          half_integer, scalar_canonicalize)
+from oracle import binary, field, from_frac, lift
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
 v = Scalar.v_power(1)
@@ -143,12 +145,11 @@ def _form(x):
 
 
 def _sympy_pow(x, n):
-    field = _field(x._gens)
-    return Scalar._from_frac(x._lift(field, x._gens) ** n, x._gens)
+    return from_frac(lift(x, field(x._gens), x._gens) ** n, x._gens)
 
 
 def _sympy_neg(x):
-    return x._binary(Scalar.zero, lambda p, _: -p)
+    return binary(x, Scalar.zero, lambda p, _: -p)
 
 
 @st.composite
@@ -160,7 +161,7 @@ def monomials(draw):
     s = Scalar.from_rational(draw(st.fractions(-4, 4, max_denominator=6)))
     for name, e in draw(st.lists(st.tuples(st.sampled_from("abvw"),
                                            exps.filter(bool)), max_size=4)):
-        s = s._binary(_sympy_pow(Scalar.symbol(name), e), operator.mul)
+        s = binary(s, _sympy_pow(Scalar.symbol(name), e), operator.mul)
     return s
 
 
@@ -168,13 +169,13 @@ def monomials(draw):
 @given(monomials(), monomials(), st.integers(-4, 4).filter(bool))
 def test_monomial_fast_path_matches_sympy(x, y, n):
     assert len(x._num) <= 1 and len(x._den) == 1
-    assert _form(x * y) == _form(x._binary(y, operator.mul))
+    assert _form(x * y) == _form(binary(x, y, operator.mul))
     if not y.is_zero:
-        assert _form(x / y) == _form(x._binary(y, operator.truediv))
+        assert _form(x / y) == _form(binary(x, y, operator.truediv))
     if not x.is_zero:
         assert _form(x ** n) == _form(_sympy_pow(x, n))
     assert _form(-x) == _form(_sympy_neg(x))
-    assert hash(x * y) == hash(x._binary(y, operator.mul))
+    assert hash(x * y) == hash(binary(x, y, operator.mul))
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,15 +198,16 @@ def laurents(draw):
         else:
             t = draw(monomials())
         seen.append(t)
-        s = s._binary(t, operator.add)
+        s = binary(s, t, operator.add)
     return s
 
 
 @st.composite
 def rational_functions(draw):
     """Quotients of Laurent polynomials, reduced by the sympy path."""
-    return draw(laurents())._binary(
-        draw(laurents().filter(lambda y: not y.is_zero)), operator.truediv)
+    return binary(draw(laurents()),
+                  draw(laurents().filter(lambda y: not y.is_zero)),
+                  operator.truediv)
 
 
 def _same(fast, slow):
@@ -225,9 +227,9 @@ def _same(fast, slow):
 @given(laurents(), laurents(), monomials(), st.integers(-4, 4))
 def test_laurent_path_matches_sympy(x, y, m, n):
     for op in (operator.add, operator.sub, operator.mul):
-        _same(op(x, y), x._binary(y, op))
+        _same(op(x, y), binary(x, y, op))
     if not m.is_zero:
-        _same(x / m, x._binary(m, operator.truediv))
+        _same(x / m, binary(x, m, operator.truediv))
     if n == 0:
         _same(x ** n, Scalar.one)
     elif not x.is_zero:
@@ -257,7 +259,7 @@ def monomial_pairs(draw):
     for es in (e1, e2):
         s = Scalar.from_rational(draw(coeffs))
         for g, e in es.items():
-            s = s._binary(_sympy_pow(Scalar.symbol(g), e), operator.mul)
+            s = binary(s, _sympy_pow(Scalar.symbol(g), e), operator.mul)
         pair.append(s)
     return pair
 
@@ -267,7 +269,7 @@ def monomial_pairs(draw):
 def test_monomial_product_matches_binary(pair):
     for x, y in (pair, pair[::-1]):
         assert len(x._num) == len(x._den) == len(y._num) == len(y._den) == 1
-        slow = x._binary(y, operator.mul)
+        slow = binary(x, y, operator.mul)
         _same(x._monomial_product(y), slow)
         _same(x * y, slow)
 
@@ -289,8 +291,8 @@ def binomials(draw):
         t = Scalar.from_rational(draw(st.sampled_from([1, -1, 2, Fraction(1, 3)])))
         for x, k in zip((a, b, v), e):
             if k:
-                t = t._binary(_sympy_pow(x, k), operator.mul)
-        s = s._binary(t, operator.add)
+                t = binary(t, _sympy_pow(x, k), operator.mul)
+        s = binary(s, t, operator.add)
     return s
 
 
@@ -306,7 +308,7 @@ def shared_factor_pairs(draw):
         for f in pool:
             k = draw(st.integers(-2, 2))
             if k:
-                s = s._binary(_sympy_pow(f, k), operator.mul)
+                s = binary(s, _sympy_pow(f, k), operator.mul)
         pair.append(s)
     return pair
 
@@ -315,9 +317,33 @@ def shared_factor_pairs(draw):
 @given(shared_factor_pairs())
 def test_reduced_product_matches_sympy(pair):
     x, y = pair
-    _same(x * y, x._binary(y, operator.mul))
+    _same(x * y, binary(x, y, operator.mul))
     if not y.is_zero:
-        _same(x / y, x._binary(y, operator.truediv))
+        _same(x / y, binary(x, y, operator.truediv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(shared_factor_pairs(),
+                 st.lists(rational_functions(), min_size=2, max_size=2)))
+def test_henrici_sum_matches_sympy(pair):
+    # sums and differences whose denominators may both have several terms,
+    # share factors with each other or cancel against the new numerator:
+    # in (x + y) - y, most of the common denominator cancels
+    x, y = pair
+    for op in (operator.add, operator.sub):
+        _same(op(x, y), binary(x, y, op))
+    _same((x + y) - y, x)
+
+
+def test_henrici_sum_takes_the_gcd_of_the_denominators(gcd_calls):
+    # the gcd of two denominators of nine terms, never one with their
+    # product of 81 terms, and a monomial gcd for the new numerator
+    x, y = 1 / (a + b) ** 8, 1 / (a + c) ** 8
+    assert gcd_calls == []
+    _same(x + y, binary(x, y, operator.add))
+    gens = ("a", "b", "c")
+    assert gcd_calls == [(x._polys(gens)[1], y._polys(gens)[1])]
+    assert [len(d) for d in gcd_calls[0]] == [9, 9]
 
 
 @st.composite
@@ -331,8 +357,8 @@ def divisors(draw):
         t = Scalar.from_rational(draw(coeffs))
         for x, k in zip((a, b, v), e):
             if k:
-                t = t._binary(_sympy_pow(x, k), operator.mul)
-        s = s._binary(t, operator.add)
+                t = binary(t, _sympy_pow(x, k), operator.mul)
+        s = binary(s, t, operator.add)
     return s
 
 
@@ -349,15 +375,15 @@ def test_exact_quotient_matches_sympy(x, d, e):
     assert _exact_quotient(pd, dd) == {k: c for k, c in p.items() if c}
     top = Scalar._from_polys(pd, one, gens) + e
     q = _exact_quotient(top._polys(gens)[0], dd)
-    slow = top._binary(d, operator.truediv)
+    slow = binary(top, d, operator.truediv)
     if q is None:
         assert slow._den != ((tuple(0 for _ in slow._gens), Fraction(1)),)
     else:
         _same(Scalar._from_polys(q, one, gens), slow)
     # and through Scalar division, which reaches it via _cancel
-    n = x._binary(d, operator.mul)
+    n = binary(x, d, operator.mul)
     for num in (n, x, top):
-        _same(num / d, num._binary(d, operator.truediv))
+        _same(num / d, binary(num, d, operator.truediv))
 
 
 def _best_of_3(f):
@@ -392,16 +418,16 @@ def test_raw_lift_needs_no_cancel(x):
     # without a gcd gives the element cancel would give; the field is one
     # gen wider than the value, so unused gens are dropped again
     gens = _gens_order(set(x._gens) | {"c"})
-    field = _field(gens)
-    el = x._lift(field, gens)
-    assert _form(Scalar._from_frac(field.new(el.numer, el.denom), gens)) \
-        == _form(Scalar._from_frac(field.raw_new(el.numer, el.denom), gens)) \
+    f = field(gens)
+    el = lift(x, f, gens)
+    assert _form(from_frac(f.new(el.numer, el.denom), gens)) \
+        == _form(from_frac(f.raw_new(el.numer, el.denom), gens)) \
         == _form(x)
 
 
 def _substitute_oracle(x, values):
     """The substitution as sympy's field reduces it: project the terms, then
-    field.new and _from_frac."""
+    field.new and from_frac."""
     from sympy import QQ
     vals = {k: Fraction(val) for k, val in values.items() if k in x._gens}
     keep = [i for i, g in enumerate(x._gens) if g not in vals]
@@ -424,10 +450,10 @@ def _substitute_oracle(x, values):
         return Scalar.zero
     if not gens:
         return Scalar.from_rational(num[()] / den[()])
-    field = _field(gens)
-    ring = lambda d: field.ring.from_dict(
+    f = field(gens)
+    ring = lambda d: f.ring.from_dict(
         {k: QQ(co.numerator, co.denominator) for k, co in d.items()})
-    return Scalar._from_frac(field.new(ring(num), ring(den)), gens)
+    return from_frac(f.new(ring(num), ring(den)), gens)
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,23 +481,24 @@ def test_substitution_leaving_symbols_needs_no_sympy(fresh_python):
     assert proc.stdout == "(-2*b - 1)/(b*c - 2*c) False\n", proc.stderr
 
 
-def test_substitution_that_needs_a_gcd(binary_calls):
+def test_substitution_that_needs_a_gcd(gcd_calls):
     x = ((a ** 2 - b ** 2) / (a ** 3 - b ** 3 + c)).substitute({"c": 0})
     assert str(x) == "(a + b)/(a^2 + a*b + b^2)"
-    assert binary_calls == [operator.mul]
+    assert len(gcd_calls) == 1
 
 
 @pytest.fixture
-def binary_calls(monkeypatch):
-    """The op of every Scalar._binary call made while the test runs."""
+def gcd_calls(monkeypatch):
+    """The inputs (n, d) of every scalar._gcd call made while the test
+    runs."""
     calls = []
-    binary = Scalar._binary
-    monkeypatch.setattr(Scalar, "_binary", lambda self, other, op:
-                        calls.append(op) or binary(self, other, op))
+    gcd = scalar._gcd
+    monkeypatch.setattr(scalar, "_gcd", lambda n, d:
+                        calls.append((dict(n), dict(d))) or gcd(n, d))
     return calls
 
 
-def test_two_term_operand_needs_no_gcd(binary_calls):
+def test_two_term_operand_needs_no_gcd(gcd_calls):
     s = a + b
     one = Fraction(1)
     assert _form(s * (a * v)) == (
@@ -482,7 +509,7 @@ def test_two_term_operand_needs_no_gcd(binary_calls):
         (((1, 0, 1), one), ((0, 1, 1), one)))
     # a sum times a monomial stays a Laurent polynomial, and the quotient by
     # the two-term a + b has a monomial numerator, so its gcd is a monomial
-    assert binary_calls == []
+    assert gcd_calls == []
     # a power of a reduced fraction needs no gcd either
     assert _form(s ** -2) == (
         ("a", "b"), (((0, 0), one),),
@@ -498,32 +525,46 @@ def test_two_term_operand_needs_no_gcd(binary_calls):
     assert _form(a * v / b - a * v / b + 1) == _form(Scalar.one)
     assert _form((a + b) / v - a / v) == (
         ("b", "v"), (((1, 0), one),), (((0, 1), one),))
-    assert binary_calls == []
+    # a sum over a denominator of two terms: the gcd of the denominators is
+    # a monomial, found by exact division, or certified 1 by _linear, and
+    # the numerator's gcd with it is decided the same way
+    assert _form(1 / s + 1) == (
+        ("a", "b"), (((1, 0), one), ((0, 1), one), ((0, 0), one)),
+        (((1, 0), one), ((0, 1), one)))
+    assert _form(a / s - b / s) == (
+        ("a", "b"), (((1, 0), one), ((0, 1), -one)),
+        (((1, 0), one), ((0, 1), one)))
+    assert _form(1 / s + 1 / (a + c)) == (
+        ("a", "b", "c"),
+        (((1, 0, 0), Fraction(2)), ((0, 1, 0), one), ((0, 0, 1), one)),
+        (((2, 0, 0), one), ((1, 1, 0), one), ((1, 0, 1), one),
+         ((0, 1, 1), one)))
+    assert gcd_calls == []
 
 
-@pytest.mark.parametrize("make, text, binary", [
+@pytest.mark.parametrize("make, text, gcd", [
     # monomial gcd: one side of each cross pair has one term
-    (lambda: (a ** 2 / (a + b)) * (b / a), "a*b/(a + b)", False),
+    (lambda: (a ** 2 / (a + b)) * (b / a), "a*b/(a + b)", 0),
     # exact division; the monomial content a of a*v + a is split off first
-    (lambda: (a ** 2 - b ** 2) / (a - b), "a + b", False),
-    (lambda: (v + 1) / (a * v + a), "a^-1", False),
+    (lambda: (a ** 2 - b ** 2) / (a - b), "a + b", 0),
+    (lambda: (v + 1) / (a * v + a), "a^-1", 0),
     # exact division where the square of the content-free part divides
-    (lambda: 1 / (a * v + a) * (a * v + a) ** 2, "a*v + a", False),
-    (lambda: (a + b) ** 3 / (a * b + b ** 2), "(a^2 + 2*a*b + b^2)/b", False),
+    (lambda: 1 / (a * v + a) * (a * v + a) ** 2, "a*v + a", 0),
+    (lambda: (a + b) ** 3 / (a * b + b ** 2), "(a^2 + 2*a*b + b^2)/b", 0),
     # degree 1 in v with a one-term coefficient: irreducible, no division
-    (lambda: (a + b) / (v + b), "(a + b)/(b + v)", False),
-    (lambda: (a * a + a * b) / (a * v + a * b), "(a + b)/(b + v)", False),
+    (lambda: (a + b) / (v + b), "(a + b)/(b + v)", 0),
+    (lambda: (a * a + a * b) / (a * v + a * b), "(a + b)/(b + v)", 0),
     # degree 1 in v, but both coefficients a^2 + a*b and a*b + b^2 have two
-    # terms: no certificate, so the gcd a + b is found by sympy
-    (lambda: 1 / ((a + b) * (a * v + b)) * (a + b), "1/(a*v + b)", True),
+    # terms: no certificate, so _gcd finds the gcd a + b
+    (lambda: 1 / ((a + b) * (a * v + b)) * (a + b), "1/(a*v + b)", 1),
     (lambda: (a ** 2 - b ** 2) / (a ** 3 - b ** 3),
-     "(a + b)/(a^2 + a*b + b^2)", True),
+     "(a + b)/(a^2 + a*b + b^2)", 1),
 ], ids=["monomial", "division", "content", "square", "square-content",
         "linear", "linear-content", "near-miss", "fallback"])
-def test_reduced_product_branches(binary_calls, make, text, binary):
+def test_reduced_product_branches(gcd_calls, make, text, gcd):
     x = make()
     assert str(x) == text
-    assert binary_calls == ([operator.mul] if binary else [])
+    assert len(gcd_calls) == gcd
 
 
 def test_power_bound():
@@ -608,7 +649,7 @@ def test_times_v_matches_product(x, k):
     assert hash(fast) == hash(slow) and str(fast) == str(slow)
 
 
-def test_times_v_is_an_offset(binary_calls):
+def test_times_v_is_an_offset(gcd_calls):
     s = (a + v) / (b * v ** 2 + a * v)
     assert str(s.times_v(1)) == "(a + v)/(a + b*v)"
     assert str(s.times_v(2)) == "(a*v + v^2)/(a + b*v)"
@@ -619,7 +660,7 @@ def test_times_v_is_an_offset(binary_calls):
     assert (v ** 2).times_v(-2) == 1
     assert s.times_v(0) is s and Scalar.zero.times_v(5) is Scalar.zero
     assert str(v.times_v(10 ** 30)) == "v^%d" % (10 ** 30 + 1)
-    assert binary_calls == []
+    assert gcd_calls == []
 
 
 def test_is_one_reads_the_stored_form():

@@ -32,6 +32,7 @@ evaluate_text with the declared parameters bound in env.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -342,11 +343,12 @@ TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
 
 def _tag_pairs(node, out):
-    # the ram tag is a product of named generators with integer powers
+    # the ram tag is a product of named generators with integer powers; a
+    # run of exponents raises left to right, so eta^2^3 is eta^6
     if node[0] == "name":
         out.append((node[1], 1))
-    elif node[0] == "pow" and node[1][0] == "name" and len(node[2]) == 1:
-        out.append((node[1][1], node[2][0]))
+    elif node[0] == "pow" and node[1][0] == "name":
+        out.append((node[1][1], math.prod(node[2])))
     elif node[0] == "chain" and all(op == "*" for op, _ in node[2]):
         _tag_pairs(node[1], out)
         for _, factor in node[2]:

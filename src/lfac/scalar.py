@@ -42,13 +42,18 @@ Arithmetic is computed here on exponent vectors:
 Every gcd is taken by _cancel.  It is a monomial when a side has one term,
 or is found by exact division after the monomial content of the
 denominator is split off, or is a monomial when that denominator is
-certified irreducible by having degree 1 in a gen.  A gcd none of these
-rules decides, such as that of (a^2 - b^2)/(a^3 - b^3), or that of the
-denominators of 1/(a + b)^2 + 1/(a + c)^2, comes from _gcd, a polynomial
-gcd with cofactors in sympy's sparse polynomial rings.  _gcd is the only
-way into sympy, for sums and products alike: it is imported on the first
-such gcd, never by importing this module.  This module owns the canonical
-form, the ordering and the rendering.
+certified irreducible by having degree 1 in a gen, or is found by exact
+division the other way, of the denominator by the content-free numerator,
+as in (a + b)/(a + b)^2.  A gcd none of these rules decides, such as that
+of (a^2 - b^2)/(a^3 - b^3), or that of the denominators of
+1/(a + b)^2 + 1/(a + c)^2, comes from _gcd, a polynomial gcd with
+cofactors in sympy's sparse polynomial rings.  _gcd is the only way into
+sympy, for sums and products alike: it is imported on the first such gcd,
+never by importing this module.  This module owns the canonical form, the
+ordering, the hash and the rendering.  A rational constant hashes like the
+Fraction it equals; a Laurent monomial hashes on ints, its exponent vectors
+and the numerator and denominator of its coefficient, since hashing a
+Fraction is a Python-level call.
 """
 
 from __future__ import annotations
@@ -294,8 +299,10 @@ def _cancel(n: dict, d: dict):
     monomial when either side has one term.  Otherwise d splits as m * d0, m
     its monomial content (the least exponent of each gen over its terms): if
     d0 divides n, g is d0 times a monomial; if d0 is certified irreducible by
-    _linear, g is a monomial; else _gcd takes it.  The monomial is the least
-    exponent of each gen over the terms of both sides."""
+    _linear, g is a monomial.  Failing both, the content-free part n0 of n is
+    tried the other way: if n0 divides d, g is n0 times a monomial; else
+    _gcd takes it.  The monomial is the least exponent of each gen over the
+    terms of both sides."""
     g = None
     if len(n) > 1 and len(d) > 1:
         m = tuple(map(min, zip(*d)))
@@ -304,7 +311,12 @@ def _cancel(n: dict, d: dict):
         if q is not None:
             n, d, g = q, {m: _ONE_C}, d0
         elif not _linear(d0):
-            return _gcd(n, d)
+            m = tuple(map(min, zip(*n)))
+            n0 = _shift(n, m)
+            q = _exact_quotient(d, n0)
+            if q is None:
+                return _gcd(n, d)
+            n, d, g = {m: _ONE_C}, q, n0
     k = tuple(map(min, zip(*n, *d)))
     mono = {k: _ONE_C}
     return _shift(n, k), _shift(d, k), mono if g is None else _poly_mul(g, mono)
@@ -665,10 +677,17 @@ class Scalar:
         return (self._gens, self._num, self._den) == (o._gens, o._num, o._den)
 
     def __hash__(self):
-        # computed once; a rational hashes like the Fraction it equals
+        # computed once; a rational hashes like the Fraction it equals, and
+        # a Laurent monomial on ints (its denominator coefficient is 1)
         if self._hash is None:
-            self._hash = hash(self.as_fraction()) if not self._gens \
-                else hash((self._gens, self._num, self._den))
+            gens, num, den = self._gens, self._num, self._den
+            if not gens:
+                self._hash = hash(self.as_fraction())
+            elif len(num) == len(den) == 1:
+                ((en, c),), ((ed, _),) = num, den
+                self._hash = hash((gens, en, ed, c.numerator, c.denominator))
+            else:
+                self._hash = hash((gens, num, den))
         return self._hash
 
     # ---------------------------------------------------------------- rendering

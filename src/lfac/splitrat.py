@@ -10,6 +10,12 @@ s -> s + t and gcd-type ideal operations never leave factored form.  An
 L-factor is the special case unit 1, xpower 0, all exponents <= 0 (then the
 value is 1/P(X) with P(0) = 1).
 
+The factors are kept sorted by base (Scalar.sort_key), and every
+operation keeps that order where it can: a product merges its two sorted
+factor lists in one pass, an inverse or a power only negates or scales the
+exponents, and only the substitution s -> s + t, which can reorder the
+bases, and the constructors sort.
+
 Ideal semantics: X is a unit of C[q^s, q^{-s}], so a fractional ideal only
 sees the exponents at each base.  The sum of the principal ideals (f_1),
 ..., (f_k) is generated by the factor-wise minimum, with an input lacking a
@@ -36,6 +42,29 @@ def _as_scalar(x) -> Scalar:
 def _sorted_factors(pairs) -> tuple:
     return tuple(sorted([(b, e) for b, e in pairs if e],
                         key=lambda p: p[0].sort_key()))
+
+
+def _merge(xs: tuple, ys: tuple) -> tuple:
+    """The factors of a product of two sorted factor tuples, merged in one
+    pass: the exponents of a base on both sides add, and a base whose
+    exponent cancels to 0 drops.  Equal sort keys are equal bases."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (bx, ex), (by, ey) = xs[i], ys[j]
+        kx, ky = bx.sort_key(), by.sort_key()
+        if kx == ky:
+            if ex + ey:
+                out.append((bx, ex + ey))
+            i += 1
+            j += 1
+        elif kx < ky:
+            out.append(xs[i])
+            i += 1
+        else:
+            out.append(ys[j])
+            j += 1
+    return (*out, *xs[i:], *ys[j:])
 
 
 class SplitRational:
@@ -67,16 +96,16 @@ class SplitRational:
         self.factors = _sorted_factors(merged.items())
 
     @classmethod
-    def _canonical(cls, unit: Scalar, xpower: int, pairs) -> "SplitRational":
-        """Private: skips the coercion and the merge of __init__.
-        Precondition: unit is a nonzero Scalar, xpower an int, and pairs
-        the items of a {base: exponent} map, that is (base, exponent) pairs
-        with distinct nonzero Scalar bases and int exponents.  Only the zero
-        exponents are dropped and the factors sorted."""
+    def _canonical(cls, unit: Scalar, xpower: int,
+                   factors: tuple) -> "SplitRational":
+        """Private: skips the coercion, the merge and the sort of __init__.
+        Precondition: unit is a nonzero Scalar, xpower an int, and factors
+        a tuple of (base, exponent) pairs with distinct nonzero Scalar
+        bases in sort_key order and nonzero int exponents."""
         f = object.__new__(cls)
         f.unit = unit
         f.xpower = xpower
-        f.factors = _sorted_factors(pairs)
+        f.factors = factors
         return f
 
     # ---------------------------------------------------------------- build
@@ -94,25 +123,24 @@ class SplitRational:
             b = _as_scalar(b)
             if not b.is_zero:
                 merged[b] = merged.get(b, 0) - 1
-        return cls._canonical(Scalar.one, 0, merged.items())
+        return cls._canonical(Scalar.one, 0, _sorted_factors(merged.items()))
 
     # ---------------------------------------------------------------- ring ops
 
     def __mul__(self, other):
         if not isinstance(other, SplitRational):
             return NotImplemented
-        merged = dict(self.factors)
-        for b, e in other.factors:
-            merged[b] = merged.get(b, 0) + e
         # most units are 1, and a product with 1 need not be computed
         u, w = self.unit, other.unit
         unit = w if u.is_one else u if w.is_one else u * w
         return SplitRational._canonical(unit, self.xpower + other.xpower,
-                                        merged.items())
+                                        _merge(self.factors, other.factors))
 
     def inverse(self) -> "SplitRational":
-        return SplitRational._canonical(self.unit.inverse(), -self.xpower,
-                                        [(b, -e) for b, e in self.factors])
+        # negating the exponents keeps the bases and their order
+        return SplitRational._canonical(
+            self.unit.inverse(), -self.xpower,
+            tuple([(b, -e) for b, e in self.factors]))
 
     def __truediv__(self, other):
         if not isinstance(other, SplitRational):
@@ -121,8 +149,12 @@ class SplitRational:
 
     def __pow__(self, n):
         n = int(n)
-        return SplitRational._canonical(self.unit ** n, self.xpower * n,
-                                        [(b, e * n) for b, e in self.factors])
+        if n == 0:
+            return SplitRational._canonical(Scalar.one, 0, ())
+        # scaling the exponents by n != 0 keeps the bases and their order
+        return SplitRational._canonical(
+            self.unit ** n, self.xpower * n,
+            tuple([(b, e * n) for b, e in self.factors]))
 
     def shift(self, t) -> "SplitRational":
         """The substitution s -> s + t for a half-integer t, i.e. X -> v^{-2t} X.
@@ -133,9 +165,10 @@ class SplitRational:
             return self
         k = int(-2 * t)
         unit = self.unit.times_v(k * self.xpower)
-        # b -> b * v^k is injective, so the bases stay distinct
-        return SplitRational._canonical(unit, self.xpower,
-                                        [(b.times_v(k), e) for b, e in self.factors])
+        # b -> b * v^k is injective, so the bases stay distinct, but it can
+        # change their order
+        return SplitRational._canonical(unit, self.xpower, _sorted_factors(
+            [(b.times_v(k), e) for b, e in self.factors]))
 
     # ---------------------------------------------------------------- queries
 

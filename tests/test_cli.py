@@ -114,19 +114,21 @@ def test_sympy_loads_only_for_a_genuine_sum():
     # only a gcd that _cancel cannot decide imports sympy: not the suites,
     # not the 20 golden cases, not a sum of constants or of like monomials;
     # nor a product of reduced fractions whose gcd is decided by exact
-    # division, as in sums-style requests; nor a sum over a denominator of
-    # two terms, whose gcds are decided the same way.  A quotient whose gcd
-    # needs a multivariate gcd does
+    # division, either way round, as in sums-style requests; nor a sum over
+    # a denominator of two terms, whose gcds are decided the same way.  A
+    # quotient whose gcd needs a multivariate gcd does
     sums = [["eval", "1 + 1"], ["eval", "a*v + a*v"],
             ["eval", "(a^2 - b^2)/(a - b)"],
             ["eval", "1/(a*v + a) * (a*v + a)^2"],
-            ["eval", "1/(a+b) + 1"], ["eval", "a/(a+b) - b/(a+b)"]]
+            ["eval", "1/(a+b) + 1"], ["eval", "a/(a+b) - b/(a+b)"],
+            ["eval", "(a+b)/(a+b)^2"], ["eval", "1/(a+b) + 1/(a+b)^2"]]
     child = _fresh_child([argv for _, argv in CASES] + sums + SUM_ARGVS)
     assert child["sympy"] is False
     assert child["outs"] == [(GOLDEN / g).read_text(encoding="utf-8")
                              for g, _ in CASES] \
         + ["2\n", "2*a*v\n", "a + b\n", "a*v + a\n", "(a + b + 1)/(a + b)\n",
-           "(a - b)/(a + b)\n"] \
+           "(a - b)/(a + b)\n", "1/(a + b)\n",
+           "(a + b + 1)/(a^2 + 2*a*b + b^2)\n"] \
         + [_in_process(argv) for argv in SUM_ARGVS]
     child = _fresh_child([["eval", "(a^2 - b^2)/(a^3 - b^3)"]])
     assert child["sympy"] is True

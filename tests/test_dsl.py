@@ -285,8 +285,18 @@ def test_power_runs_associate_left():
     with pytest.raises(ScalarDomainError):
         ev("0^-1^0")
     assert ev("ram(eta^2)") == Character.ramified("eta") ** 2
-    with pytest.raises(LfacEvalError, match="product of names"):
-        ev("ram(eta^2^3)")
+
+
+def test_ram_tag_folds_a_power_run():
+    # a run of exponents on a tag name folds left to right into one, as
+    # everywhere else (eta^2^3 is eta^6), and the value round-trips
+    chi = ev("ram(eta^2^3*xi^(-1)^2, a)")
+    assert chi == ev("ram(eta^6*xi^-2, a)")
+    assert ev("ram(eta^2^3)") == ev("ram(eta^6)") \
+        == Character.ramified("eta") ** 6
+    assert render.text(chi) == "ram(eta^6*xi^-2, a)"
+    assert ev(render.text(chi)) == chi
+    assert ev("ram(eta^2^0)").is_trivial
 
 
 def test_long_rendered_sum_parses_back():

@@ -274,6 +274,28 @@ def test_monomial_product_matches_binary(pair):
         _same(x * y, slow)
 
 
+@settings(max_examples=200, deadline=None)
+@given(monomial_pairs(), st.integers(-3, 3))
+def test_monomial_hash_is_route_free(pair, k):
+    # one Laurent monomial built by a product, an offset of the v exponents,
+    # a power and the parser hashes alike; a constant like its Fraction
+    x, y = pair
+    m = x._monomial_product(y)
+    w = Scalar.v_power(k)
+    routes = [(m, scalar_canonicalize(str(m)), binary(x, y, operator.mul)),
+              (m.times_v(k), m._monomial_product(w), w * m,
+               scalar_canonicalize(str(m.times_v(k)))),
+              (m ** 2, m._monomial_product(m), scalar_canonicalize(str(m ** 2))),
+              (m ** -1, (Scalar.one / m), scalar_canonicalize(str(m ** -1))),
+              (m ** 0, Scalar.one, Fraction(1))]
+    for built in routes:
+        built = [scalar_canonicalize(z) for z in built]
+        assert len({_form(z) for z in built}) == 1
+        assert len({hash(z) for z in built}) == 1
+        if not built[0].symbols:
+            assert hash(built[0]) == hash(built[0].as_fraction())
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_functions(), st.integers(-4, 4).filter(bool))
 def test_power_of_rational_function_matches_sympy(x, n):
@@ -555,12 +577,20 @@ def test_two_term_operand_needs_no_gcd(gcd_calls):
     (lambda: (a + b) / (v + b), "(a + b)/(b + v)", 0),
     (lambda: (a * a + a * b) / (a * v + a * b), "(a + b)/(b + v)", 0),
     # degree 1 in v, but both coefficients a^2 + a*b and a*b + b^2 have two
-    # terms: no certificate, so _gcd finds the gcd a + b
-    (lambda: 1 / ((a + b) * (a * v + b)) * (a + b), "1/(a*v + b)", 1),
+    # terms: no certificate, but the numerator a + b divides the denominator
+    (lambda: 1 / ((a + b) * (a * v + b)) * (a + b), "1/(a*v + b)", 0),
+    # the same division the other way, after the content b of the numerator
+    # is split off
+    (lambda: (a * b + b) / (a + 1) ** 2, "b/(a + 1)", 0),
+    # the same denominator against a numerator that does not divide it:
+    # _gcd finds the gcd a + b
+    (lambda: 1 / ((a + b) * (a * v + b)) * ((a + b) * (a + c)),
+     "(a + c)/(a*v + b)", 1),
     (lambda: (a ** 2 - b ** 2) / (a ** 3 - b ** 3),
      "(a + b)/(a^2 + a*b + b^2)", 1),
 ], ids=["monomial", "division", "content", "square", "square-content",
-        "linear", "linear-content", "near-miss", "fallback"])
+        "linear", "linear-content", "near-miss", "reverse-content",
+        "near-miss-gcd", "fallback"])
 def test_reduced_product_branches(gcd_calls, make, text, gcd):
     x = make()
     assert str(x) == text

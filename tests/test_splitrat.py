@@ -172,19 +172,44 @@ pole_bases = st.lists(betas | st.sampled_from(
     [Scalar.zero, 0, 7, Fraction(-1, 2), Scalar.from_rational(7)]), max_size=6)
 
 
-@settings(max_examples=150, deadline=None)
-@given(canonical_inputs(), canonical_inputs(), st.integers(-3, 3),
+@st.composite
+def sharing_pairs(draw):
+    """Two split rationals whose factor lists meet: the second takes some
+    bases of the first with the opposite exponent, so that they cancel,
+    some with another exponent, and some bases of its own; either may have
+    no factors at all."""
+    x = draw(canonical_inputs())
+    pairs = []
+    for b, e in x.factors:
+        how = draw(st.sampled_from(["cancel", "other", "skip"]))
+        if how != "skip":
+            pairs.append((b, -e if how == "cancel" else draw(exps)))
+    pairs += [(draw(betas | st.just(a * v ** -1)), draw(exps))
+              for _ in range(draw(st.integers(0, 2)))]
+    y = SplitRational(unit=draw(units), xpower=draw(st.integers(-2, 2)),
+                      factors=pairs)
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(sharing_pairs(), st.integers(-3, 3),
        st.sampled_from([0, Fraction(1, 2), -1, Fraction(-3, 2), 2]),
        pole_bases)
-def test_private_constructor_matches_public(x, y, n, t, poles):
-    neg = [(b, -e) for b, e in y.factors]
-    _same_split(x * y, x.unit * y.unit, x.xpower + y.xpower,
-                x.factors + y.factors)
-    _same_split(x / y, x.unit / y.unit, x.xpower - y.xpower,
-                list(x.factors) + neg)
-    _same_split(y.inverse(), y.unit ** -1, -y.xpower, neg)
-    _same_split(x ** n, x.unit ** n, x.xpower * n,
-                [(b, e * n) for b, e in x.factors])
+def test_private_constructor_matches_public(pair, n, t, poles):
+    # products merge two sorted factor tuples, and inverses and powers keep
+    # their order; all against the constructor, which merges in a dict and
+    # sorts
+    for x, y in (pair, pair[::-1]):
+        neg = [(b, -e) for b, e in y.factors]
+        _same_split(x * y, x.unit * y.unit, x.xpower + y.xpower,
+                    x.factors + y.factors)
+        _same_split(x / y, x.unit / y.unit, x.xpower - y.xpower,
+                    list(x.factors) + neg)
+        _same_split(y.inverse(), y.unit ** -1, -y.xpower, neg)
+        _same_split(x ** n, x.unit ** n, x.xpower * n,
+                    [(b, e * n) for b, e in x.factors])
+    x = pair[0]
+    assert (x * x.inverse()).factors == ()
     w = v ** int(-2 * t)
     _same_split(x.shift(t), x.unit * w ** x.xpower, x.xpower,
                 [(b * w, e) for b, e in x.factors])

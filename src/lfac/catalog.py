@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Callable
 
 from .chars import Character
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
@@ -363,8 +364,9 @@ def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
                     "param %s of %s must be an irreducible part" % (pname, name))
             env[pname] = WDRep([Block(val, 0)])
     for kind, pname in shape.requires:
-        part = _as_part(env[pname], name)
-        if kind == "trivial-det" and not part.det().is_trivial:
+        part = values[pname]  # a character is its own determinant
+        det = part if isinstance(part, Character) else part.det()
+        if kind == "trivial-det" and not det.is_trivial:
             raise TypeConstraintViolation(
                 "shape %s requires det(%s) trivial" % (name, pname))
 

@@ -10,7 +10,7 @@ unramified quadratic character is available as value -1.
 
 from __future__ import annotations
 
-from .errors import HalfIntegerError, LfacValueError, _printable
+from .errors import LfacValueError, _printable
 from .scalar import Scalar, _check_name, half_integer
 
 __all__ = ["Character"]
@@ -72,11 +72,8 @@ class Character:
     @classmethod
     def absval(cls, t) -> "Character":
         """|.|^t for half-integer t."""
-        t = half_integer(t)
-        num = -2 * t
-        if num.denominator != 1:
-            raise HalfIntegerError("impossible")  # -2t is integral by construction
-        return cls((), Scalar.v_power(int(num)))
+        # -2t is integral for a half-integer t
+        return cls((), Scalar.v_power(int(-2 * half_integer(t))))
 
     # ---------------------------------------------------------------- algebra
 

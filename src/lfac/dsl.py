@@ -337,11 +337,6 @@ def _binop(op, a, b):
 
 # ---------------------------------------------------------------- functions
 
-_TAGS = {"exceptional": _poles.EXCEPTIONAL, "sub1": _poles.SUBREGULAR1,
-         "sub2": _poles.SUBREGULAR2, "regular": _poles.REGULAR}
-TAG_NAMES = {v: k for k, v in _TAGS.items()}
-
-
 def _tag_pairs(node, out):
     # the ram tag is a product of named generators with integer powers; a
     # run of exponents raises left to right, so eta^2^3 is eta^6
@@ -397,14 +392,14 @@ def _gl2_ps(chi1, chi2, flag=None):
 
 
 def _entry(root, tagname, *extra):
-    if tagname not in _TAGS:
+    if tagname not in _poles.TAGS:
         raise LfacEvalError("unknown classification %r" % tagname)
     bessel = [v for v in extra if isinstance(v, tuple)]
     sums = [_as_rep(v) for v in extra if not isinstance(v, tuple)]
     if len(bessel) > 1 or len(sums) > 1:
         raise LfacEvalError("entry takes at most one witness sum and one "
                             "bessel(...)")
-    return _poles.PoleEntry(root, _TAGS[tagname],
+    return _poles.PoleEntry(root, _poles.TAGS[tagname],
                             sums[0].blocks if sums else (),
                             bessel[0] if bessel else None)
 

@@ -13,11 +13,13 @@ character is unramified with value root^2 (the vanishing of chi_pi chi_sigma
 parameter alone (case 1, requiring that chi_pi |.|^{2 s0 + 1} does not
 vanish) and the Steinberg summands unr(root * v) (case 2, requiring that it
 does).  The two requirements are negations of each other, so the cases never
-meet at one root.
+meet at one root.  This module owns the four classifications and their
+names in the expression language (TAGS, TAG_NAMES), read and printed alike.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import catalog as _catalog
@@ -35,6 +37,10 @@ EXCEPTIONAL = "exceptional"
 SUBREGULAR1 = "subregular-case1"
 SUBREGULAR2 = "subregular-case2"
 REGULAR = "regular"
+
+TAGS = {"exceptional": EXCEPTIONAL, "sub1": SUBREGULAR1, "sub2": SUBREGULAR2,
+        "regular": REGULAR}
+TAG_NAMES = {v: k for k, v in TAGS.items()}
 
 
 class PoleEntry(Record):
@@ -65,18 +71,11 @@ def _sorted_entries(entries) -> tuple[PoleEntry, ...]:
                                                 e.classification)))
 
 
-def _group(scalars):
-    groups: dict[Scalar, int] = {}
-    for s in scalars:
-        groups[s] = groups.get(s, 0) + 1
-    return groups
-
-
 def exceptional_poles(pi, sigma) -> PoleReport:
     """Classify the unramified line summands of the pairing tensor."""
     chi = pi.similitude * sigma.central
     entries = []
-    for root, mult in _group(tensor_summands(pi.rep, sigma.rep, 0)).items():
+    for root, mult in Counter(tensor_summands(pi.rep, sigma.rep, 0)).items():
         ok = chi.is_unramified and chi.satake == root ** 2
         entries.append(PoleEntry(
             root, EXCEPTIONAL if ok else REGULAR,
@@ -96,8 +95,7 @@ def nov_split(pi, sigma) -> NovSplit:
     carrying one simple pole per exceptional root."""
     full = _catalog.nov_lfactor(pi, sigma)
     report = exceptional_poles(pi, sigma)
-    l_ex = SplitRational.from_poles(sorted(set(report.exceptional_roots()),
-                                           key=Scalar.sort_key))
+    l_ex = SplitRational.from_poles(set(report.exceptional_roots()))
     return NovSplit(full, full / l_ex, l_ex, report)
 
 
@@ -114,8 +112,8 @@ def _bessel(chi: Character, root: Scalar):
 
 def subregular_poles(pi) -> PoleReport:
     chi = pi.similitude
-    line = _group(tensor_summands(pi.rep, sp(0), 0))
-    stei = _group(tensor_summands(pi.rep, sp(0), 1))
+    line = Counter(tensor_summands(pi.rep, sp(0), 0))
+    stei = Counter(tensor_summands(pi.rep, sp(0), 1))
     entries: dict[Scalar, PoleEntry] = {}
     for gamma, mult in stei.items():
         root = gamma.times_v(-1)
@@ -130,7 +128,7 @@ def subregular_poles(pi) -> PoleReport:
                                       _bessel(chi, root))
         elif root not in entries:
             # a line root where the case-2 condition holds but no Steinberg
-            # partner exists; not subregular, cannot occur for valid shapes
+            # partner exists: not subregular; only a FREE parameter has one
             entries[root] = PoleEntry(root, REGULAR, wit)
     return PoleReport(_sorted_entries(entries.values()))
 
@@ -149,8 +147,7 @@ def ps_split(pi) -> PsSplit:
     one simple pole per subregular root."""
     full = lfactor(pi.rep)
     report = subregular_poles(pi)
-    l_sub = SplitRational.from_poles(sorted(set(report.subregular_roots()),
-                                            key=Scalar.sort_key))
+    l_sub = SplitRational.from_poles(set(report.subregular_roots()))
     return PsSplit(full, SplitRational.one(), l_sub, full / l_sub, report)
 
 

@@ -105,8 +105,7 @@ def _gsp4_text(p: cat.Gsp4Param) -> str:
 
 
 def _entry_text(e: _poles.PoleEntry) -> str:
-    from .dsl import TAG_NAMES
-    parts = [str(e.root), TAG_NAMES[e.classification]]
+    parts = [str(e.root), _poles.TAG_NAMES[e.classification]]
     if e.witnesses:
         parts.append(_rep_text(WDRep(e.witnesses)))
     if e.bessel is not None:

@@ -48,9 +48,11 @@ as in (a + b)/(a + b)^2.  A gcd none of these rules decides, such as that
 of (a^2 - b^2)/(a^3 - b^3), or that of the denominators of
 1/(a + b)^2 + 1/(a + c)^2, comes from _gcd, a polynomial gcd with
 cofactors in sympy's sparse polynomial rings.  _gcd is the only way into
-sympy, for sums and products alike: it is imported on the first such gcd,
-never by importing this module.  This module owns the canonical form, the
-ordering, the hash and the rendering.  A rational constant hashes like the
+sympy, for sums and products alike: _ring imports it on the first such gcd,
+not on an import of this module.  This module owns the canonical form, the
+ordering, the hash and the rendering.  One term printer, _term_text, prints
+every signed term, and a Laurent monomial as the single term of its signed
+exponent vector, such as a*v^-3.  A rational constant hashes like the
 Fraction it equals; a Laurent monomial hashes on ints, its exponent vectors
 and the numerator and denominator of its coefficient, since hashing a
 Fraction is a Python-level call.
@@ -635,9 +637,8 @@ class Scalar:
         """The value as an exact rational; symbolic values raise."""
         if self._gens:
             raise ScalarDomainError("not a constant: %s" % (self,))
-        num = self._num[0][1] if self._num else Fraction(0)
-        den = self._den[0][1]
-        return num / den
+        # the monic denominator of a constant is 1
+        return self._num[0][1] if self._num else Fraction(0)
 
     def substitute(self, values: dict) -> "Scalar":
         """Substitute exact rational values for symbols (unknown keys ignored).
@@ -692,18 +693,12 @@ class Scalar:
 
     # ---------------------------------------------------------------- rendering
 
-    def _monomial_text(self, exps_num, exps_den, coeff: Fraction) -> str:
-        # Laurent monomial: coefficient then symbols in gens order (v last)
-        pieces = []
-        for g, en, ed in zip(self._gens, exps_num, exps_den):
-            e = en - ed
-            if e == 1:
-                pieces.append(g)
-            elif e:
-                pieces.append("%s^%d" % (g, e))
-        if not pieces:
+    def _term_text(self, exps, coeff: Fraction) -> str:
+        # one signed term: coefficient then symbols in gens order (v last)
+        body = "*".join(g if e == 1 else "%s^%d" % (g, e)
+                        for g, e in zip(self._gens, exps) if e)
+        if not body:
             return str(coeff)
-        body = "*".join(pieces)
         if coeff == 1:
             return body
         if coeff == -1:
@@ -711,33 +706,20 @@ class Scalar:
         return "%s*%s" % (coeff, body)
 
     def _poly_text(self, terms) -> str:
-        out = []
-        for i, (exps, coeff) in enumerate(terms):
-            mono = "*".join(
-                g if e == 1 else "%s^%d" % (g, e)
-                for g, e in zip(self._gens, exps) if e)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (mag, mono)
-            if i == 0:
-                out.append(("-" if coeff < 0 else "") + body)
-            else:
-                out.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(out)
+        first, *rest = [self._term_text(*t) for t in terms]
+        return first + "".join(" - " + t[1:] if t[0] == "-" else " + " + t
+                               for t in rest)
 
     @_printable
     def __str__(self):
         if not self._num:
             return "0"
         if len(self._num) == 1 and len(self._den) == 1:
-            return self._monomial_text(self._num[0][0], self._den[0][0],
-                                       self._num[0][1] / self._den[0][1])
+            # a Laurent monomial: one term on the signed exponent vector
+            ((en, c),), ((ed, _),) = self._num, self._den
+            return self._term_text(tuple(map(operator.sub, en, ed)), c)
         num = self._poly_text(self._num)
-        if len(self._den) == 1 and self._den[0][1] == 1 and not any(self._den[0][0]):
+        if len(self._den) == 1 and not any(self._den[0][0]):
             return num
         den = self._poly_text(self._den)
         if len(self._num) > 1:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ScalarDomainError, _printable
+from .errors import LfacValueError, ScalarDomainError, _printable
 from .record import Record
 from .scalar import Scalar, half_integer
 
@@ -137,10 +137,7 @@ class SplitRational:
                                         _merge(self.factors, other.factors))
 
     def inverse(self) -> "SplitRational":
-        # negating the exponents keeps the bases and their order
-        return SplitRational._canonical(
-            self.unit.inverse(), -self.xpower,
-            tuple([(b, -e) for b, e in self.factors]))
+        return self ** -1
 
     def __truediv__(self, other):
         if not isinstance(other, SplitRational):
@@ -242,8 +239,7 @@ class SplitRational:
     def __str__(self):
         top, bot = [], []
         if not self.unit.is_one:
-            u = str(self.unit)
-            top.append("(%s)" % u if (" " in u or u.startswith("-")) else u)
+            top.append(self._beta_text(self.unit))
         if self.xpower:
             xp = "X" if abs(self.xpower) == 1 else "X^%d" % abs(self.xpower)
             (top if self.xpower > 0 else bot).append(xp)
@@ -300,7 +296,7 @@ def ideal_generator(fs) -> IdealGen:
     """
     fs = list(fs)
     if not fs:
-        raise ValueError("ideal_generator needs at least one element")
+        raise LfacValueError("ideal_generator needs at least one element")
     bases: dict[Scalar, None] = {}
     for f in fs:
         for b, _ in f.factors:

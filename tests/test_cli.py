@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -133,6 +134,40 @@ def test_sympy_loads_only_for_a_genuine_sum():
     child = _fresh_child([["eval", "(a^2 - b^2)/(a^3 - b^3)"]])
     assert child["sympy"] is True
     assert child["outs"] == ["(a + b)/(a^2 + a*b + b^2)\n"]
+
+
+# every import inside a function body of the package, by module and function
+LAZY_IMPORTS = {
+    ("catalog", "from_catalog", ".dsl"),
+    ("scalar", "scalar_canonicalize", ".dsl"),
+    ("cli", "_cmd_verify", ".verify"),
+    ("scalar", "_exact_quotient", "heapq"),
+    ("scalar", "_ring", "sympy"),
+    ("scalar", "_ring", "sympy.polys.orderings"),
+    ("scalar", "_ring", "sympy.polys.rings"),
+}
+
+
+def test_only_the_documented_imports_are_lazy():
+    # a function-level import is a load deferred on purpose, so each one is
+    # listed; _ring is the one way into sympy
+    found = set()
+    for path in pathlib.Path(lfac.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    dots = "." * node.level
+                    names = [dots + node.module] if node.module else \
+                        [dots + alias.name for alias in node.names]
+                else:
+                    continue
+                found |= {(path.stem, fn.name, name) for name in names}
+    assert found == LAZY_IMPORTS
 
 
 _LAZY = """

@@ -2,6 +2,8 @@
 replaced: field order, repr, equality within one class, the hash of the
 field tuple, refusal of assignment, replace() and __post_init__ checks."""
 
+import typing
+
 import pytest
 
 from lfac.catalog import (CatalogShape, Gl2Param, Gsp4Param, Gsp4Type,
@@ -85,6 +87,12 @@ def test_fields_repr_eq(cls):
     # equality holds within one class only
     assert x != values and x.__eq__(values) is NotImplemented
     assert x != object()
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_annotations_resolve(cls):
+    # every field annotation names a type its module imports
+    assert set(FIELDS[cls]) <= set(typing.get_type_hints(cls))
 
 
 def test_repr_examples():

@@ -64,12 +64,19 @@ def test_str_monomial_mode():
     assert str(2 * a * b ** 2) == "2*a*b^2"
     assert str(Scalar.from_rational(Fraction(5, 2))) == "5/2"
     assert str(-a) == "-a"
+    assert str(Fraction(-3, 2) * a * v ** -1) == "-3/2*a*v^-1"
+    assert str(Scalar.from_rational(Fraction(-5, 2))) == "-5/2"
+    assert str(-a ** 2 / b) == "-a^2*b^-1"
 
 
 def test_str_fraction_mode():
     assert str((a + b) / (a - b)) == "(a + b)/(a - b)"
     assert str(a + b) == "a + b"
     assert str(1 / (b - 1)) == "1/(b - 1)"
+    assert str(a - Fraction(3, 2) * b) == "a - 3/2*b"
+    assert str(Fraction(1, 2) * a + 1) == "1/2*a + 1"
+    assert str(a - 1) == "a - 1"
+    assert str((Fraction(-1, 2) * a + b) / (a * v)) == "(-1/2*a + b)/(a*v)"
 
 
 def test_v_sorts_last():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfac.errors import ScalarDomainError
+from lfac.errors import LfacValueError, ScalarDomainError
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational, ideal_generator
 
@@ -108,7 +108,7 @@ def test_ideal_generator_basics():
     assert gen.generator.factors == ((a, -2),)
     assert gen.is_lfactor
     assert not ideal_generator([f((a, 1))]).is_lfactor
-    with pytest.raises(ValueError):
+    with pytest.raises(LfacValueError):
         ideal_generator([])
 
 

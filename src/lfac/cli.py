@@ -191,11 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--budget", type=_at_least(1), default=4,
-                   help="block budget per random representation")
+                   help="block budget per random representation "
+                        "(lemma71 only)")
     p.add_argument("--pool", type=_at_least(1), default=4,
-                   help="number of distinct Satake symbols")
+                   help="number of distinct Satake symbols, at most 23 "
+                        "(all suites)")
     p.add_argument("--irred", action="store_true",
-                   help="allow irreducible parts in random draws")
+                   help="allow irreducible parts in random draws "
+                        "(lemma71 and theoremA)")
     p.set_defaults(fn=_cmd_verify)
     _common_flags(p, catalog=False)
     return top

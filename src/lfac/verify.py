@@ -4,6 +4,14 @@ Trials are derived deterministically from a profile: the same seed always
 produces the same representations, parameters and verdicts, on any platform.
 Each check returns a CheckReport; a failing trial records its derived seed
 and a textual counterexample so it can be replayed in isolation.
+
+Draws are built in canonical form: a Satake value s^e * v^k is one Laurent
+monomial, and a drawn character takes its tag as it stands, () or
+((name, 1),).  The random numbers are drawn in a fixed order (s, then e,
+then k), so a seed names one trial.  Of the profile, only random_rep reads
+block_budget and max_sp, so they reach lemma71 alone; allow_irred reaches
+lemma71 and theoremA; symbol_pool reaches all three suites and names at
+most the 23 letters of _LETTERS (a pool below 1 reads as 1).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from .chars import Character
 from .errors import TypeConstraintViolation
 from .poles import subregular_poles
 from .record import Record
-from .scalar import Scalar
+from .scalar import _ONE_C, Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, part_dual,
                     part_twist, sp, tensor, twist)
@@ -86,15 +94,17 @@ def _symbols(profile: TrialProfile) -> list[str]:
 
 
 def _random_satake(rng: random.Random, syms) -> Scalar:
-    s = Scalar.symbol(rng.choice(syms)) ** rng.choice([1, 1, 1, 2, -1])
-    return s.times_v(rng.randint(-3, 3))
+    # s^e * v^k as one Laurent monomial, drawn s, then e, then k
+    s = rng.choice(syms)
+    e = rng.choice([1, 1, 1, 2, -1])
+    return Scalar._monomial((s, "v"), (e, rng.randint(-3, 3)), _ONE_C)
 
 
 def _random_char(rng: random.Random, syms, ramified_rate=0.25) -> Character:
     satake = _random_satake(rng, syms)
     if rng.random() < ramified_rate:
-        return Character.ramified(rng.choice(["eta", "xi"]), satake)
-    return Character.unramified(satake)
+        return Character._raw(((rng.choice(["eta", "xi"]), 1),), satake)
+    return Character._raw((), satake)
 
 
 def _random_irred(rng: random.Random, syms) -> IrredPart:
@@ -363,8 +373,12 @@ SUITES = dict(zip(SUITE_NAMES, (_suite_lemma71, _suite_soudry,
 def run_suite(name: str, trials: int, seed: int,
               profile: TrialProfile | None = None) -> list[CheckReport]:
     """Run one named suite, or all of them, returning one report per suite;
-    trial i uses seed seed * TRIAL_STRIDE + i; seed overrides profile.seed."""
+    trial i uses seed seed * TRIAL_STRIDE + i; seed overrides profile.seed.
+    A symbol pool larger than the draws' letters is refused."""
     profile = profile or TrialProfile(seed)
+    if profile.symbol_pool > len(_LETTERS):
+        raise TypeConstraintViolation("symbol pool must be at most %d, got %d"
+                                      % (len(_LETTERS), profile.symbol_pool))
     if name == "all":
         return [SUITES[n](trials, seed, profile) for n in sorted(SUITES)]
     if name not in SUITES:

@@ -273,9 +273,15 @@ def _unramified_lines(w1: WDRep, w2: WDRep, what: str):
         for b2 in w2.blocks:
             p, q = b1.part, b2.part
             if isinstance(p, CharPart) and isinstance(q, CharPart):
-                chi = p.char * q.char
-                if chi.is_unramified:
-                    yield chi.satake, sp_tensor(b1.n, b2.n)
+                a, b = p.char, q.char
+                if not a.tag and not b.tag:
+                    yield a.satake * b.satake, sp_tensor(b1.n, b2.n)
+                elif a.tag and b.tag:
+                    # the tags may cancel; ramified times unramified, in a
+                    # free tag group, cannot
+                    chi = a * b
+                    if chi.is_unramified:
+                        yield chi.satake, sp_tensor(b1.n, b2.n)
             elif (isinstance(p, IrredPart) and isinstance(q, IrredPart)
                   and twin_pair(p, q)):
                 raise UnsupportedTensor(
@@ -303,5 +309,12 @@ def lfactor(w: WDRep) -> SplitRational:
 
 
 def similitude_check(w: WDRep, chi: Character) -> bool:
-    """Whether w^vee (x) chi equals w as a block multiset."""
-    return twist(dual(w), chi) == w
+    """Whether w^vee (x) chi equals w as a block multiset.
+
+    Compared on sort keys, without building the twisted dual: w.blocks is
+    sorted by Block.sort_key, two blocks are equal exactly when their keys
+    are, and the dual twist keeps each block's n.
+    """
+    keys = sorted([(part_twist(part_dual(b.part), chi).sort_key(), b.n)
+                   for b in w.blocks])
+    return keys == [b.sort_key() for b in w.blocks]

@@ -288,6 +288,14 @@ def test_verify_rejects_bad_counts(capsys, flag, value):
     assert "must be at least" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_pool_past_the_letters(capsys):
+    # the draws name 23 letters; a larger pool used to run with 23
+    assert main(["verify", "--trials", "1", "--pool", "24"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at most 23" in err
+    assert main(["verify", "--trials", "1", "--pool", "23"]) == 0
+
+
 def test_pairing_needs_gl2_on_the_right(capsys):
     assert main(["lfactor", "gsp4.VIa(unr(a))", "unr(b)"]) == 2
     _, err = capsys.readouterr()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import lfac.verify
@@ -7,11 +9,15 @@ from lfac.chars import Character
 from lfac.errors import TypeConstraintViolation
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
-from lfac.verify import (TRIAL_STRIDE, CheckReport, Failure, TrialProfile,
-                         check_corollary62, check_lemma71, check_soudry,
-                         check_theoremA, random_pairing, random_rep,
-                         run_suite, theoremA_fixed_cases)
-from lfac.wdrep import char_rep, similitude_check
+from lfac.verify import (_LETTERS, TRIAL_STRIDE, CheckReport, Failure,
+                         TrialProfile, _matched_gl2_pair, _random_char,
+                         _random_satake, check_corollary62, check_lemma71,
+                         check_soudry, check_theoremA, random_gsp4_free,
+                         random_pairing, random_rep, run_suite,
+                         theoremA_fixed_cases)
+from lfac.catalog import theta_lift
+from lfac.wdrep import (Block, CharPart, char_rep, dual, similitude_check,
+                        twist)
 
 from oracle import numeric_equal, numeric_second_opinion
 
@@ -179,3 +185,81 @@ def test_exceptional_hit_rate():
         1 for seed in range(40)
         if exceptional_poles(*random_pairing(seed)).exceptional_roots())
     assert hits >= 10
+
+
+class _Scripted:
+    """An rng stand-in that returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def choice(self, seq):
+        x = next(self.values)
+        assert x in seq
+        return x
+
+    def randint(self, lo, hi):
+        x = next(self.values)
+        assert lo <= x <= hi
+        return x
+
+
+def test_satake_draw_equals_the_power_route():
+    for s in _LETTERS:
+        for e in (1, 2, -1):
+            for k in range(-3, 4):
+                got = _random_satake(_Scripted(s, e, k), _LETTERS)
+                want = (Scalar.symbol(s) ** e).times_v(k)
+                assert got.sort_key() == want.sort_key(), (s, e, k)
+                assert hash(got) == hash(want), (s, e, k)
+                assert str(got) == str(want), (s, e, k)
+
+
+def _constructor_char(rng, syms, ramified_rate=0.25):
+    # the draw through the public constructors and the guarded power
+    s = Scalar.symbol(rng.choice(syms)) ** rng.choice([1, 1, 1, 2, -1])
+    satake = s.times_v(rng.randint(-3, 3))
+    if rng.random() < ramified_rate:
+        return Character.ramified(rng.choice(["eta", "xi"]), satake)
+    return Character.unramified(satake)
+
+
+def test_char_draw_equals_the_constructor_route():
+    ramified = 0
+    for seed in range(500):
+        new, old = random.Random(seed), random.Random(seed)
+        got, want = _random_char(new, _LETTERS), _constructor_char(old, _LETTERS)
+        assert got == want and got.tag == want.tag, seed
+        assert hash(got) == hash(want) and str(got) == str(want), seed
+        assert new.getstate() == old.getstate(), seed
+        ramified += not got.is_unramified
+    assert ramified >= 50
+
+
+def _agrees(w, chi):
+    got = similitude_check(w, chi)
+    assert got == (twist(dual(w), chi) == w), (w, chi)
+    return got
+
+
+def _check_against_the_rep_route(w, chi):
+    assert _agrees(w, chi)
+    # false verdicts: another similitude, and one block more, in a symbol
+    # no draw names, so that no block pairs with it
+    assert not _agrees(w, chi * unr(Scalar.v_power(1)))
+    assert not _agrees(w + char_rep(unr(Scalar.symbol("extra"))), chi)
+
+
+def test_similitude_check_matches_the_rep_route():
+    syms = _LETTERS[:4]
+    irred = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        pi = random_gsp4_free(rng, syms, allow_irred=True)
+        irred += not pi.rep.character_parted
+        _check_against_the_rep_route(pi.rep, pi.similitude)
+        lift = theta_lift(*_matched_gl2_pair(rng, syms))
+        _check_against_the_rep_route(lift.rep, lift.similitude)
+    assert irred >= 40
+    for pi, _ in theoremA_fixed_cases():
+        _check_against_the_rep_route(pi.rep, pi.similitude)

@@ -280,6 +280,39 @@ def test_similitude_check():
     assert similitude_check(st3, unr(a) ** 2)
 
 
+def test_similitude_check_irred4_without_selfdual_twist():
+    # the dual of a 4-dimensional part with no declared self-duality is starred
+    rho = IrredPart(4, "l4", twist=unr(b), base_det=unr(a))
+    chi = unr(a * b)
+    w = WDRep([Block(rho, 1), Block(part_dual(rho).twisted(chi), 1)])
+    assert part_dual(rho).starred
+    assert similitude_check(w, chi) and twist(dual(w), chi) == w
+    for w2, chi2 in ((w, chi * unr(v)), (WDRep([Block(rho, 1)]), chi),
+                     (w + char_rep(unr(a)), chi)):
+        assert not similitude_check(w2, chi2)
+        assert twist(dual(w2), chi2) != w2
+
+
+@pytest.mark.parametrize("other, poles", [
+    # the tags cancel: an unramified line a*b
+    (Character((("eta", -1),), b), [a * b]),
+    # eta*xi and eta alone stay ramified
+    (ram("xi", b), []),
+    (unr(b), [])])
+def test_ramified_tensor_lines(other, poles):
+    w1, w2 = char_rep(ram("eta", a)), char_rep(other)
+    want = SplitRational.from_poles(poles)
+    assert tensor_lfactor(w1, w2) == want
+    assert tensor_lfactor(w2, w1) == want
+    # the same as the tensor, whose blocks multiply every character pair
+    assert lfactor(tensor(w1, w2)) == want
+    # with sp indices the cancelled line runs over the Clebsch-Gordan range
+    w1s, w2s = char_rep(ram("eta", a), 1), char_rep(other, 2)
+    assert tensor_lfactor(w1s, w2s) == SplitRational.from_poles(
+        [p * v ** -k for p in poles for k in (1, 3)])
+    assert tensor_lfactor(w1s, w2s) == lfactor(tensor(w1s, w2s))
+
+
 def test_substitute_threads_through():
     w = char_rep(unr(a), 1) + WDRep([Block(IrredPart(2, "t", twist=unr(b)), 0)])
     s = w.substitute({"a": 2, "b": 3})

@@ -27,7 +27,7 @@ from .poles import (NovSplit, PoleEntry, PoleReport, PsSplit,
                     ps_split, subregular_poles)
 from .scalar import Scalar, half_integer, scalar_canonicalize
 from .splitrat import IdealGen, SplitRational, ideal_generator
-from .wdrep import (Block, CharPart, IrredPart, WDRep, char_rep, dual,
+from .wdrep import (Block, IrredPart, WDRep, char_rep, dual,
                     lfactor, similitude_check, sp, sp_tensor, tensor,
                     tensor_lfactor, tensor_summands, twist)
 
@@ -51,7 +51,7 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
-    "Block", "CatalogFormatError", "CentralCharacterMismatch", "CharPart",
+    "Block", "CatalogFormatError", "CentralCharacterMismatch",
     "Character", "CheckReport", "Gl2Param", "Gsp4Param", "HalfIntegerError",
     "IdealGen", "IrredPart", "LfacError", "LfacEvalError", "LfacSyntaxError",
     "LfacValueError",

@@ -28,7 +28,7 @@ from .errors import (CatalogFormatError, CentralCharacterMismatch,
 from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
-from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, char_rep,
+from .wdrep import (Block, IrredPart, WDRep, lfactor, char_rep,
                     check_sp_index, similitude_check, tensor_lfactor)
 
 __all__ = ["Gl2Param", "Gsp4Param", "Gsp4Type", "GSP4_TYPES", "gl2_param",
@@ -49,11 +49,6 @@ class Gl2Param(Record):
 
     def lfactor(self) -> SplitRational:
         return lfactor(self.rep)
-
-    def substitute(self, values) -> "Gl2Param":
-        return Gl2Param(self.rep.substitute(values),
-                        self.central.substitute(values),
-                        self.kind, self.reducible)
 
 
 def _is_absval_square(chi: Character, k: int) -> bool:
@@ -114,17 +109,6 @@ class Gsp4Param(Record):
     def lfactor(self) -> SplitRational:
         return lfactor(self.rep)
 
-    def substitute(self, values) -> "Gsp4Param":
-        th = self.theta
-        return Gsp4Param(self.rep.substitute(values),
-                         self.similitude.substitute(values), self.st_type,
-                         (th[0].substitute(values), th[1].substitute(values))
-                         if th else None,
-                         None if self.args is None else tuple(
-                             a if isinstance(a, str) else a.substitute(values)
-                             for a in self.args),
-                         self.entry)
-
 
 def _make(rep: WDRep, sim: Character, st_type: str, args=None, theta=None,
           entry=None) -> Gsp4Param:
@@ -173,7 +157,7 @@ def type_VII(label: str, det: Character, chi: Character) -> Gsp4Param:
         raise TypeConstraintViolation("type VII needs a nontrivial twist "
                                       "(the trivial one is type VIIIa)")
     rho = IrredPart(2, label, base_det=det)
-    rep = WDRep([Block(rho, 0), Block(rho.twisted(chi), 0)])
+    rep = WDRep([Block(rho, 0), Block(rho * chi, 0)])
     return _make(rep, chi * det, "VII", (label, det, chi))
 
 
@@ -332,7 +316,7 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
 
 def _as_part(value, where: str):
     if isinstance(value, Character):
-        return CharPart(value)
+        return value
     if isinstance(value, WDRep) and len(value.blocks) == 1 \
             and value.blocks[0].n == 0:
         return value.blocks[0].part
@@ -364,9 +348,7 @@ def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
                     "param %s of %s must be an irreducible part" % (pname, name))
             env[pname] = WDRep([Block(val, 0)])
     for kind, pname in shape.requires:
-        part = values[pname]  # a character is its own determinant
-        det = part if isinstance(part, Character) else part.det()
-        if kind == "trivial-det" and not det.is_trivial:
+        if kind == "trivial-det" and not values[pname].det().is_trivial:
             raise TypeConstraintViolation(
                 "shape %s requires det(%s) trivial" % (name, pname))
 

@@ -40,6 +40,8 @@ class Character:
 
     __slots__ = ("tag", "satake")
 
+    dim = 1  # as a part of a Weil-Deligne block
+
     def __init__(self, tag, satake: Scalar = Scalar.one):
         if not isinstance(satake, Scalar):
             satake = Scalar.from_rational(satake)
@@ -102,6 +104,9 @@ class Character:
     def inverse(self) -> "Character":
         return self ** -1
 
+    def det(self) -> "Character":
+        return self
+
     # ---------------------------------------------------------------- queries
 
     @property
@@ -116,7 +121,8 @@ class Character:
         return Character(self.tag, self.satake.substitute(values))
 
     def sort_key(self):
-        return (self.tag, self.satake.sort_key())
+        # the leading 0 puts a character block before every irreducible one
+        return (0, self.tag, self.satake.sort_key())
 
     def __eq__(self, other):
         if not isinstance(other, Character):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import SUITE_NAMES, render
@@ -207,6 +208,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        status = _run(args)
+        # a closed stdout shows here rather than in the flush at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as e:
+        # nothing more can reach stdout, in either format; stdout then goes
+        # to devnull, so the flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    try:
         # read --catalog once, inside the try so a bad file exits 2
         path = getattr(args, "catalog", None)
         args.shapes = cat.load_catalog(path) if path else None
@@ -215,6 +230,8 @@ def main(argv=None) -> int:
         return _error(args, "syntax", str(e))
     except LfacError as e:
         return _error(args, type(e).__name__, str(e))
+    except BrokenPipeError:
+        raise
     except OSError as e:
         return _error(args, "io", str(e))
 

@@ -27,7 +27,7 @@ from .chars import Character
 from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
-from .wdrep import Block, CharPart, lfactor, sp, tensor_summands
+from .wdrep import Block, lfactor, sp, tensor_summands
 
 __all__ = ["PoleEntry", "PoleReport", "exceptional_poles", "subregular_poles",
            "nov_split", "ps_split", "hom_dim", "ideals_JK", "NovSplit",
@@ -79,7 +79,7 @@ def exceptional_poles(pi, sigma) -> PoleReport:
         ok = chi.is_unramified and chi.satake == root ** 2
         entries.append(PoleEntry(
             root, EXCEPTIONAL if ok else REGULAR,
-            (Block(CharPart(Character.unramified(root)), 0),) * mult))
+            (Block(Character.unramified(root), 0),) * mult))
     return PoleReport(_sorted_entries(entries))
 
 
@@ -118,11 +118,11 @@ def subregular_poles(pi) -> PoleReport:
     for gamma, mult in stei.items():
         root = gamma.times_v(-1)
         if _steinberg_cond(chi, root):
-            wit = (Block(CharPart(Character.unramified(gamma)), 1),) * mult
+            wit = (Block(Character.unramified(gamma), 1),) * mult
             entries[root] = PoleEntry(root, SUBREGULAR2, wit,
                                       _bessel(chi, root))
     for root, mult in line.items():
-        wit = (Block(CharPart(Character.unramified(root)), 0),) * mult
+        wit = (Block(Character.unramified(root), 0),) * mult
         if not _steinberg_cond(chi, root):
             entries[root] = PoleEntry(root, SUBREGULAR1, wit,
                                       _bessel(chi, root))

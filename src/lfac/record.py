@@ -12,7 +12,9 @@ decorator would generate:
 * equality within one class on the tuple of field values, and the hash of
   that tuple;
 * refusal of assignment and deletion (AttributeError);
-* replace(**changes), a new record built through __init__.
+* replace(**changes), a new record built through __init__;
+* substitute(values), the record with symbol values put into every field
+  that substitutes, also built through __init__.
 
 The methods are closures over the field list, made once per class, so
 nothing is compiled or exec'd and a cold start never loads the dataclasses
@@ -131,3 +133,18 @@ class Record:
             raise TypeError("%s has no field %r"
                             % (type(self).__name__, next(iter(changes))))
         return type(self)(*args)
+
+    def substitute(self, values: dict):
+        """The record with the symbol values substituted, built through
+        __init__ so __post_init__ checks it.  A field with a substitute
+        method is substituted, a tuple field item by item; any other field
+        (a str, an int, a bool, None, a callable) is kept as it is."""
+        return type(self)(*[_substitute(v, values)
+                            for v in self._values(self)])
+
+
+def _substitute(value, values: dict):
+    if isinstance(value, tuple):
+        return tuple([_substitute(v, values) for v in value])
+    substitute = getattr(value, "substitute", None)
+    return value if substitute is None else substitute(values)

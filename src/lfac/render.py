@@ -18,7 +18,7 @@ from .chars import Character
 from .errors import LfacValueError
 from .scalar import Scalar
 from .splitrat import IdealGen, SplitRational
-from .wdrep import Block, CharPart, IrredPart, WDRep
+from .wdrep import Block, WDRep
 
 __all__ = ["SCHEMA", "text", "to_json", "unicodize"]
 
@@ -34,8 +34,8 @@ def _is_check_report(value) -> bool:
 
 
 def _part_text(part) -> str:
-    if isinstance(part, CharPart):
-        return str(part.char)
+    if isinstance(part, Character):
+        return str(part)
     out = None
     sd = part.selfdual_twist
     if sd is not None:
@@ -64,7 +64,7 @@ def _block_text(b: Block) -> str:
 def _rep_text(w: WDRep) -> str:
     if not w.blocks:
         raise LfacValueError("an empty representation has no constructor form")
-    if len(w.blocks) == 1 and isinstance(w.blocks[0].part, CharPart):
+    if len(w.blocks) == 1 and isinstance(w.blocks[0].part, Character):
         # a lone line needs the explicit sp(0) to read back as a
         # representation rather than a character
         b = w.blocks[0]
@@ -74,7 +74,7 @@ def _rep_text(w: WDRep) -> str:
 
 def _gl2_text(p: cat.Gl2Param) -> str:
     if p.kind == "principal-series":
-        c1, c2 = (b.part.char for b in p.rep.blocks)
+        c1, c2 = (b.part for b in p.rep.blocks)
         if p.reducible:
             # orientation decides sub against quot; keep the recorded one
             want = -2 if p.reducible == "sub" else 2
@@ -83,7 +83,7 @@ def _gl2_text(p: cat.Gl2Param) -> str:
             return "gl2.ps(%s, %s, red)" % (c1, c2)
         return "gl2.ps(%s, %s)" % (c1, c2)
     if p.kind == "steinberg-twist":
-        chi = p.rep.blocks[0].part.char
+        chi = p.rep.blocks[0].part
         return "gl2.st()" if chi.is_trivial else "gl2.st(%s)" % chi
     part = p.rep.blocks[0].part
     if part.base_det.is_trivial:

@@ -27,8 +27,8 @@ from .poles import subregular_poles
 from .record import Record
 from .scalar import _ONE_C, Scalar
 from .splitrat import SplitRational
-from .wdrep import (Block, CharPart, IrredPart, WDRep, lfactor, part_dual,
-                    part_twist, sp, tensor, twist)
+from .wdrep import (Block, IrredPart, WDRep, lfactor, part_dual, sp, tensor,
+                    twist)
 
 __all__ = ["TrialProfile", "CheckReport", "Failure", "random_rep",
            "random_gl2", "random_gsp4_free", "random_pairing",
@@ -111,7 +111,7 @@ def _random_irred(rng: random.Random, syms) -> IrredPart:
     det = _random_char(rng, syms, ramified_rate=0.2)
     part = IrredPart(2, rng.choice(["t1", "t2"]), base_det=det)
     if rng.random() < 0.3:
-        part = part.twisted(_random_char(rng, syms))
+        part = part * _random_char(rng, syms)
     return part
 
 
@@ -125,7 +125,7 @@ def random_rep(profile: TrialProfile) -> WDRep:
         if profile.allow_irred and rng.random() < 0.3:
             blocks.append(Block(_random_irred(rng, _symbols(profile)), n))
         else:
-            blocks.append(Block(CharPart(_random_char(rng, _symbols(profile))), n))
+            blocks.append(Block(_random_char(rng, _symbols(profile)), n))
     return WDRep(blocks)
 
 
@@ -158,7 +158,7 @@ def random_gsp4_free(rng: random.Random, syms, allow_irred=False,
     if force_selfpaired or rng.random() < 0.5:
         alpha = Character.unramified(_random_satake(rng, syms))
         chi = alpha ** 2
-        blocks.append(Block(CharPart(alpha), rng.choice([0, 1, 1])))
+        blocks.append(Block(alpha, rng.choice([0, 1, 1])))
     else:
         chi = _random_char(rng, syms)
     for _ in range(rng.randint(1, 2)):
@@ -166,9 +166,9 @@ def random_gsp4_free(rng: random.Random, syms, allow_irred=False,
         if allow_irred and rng.random() < 0.3:
             part = _random_irred(rng, syms)
         else:
-            part = CharPart(_random_char(rng, syms))
+            part = _random_char(rng, syms)
         blocks.append(Block(part, n))
-        blocks.append(Block(part_twist(part_dual(part), chi), n))
+        blocks.append(Block(part_dual(part) * chi, n))
     return cat.free(WDRep(blocks), chi)
 
 
@@ -189,8 +189,8 @@ def random_pairing(seed: int, allow_irred=True) -> tuple[cat.Gsp4Param, cat.Gl2P
         chi = _random_char(rng, syms, ramified_rate=0.0)
         mu = _random_char(rng, syms, ramified_rate=0.0)
         nu = beta ** 2 * mu * chi.inverse()
-        pi = cat.free(WDRep([Block(CharPart(beta), 0),
-                             Block(CharPart(chi * beta.inverse()), 0)]), chi)
+        pi = cat.free(WDRep([Block(beta, 0), Block(chi * beta.inverse(), 0)]),
+                      chi)
         sigma = _ps(mu, nu)
     else:
         pi = random_gsp4_free(rng, syms, allow_irred=allow_irred)
@@ -234,10 +234,10 @@ def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
     """The pairing factor without any tensor machinery: the two-character
     product for principal series, the division identity for Steinberg twists."""
     if sigma.kind == "principal-series":
-        c1, c2 = (b.part.char for b in sigma.rep.blocks)
+        c1, c2 = (b.part for b in sigma.rep.blocks)
         return lfactor(twist(pi.rep, c1)) * lfactor(twist(pi.rep, c2))
     if sigma.kind == "steinberg-twist":
-        w = twist(pi.rep, sigma.rep.blocks[0].part.char)
+        w = twist(pi.rep, sigma.rep.blocks[0].part)
         l = lfactor(w)
         n0 = lfactor(_blocks_with_n(w, 0))
         return (l * l.shift(1) / n0).shift(Fraction(-1, 2))
@@ -256,7 +256,7 @@ def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
     _compare(rep, a, _product_route(pi, sigma), "routes disagree", pi.rep,
              sigma.rep)
     if pi.st_type in ("IIIa", "IVa") and sigma.kind == "steinberg-twist" \
-            and sigma.rep.blocks[0].part.char.is_trivial:
+            and sigma.rep.blocks[0].part.is_trivial:
         l = lfactor(pi.rep)
         _compare(rep, a.shift(Fraction(1, 2)), l * l.shift(1),
                  "IIIa/IVa closed form", pi.rep)

@@ -2,8 +2,10 @@
 
 sp(n) is the (n+1)-dimensional indecomposable with Frobenius acting by
 diag(v^-n, v^{-n+2}, ..., v^n) up to twist; sp(0) is trivial and sp(1) is
-the usual special representation.  A part is either a character or a formal
-irreducible of dimension >= 2.
+the usual special representation.  A part is either a Character, of
+dimension 1, or an IrredPart, a formal irreducible of dimension >= 2; both
+give dim, det() and sort_key(), and `part * chi` twists either by a
+character.  Records substitute through Record.substitute.
 
 Irreducible parts are handled in generic position: two of them are equal
 exactly when every piece of declared data (dimension, label, dual marker,
@@ -24,7 +26,7 @@ from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
 
-__all__ = ["CharPart", "IrredPart", "Block", "WDRep", "SP_MAX", "BLOCK_MAX",
+__all__ = ["IrredPart", "Block", "WDRep", "SP_MAX", "BLOCK_MAX",
            "check_sp_index", "sp", "sp_tensor",
            "tensor", "tensor_lfactor", "tensor_summands", "lfactor",
            "similitude_check", "dual", "twist"]
@@ -43,23 +45,6 @@ SP_MAX = 1000
 # refuses a fourth factor sp(30) (19,871 blocks) and the sum of two
 # sp(30) x sp(30) x sp(30) (1442 blocks).
 BLOCK_MAX = 1000
-
-
-class CharPart(Record):
-    char: Character
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def det(self) -> Character:
-        return self.char
-
-    def sort_key(self):
-        return (0, self.char.sort_key())
-
-    def substitute(self, values):
-        return CharPart(self.char.substitute(values))
 
 
 class IrredPart(Record):
@@ -86,7 +71,9 @@ class IrredPart(Record):
         d = self.base_det.inverse() if self.starred else self.base_det
         return d * self.twist ** self.dim
 
-    def twisted(self, chi: Character) -> "IrredPart":
+    def __mul__(self, chi):
+        if not isinstance(chi, Character):
+            return NotImplemented
         return self.replace(twist=self.twist * chi)
 
     def sort_key(self):
@@ -94,32 +81,19 @@ class IrredPart(Record):
         return (1, self.dim, self.label, self.starred, self.twist.sort_key(),
                 self.base_det.sort_key(), sd.sort_key() if sd else ())
 
-    def substitute(self, values):
-        sd = self.selfdual_twist
-        return IrredPart(self.dim, self.label, self.starred,
-                         self.twist.substitute(values),
-                         self.base_det.substitute(values),
-                         sd.substitute(values) if sd else None)
 
-
-WeilPart = CharPart | IrredPart
+WeilPart = Character | IrredPart
 
 
 def part_dual(p: WeilPart) -> WeilPart:
-    if isinstance(p, CharPart):
-        return CharPart(p.char.inverse())
+    if isinstance(p, Character):
+        return p.inverse()
     if p.dim == 2 and not p.starred:
         # rho^vee = rho (x) det(rho)^{-1}, valid for any 2-dimensional rep
         return p.replace(twist=p.base_det.inverse() * p.twist.inverse())
     if p.selfdual_twist is not None and not p.starred:
         return p.replace(twist=p.selfdual_twist * p.twist.inverse())
     return p.replace(starred=not p.starred, twist=p.twist.inverse())
-
-
-def part_twist(p: WeilPart, chi: Character) -> WeilPart:
-    if isinstance(p, CharPart):
-        return CharPart(p.char * chi)
-    return p.twisted(chi)
 
 
 def twin_pair(p: IrredPart, q: IrredPart) -> bool:
@@ -178,7 +152,7 @@ class WDRep:
 
     @property
     def character_parted(self) -> bool:
-        return all(isinstance(b.part, CharPart) for b in self.blocks)
+        return all(isinstance(b.part, Character) for b in self.blocks)
 
     def __add__(self, other):
         if not isinstance(other, WDRep):
@@ -186,7 +160,7 @@ class WDRep:
         return WDRep(self.blocks + other.blocks)
 
     def substitute(self, values) -> "WDRep":
-        return WDRep(Block(b.part.substitute(values), b.n) for b in self.blocks)
+        return WDRep(b.substitute(values) for b in self.blocks)
 
     def sort_key(self):
         return tuple(b.sort_key() for b in self.blocks)
@@ -206,14 +180,14 @@ class WDRep:
 
 def sp(n: int) -> WDRep:
     """The single block trivial (x) sp(n) as a representation."""
-    return WDRep([Block(CharPart(_TRIV), int(n))])
+    return WDRep([Block(_TRIV, int(n))])
 
 
 _SP0 = sp(0)
 
 
 def char_rep(chi: Character, n: int = 0) -> WDRep:
-    return WDRep([Block(CharPart(chi), n)])
+    return WDRep([Block(chi, n)])
 
 
 def dual(w: WDRep) -> WDRep:
@@ -221,7 +195,7 @@ def dual(w: WDRep) -> WDRep:
 
 
 def twist(w: WDRep, chi: Character) -> WDRep:
-    return WDRep(Block(part_twist(b.part, chi), b.n) for b in w.blocks)
+    return WDRep(Block(b.part * chi, b.n) for b in w.blocks)
 
 
 def sp_tensor(m: int, n: int) -> tuple[int, ...]:
@@ -240,10 +214,10 @@ def sp_tensor(m: int, n: int) -> tuple[int, ...]:
 
 def _part_product(p: WeilPart, q: WeilPart) -> WeilPart:
     # a product with a character is a twist by it
-    if isinstance(q, CharPart):
-        return part_twist(p, q.char)
-    if isinstance(p, CharPart):
-        return part_twist(q, p.char)
+    if isinstance(q, Character):
+        return p * q
+    if isinstance(p, Character):
+        return q * p
     raise UnsupportedTensor(
         "tensor of two irreducible parts (%s, %s) has no declared block "
         "decomposition" % (p.label, q.label))
@@ -272,14 +246,13 @@ def _unramified_lines(w1: WDRep, w2: WDRep, what: str):
     for b1 in w1.blocks:
         for b2 in w2.blocks:
             p, q = b1.part, b2.part
-            if isinstance(p, CharPart) and isinstance(q, CharPart):
-                a, b = p.char, q.char
-                if not a.tag and not b.tag:
-                    yield a.satake * b.satake, sp_tensor(b1.n, b2.n)
-                elif a.tag and b.tag:
+            if isinstance(p, Character) and isinstance(q, Character):
+                if not p.tag and not q.tag:
+                    yield p.satake * q.satake, sp_tensor(b1.n, b2.n)
+                elif p.tag and q.tag:
                     # the tags may cancel; ramified times unramified, in a
                     # free tag group, cannot
-                    chi = a * b
+                    chi = p * q
                     if chi.is_unramified:
                         yield chi.satake, sp_tensor(b1.n, b2.n)
             elif (isinstance(p, IrredPart) and isinstance(q, IrredPart)
@@ -315,6 +288,6 @@ def similitude_check(w: WDRep, chi: Character) -> bool:
     sorted by Block.sort_key, two blocks are equal exactly when their keys
     are, and the dual twist keeps each block's n.
     """
-    keys = sorted([(part_twist(part_dual(b.part), chi).sort_key(), b.n)
+    keys = sorted([((part_dual(b.part) * chi).sort_key(), b.n)
                    for b in w.blocks])
     return keys == [b.sort_key() for b in w.blocks]

@@ -12,6 +12,7 @@ from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
                           type_X, type_XIa)
 from lfac.chars import Character
 from lfac.cli import main
+from lfac.dsl import evaluate_text
 from lfac.errors import (CatalogFormatError, CentralCharacterMismatch,
                          SimilitudeViolation, TypeConstraintViolation,
                          UnsupportedPair)
@@ -21,6 +22,7 @@ from lfac.wdrep import IrredPart, char_rep, lfactor, tensor_lfactor
 a = Scalar.symbol("a")
 b = Scalar.symbol("b")
 c = Scalar.symbol("c")
+v = Scalar.v_power(1)
 unr = Character.unramified
 ram = Character.ramified
 absval = Character.absval
@@ -299,6 +301,19 @@ def test_trivial_det_requirement():
         from_catalog("XIa", {"rho": rho, "sigma": unr(a)})
 
 
+def test_trivial_det_requirement_on_a_char_param(tmp_path):
+    # a character is its own determinant
+    f = tmp_path / "cat.txt"
+    f.write_text("catalog-format 1\ntype T\nparams s:char\n"
+                 "require trivial-det s\nblock s sp 1\nsimilitude s^2\n")
+    shapes = load_catalog(f)
+    p = evaluate_text("gsp4.T(unr(1))", catalog=shapes)
+    assert (p.st_type, p.rep) == ("T", char_rep(unr(1), 1))
+    with pytest.raises(TypeConstraintViolation) as ex:
+        evaluate_text("gsp4.T(unr(a))", catalog=shapes)
+    assert str(ex.value) == "shape T requires det(s) trivial"
+
+
 # ------------------------------------------------------------------ pairing
 
 def test_nov_lfactor_matches_tensor():
@@ -324,3 +339,22 @@ def test_substitute_threads_through():
     q = p.substitute({"a": 2, "b": 3})
     assert q.similitude == unr(Scalar.from_rational(6))
     assert str(q.lfactor()) == "1/((1 - 2*v^-1*X)(1 - 3*v^-1*X))"
+
+
+@pytest.mark.parametrize("values", [{"a": 3}, {"a": 2, "b": 5}],
+                         ids=["a", "ab"])
+@pytest.mark.parametrize("build", [
+    # a theta field holding two GL(2) parameters
+    lambda a, b: theta_lift(principal_series(unr(a), unr(b)),
+                            supercuspidal("l", unr(a * b))),
+    # an args tuple mixing a label with characters
+    lambda a, b: type_X("l", unr(b), unr(a)),
+    # an irreducible part with a selfdual_twist
+    lambda a, b: sc_irred4("l4", unr(a)),
+    # a reducible principal series, its orientation kept
+    lambda a, b: principal_series(unr(a), unr(a * v ** 2), reducible=True),
+], ids=["theta", "label-args", "selfdual-twist", "reducible"])
+def test_substitute_equals_the_substituted_build(build, values):
+    x = build(a, b)
+    want = build(a.substitute(values), b.substitute(values))
+    assert x.substitute(values) == want and want != x

@@ -375,6 +375,15 @@ def test_verify_json_reports(capsys):
     assert doc["reports"][0]["trials"] >= 3
 
 
+def test_ideals_json_payload(capsys):
+    # the command prints both generators as factored objects
+    assert main(["ideals", "gsp4.VIa(unr(a))", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(doc["ideals"]) == ["J", "K"]
+    assert [doc["ideals"][k]["kind"] for k in "JK"] == ["factored", "factored"]
+    assert doc["ideals"]["K"]["text"] == "(1 - a*v^-1*X)"
+
+
 def test_verify_failure_exit_1(capsys, monkeypatch):
     def losing_suite(trials, seed, profile):
         report = CheckReport("lemma71", trials)
@@ -384,6 +393,22 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert main(["verify", "--suite", "lemma71", "--trials", "2"]) == 1
     out, _ = capsys.readouterr()
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_2_without_traceback(fmt, unbuffered):
+    # the reader goes away first: an unbuffered stdout fails in the print,
+    # a buffered one in the flush; either way it is an io error, exit 2
+    src = str(pathlib.Path(lfac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "lfac", "verify",
+                             "--trials", "3", "--format", fmt], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 # ------------------------------------------------------------ fuzzed argv

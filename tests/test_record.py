@@ -1,6 +1,7 @@
 """The value records keep the behaviour of the frozen dataclasses they
 replaced: field order, repr, equality within one class, the hash of the
-field tuple, refusal of assignment, replace() and __post_init__ checks."""
+field tuple, refusal of assignment, replace() and __post_init__ checks;
+and each substitutes symbol values through the one Record.substitute."""
 
 import typing
 
@@ -16,14 +17,13 @@ from lfac.record import Record
 from lfac.scalar import Scalar
 from lfac.splitrat import IdealGen, ideal_generator
 from lfac.verify import CheckReport, Failure, TrialProfile
-from lfac.wdrep import SP_MAX, Block, CharPart, IrredPart
+from lfac.wdrep import SP_MAX, Block, IrredPart
 
 unr = Character.unramified(Scalar.symbol("a"))
 VIA, ST = type_VIa(unr), steinberg()
 
 # every former dataclass with its fields in declaration order, and a value
 FIELDS = {
-    CharPart: ("char",),
     IrredPart: ("dim", "label", "starred", "twist", "base_det",
                 "selfdual_twist"),
     Block: ("part", "n"),
@@ -46,9 +46,8 @@ FIELDS = {
 def _examples():
     report = exceptional_poles(VIA, ST)
     return {
-        CharPart: CharPart(unr),
         IrredPart: IrredPart(2, "t1", base_det=unr),
-        Block: Block(CharPart(unr), 1),
+        Block: Block(unr, 1),
         Gl2Param: ST,
         Gsp4Param: VIA,
         CatalogShape: default_catalog()["VIa"],
@@ -69,7 +68,7 @@ CLASSES = list(FIELDS)
 
 
 def test_every_record_is_listed():
-    assert len(CLASSES) == 15
+    assert len(CLASSES) == 14
     assert all(issubclass(cls, Record) for cls in CLASSES)
     assert all(type(EXAMPLES[cls]) is cls for cls in CLASSES)
 
@@ -97,7 +96,7 @@ def test_annotations_resolve(cls):
 
 def test_repr_examples():
     assert repr(EXAMPLES[Block]) == \
-        "Block(part=CharPart(char=Character(unr(a))), n=1)"
+        "Block(part=Character(unr(a)), n=1)"
     assert repr(TrialProfile(3)) == ("TrialProfile(seed=3, block_budget=4, "
                                      "max_sp=3, symbol_pool=4, "
                                      "allow_irred=False)")
@@ -145,11 +144,30 @@ def test_replace(cls):
         x.replace(nope=1)
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_substitute(cls):
+    # a field that substitutes is substituted, a tuple item by item, and
+    # any other field is kept as the same object
+    x = EXAMPLES[cls]
+    y = x.substitute({"a": 3})
+    assert type(y) is cls
+    for f in FIELDS[cls]:
+        old, new = getattr(x, f), getattr(y, f)
+        if hasattr(old, "substitute"):
+            assert new == old.substitute({"a": 3})
+        elif isinstance(old, tuple):
+            assert len(new) == len(old)
+        else:
+            assert new is old
+    assert EXAMPLES[Block].substitute({"a": 3}) \
+        == Block(Character.unramified(Scalar.from_rational(3)), 1)
+
+
 def test_construction_errors():
     with pytest.raises(TypeError, match="missing argument 'detail'"):
         Failure(1, 2)
     with pytest.raises(TypeError):
-        Block(CharPart(unr))
+        Block(unr)
     with pytest.raises(TypeError):
         Failure(1, 2, "x", 4)
     with pytest.raises(TypeError, match="unexpected or repeated"):

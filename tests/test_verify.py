@@ -16,8 +16,7 @@ from lfac.verify import (_LETTERS, TRIAL_STRIDE, CheckReport, Failure,
                          random_pairing, random_rep, run_suite,
                          theoremA_fixed_cases)
 from lfac.catalog import theta_lift
-from lfac.wdrep import (Block, CharPart, char_rep, dual, similitude_check,
-                        twist)
+from lfac.wdrep import Block, char_rep, dual, similitude_check, twist
 
 from oracle import numeric_equal, numeric_second_opinion
 

@@ -9,7 +9,7 @@ from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.verify import TrialProfile, random_rep
 from lfac.render import text
-from lfac.wdrep import (BLOCK_MAX, SP_MAX, Block, CharPart, IrredPart, WDRep,
+from lfac.wdrep import (BLOCK_MAX, SP_MAX, Block, IrredPart, WDRep,
                         char_rep, dual, lfactor, part_dual, similitude_check,
                         sp, sp_tensor,
                         tensor, tensor_lfactor,
@@ -46,19 +46,19 @@ def test_blocks_sorted_multiset():
     w1 = char_rep(unr(a)) + char_rep(unr(b))
     w2 = char_rep(unr(b)) + char_rep(unr(a))
     assert w1 == w2
-    assert (w1 + w1).blocks.count(Block(CharPart(unr(a)), 0)) == 2
+    assert (w1 + w1).blocks.count(Block(unr(a), 0)) == 2
 
 
 def test_dual_char_parts():
     w = char_rep(unr(a), 1) + char_rep(ram("eta", b))
     assert dual(dual(w)) == w
-    sat = [bl.part.char.satake for bl in dual(w).blocks]
+    sat = [bl.part.satake for bl in dual(w).blocks]
     assert a ** -1 in sat and b ** -1 in sat
 
 
 def test_dual_dim2_uses_determinant():
     rho = IrredPart(2, "t", base_det=unr(a))
-    assert part_dual(rho) == rho.twisted(unr(a).inverse())
+    assert part_dual(rho) == rho * unr(a).inverse()
     assert part_dual(part_dual(rho)) == rho
 
 
@@ -70,20 +70,20 @@ def test_dual_star_toggle():
 
 def test_dual_declared_selfdual():
     rho = IrredPart(4, "l", base_det=unr(a) ** 2, selfdual_twist=unr(a).inverse())
-    assert part_dual(rho) == rho.twisted(unr(a).inverse())
+    assert part_dual(rho) == rho * unr(a).inverse()
     assert part_dual(part_dual(rho)) == rho
 
 
 def test_twist_composes():
     w = char_rep(unr(a), 1)
     assert twist(twist(w, unr(b)), unr(b).inverse()) == w
-    assert twist(w, unr(b)).blocks[0].part.char == unr(a * b)
+    assert twist(w, unr(b)).blocks[0].part == unr(a * b)
 
 
 def test_tensor_char_blocks():
     w = tensor(char_rep(unr(a), 1), char_rep(unr(b), 2))
     assert [bl.n for bl in w.blocks] == [1, 3]
-    assert [bl.part.char for bl in w.blocks] == [unr(a * b), unr(a * b)]
+    assert [bl.part for bl in w.blocks] == [unr(a * b), unr(a * b)]
 
 
 def test_tensor_rejects_irred_pairs():
@@ -116,7 +116,7 @@ def test_tensor_lfactor_matches_tensor_when_total():
 
 
 def _char_blocks(w):
-    return WDRep(bl for bl in w.blocks if isinstance(bl.part, CharPart))
+    return WDRep(bl for bl in w.blocks if isinstance(bl.part, Character))
 
 
 @pytest.mark.parametrize("allow_irred", [False, True])
@@ -152,8 +152,8 @@ def _per_block_lfactor(w):
     out = SplitRational.one()
     for blk in w.blocks:
         p = blk.part
-        if isinstance(p, CharPart) and p.char.is_unramified:
-            out = out * SplitRational.from_poles([p.char.satake * v ** -blk.n])
+        if isinstance(p, Character) and p.is_unramified:
+            out = out * SplitRational.from_poles([p.satake * v ** -blk.n])
     return out
 
 
@@ -184,7 +184,7 @@ def test_lfactor_builds_one_split_rational(monkeypatch):
                         classmethod(counting_canonical))
     per_call = set()
     for k in (1, 10, 60):
-        w = WDRep(Block(CharPart(unr(a * v ** i)), i % 4) for i in range(k))
+        w = WDRep(Block(unr(a * v ** i), i % 4) for i in range(k))
         for f in (lfactor, lambda w: tensor_lfactor(w, sp(3))):
             calls.clear()
             f(w)
@@ -196,7 +196,7 @@ def test_lfactor_builds_one_split_rational(monkeypatch):
     lambda: sp(SP_MAX + 1),
     lambda: char_rep(unr(a), SP_MAX + 1),
     lambda: tensor(sp(SP_MAX // 2 + 1), sp(SP_MAX // 2)),
-    lambda: Block(CharPart(unr(a)), -1),
+    lambda: Block(unr(a), -1),
 ], ids=["sp", "char_rep", "tensor", "negative"])
 def test_sp_index_bound(build):
     with pytest.raises(LfacValueError, match="sp index"):
@@ -205,7 +205,7 @@ def test_sp_index_bound(build):
 
 def test_tensor_block_bound(monkeypatch):
     # the count is exact: BLOCK_MAX one-block products pass, one more fails
-    ones = [Block(CharPart(unr(a)), 0)] * BLOCK_MAX
+    ones = [Block(unr(a), 0)] * BLOCK_MAX
     assert len(tensor(WDRep(ones), sp(0)).blocks) == BLOCK_MAX
     assert len(evaluate_text("sp(30) x sp(30) x sp(30)").blocks) == 721
     assert len(evaluate_text("(unr(a) x sp(500)) x sp(500)").blocks) == 501
@@ -284,7 +284,7 @@ def test_similitude_check_irred4_without_selfdual_twist():
     # the dual of a 4-dimensional part with no declared self-duality is starred
     rho = IrredPart(4, "l4", twist=unr(b), base_det=unr(a))
     chi = unr(a * b)
-    w = WDRep([Block(rho, 1), Block(part_dual(rho).twisted(chi), 1)])
+    w = WDRep([Block(rho, 1), Block(part_dual(rho) * chi, 1)])
     assert part_dual(rho).starred
     assert similitude_check(w, chi) and twist(dual(w), chi) == w
     for w2, chi2 in ((w, chi * unr(v)), (WDRep([Block(rho, 1)]), chi),
@@ -313,10 +313,26 @@ def test_ramified_tensor_lines(other, poles):
     assert tensor_lfactor(w1s, w2s) == lfactor(tensor(w1s, w2s))
 
 
+def _nested_block_key(blk):
+    # the order of blocks when a character part was wrapped in a record of
+    # its own, with the key (0, (tag, satake key))
+    p = blk.part
+    if isinstance(p, Character):
+        return ((0, (p.tag, p.satake.sort_key())), blk.n)
+    return (p.sort_key(), blk.n)
+
+
+def test_block_order_matches_the_nested_key():
+    for seed in range(200):
+        w = random_rep(TrialProfile(seed, block_budget=8, max_sp=5,
+                                    allow_irred=True))
+        assert list(w.blocks) == sorted(w.blocks, key=_nested_block_key), seed
+
+
 def test_substitute_threads_through():
     w = char_rep(unr(a), 1) + WDRep([Block(IrredPart(2, "t", twist=unr(b)), 0)])
     s = w.substitute({"a": 2, "b": 3})
-    chars = [bl.part.char if isinstance(bl.part, CharPart) else bl.part.twist
+    chars = [bl.part if isinstance(bl.part, Character) else bl.part.twist
              for bl in s.blocks]
     assert unr(Scalar.from_rational(2)) in chars
     assert unr(Scalar.from_rational(3)) in chars

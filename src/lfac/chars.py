@@ -11,7 +11,7 @@ unramified quadratic character is available as value -1.
 from __future__ import annotations
 
 from .errors import LfacValueError, _printable
-from .scalar import Scalar, _check_name, half_integer
+from .scalar import Scalar, _check_name, _integer, half_integer
 
 __all__ = ["Character"]
 
@@ -24,7 +24,7 @@ def _norm_tag(tag) -> tuple:
     acc: dict[str, int] = {}
     for name, e in items:
         _check_name(name)
-        acc[name] = acc.get(name, 0) + int(e)
+        acc[name] = acc.get(name, 0) + _integer(e)
     return tuple(sorted((n, e) for n, e in acc.items() if e))
 
 
@@ -94,7 +94,11 @@ class Character:
         return Character._raw(self.tag or other.tag, satake)
 
     def __pow__(self, n):
-        n = int(n)
+        if type(n) is not int:
+            try:
+                n = _integer(n)
+            except TypeError:
+                return NotImplemented
         if n == 0:
             return _TRIVIAL
         # scaling every exponent by n != 0 keeps the tag sorted and nonzero

@@ -27,7 +27,9 @@ class LfacValueError(LfacError, ValueError):
     representation of more than BLOCK_MAX blocks, a power of more than
     POWER_TERMS_MAX terms or with coefficients of more than POWER_DIGITS_MAX
     digits (estimated before it is computed, for a one-term base such as
-    3^20000000 as for a sum), a bad or reserved symbol name."""
+    3^20000000 as for a sum), an exponent or sp index that is a number
+    but not an integer (such as 1/2 or 1.5), a bad or reserved symbol
+    name."""
 
 
 def _printable(to_text):

@@ -27,10 +27,14 @@ Arithmetic is computed here on exponent vectors:
 * every integer power: if p/q is reduced with q monic, so is p**n/q**n; a
   power estimated past POWER_TERMS_MAX terms, or with coefficients
   estimated past POWER_DIGITS_MAX digits, is refused before it expands.
-  That holds for a one-term base too, whose coefficient c**n is refused
-  when n * log10(max(|p|, q)) passes the bound for c = p/q in lowest
-  terms, so 3^20000000 is refused at once while v^-99999999999 (c = 1) and
-  2^14000 (4215 digits) are not;
+  A power of a Laurent monomial c * gens**e, the constants included, is
+  c**n * gens**(n*e) on its exponent vectors: nothing expands, a
+  coefficient of 1 is not raised, and c**n is refused when
+  n * log10(max(|p|, q)) passes the digit bound for c = p/q in lowest
+  terms, so 3^20000000 and (2*a)^99999 are refused at once while
+  v^-99999999999 (c = 1) and 2^14000 (4215 digits) are not.  An exponent
+  that is a number but not an integer, such as 1/2 or 1.5, is refused,
+  not truncated;
 * every quotient, as the product with the inverse, which is reduced too;
 * every other product, of reduced fractions n1/d1 * n2/d2, whose gcd is
   gcd(n1, d2) * gcd(n2, d1) (_product);
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import re
 from fractions import Fraction
@@ -93,6 +98,28 @@ def half_integer(t) -> Fraction:
     if f.denominator not in (1, 2):
         raise HalfIntegerError("not a half-integer: %s" % (t,))
     return f
+
+
+def _integer(n) -> int:
+    """n as an int, for an exponent or an index: a number equal to an
+    integer, such as Fraction(4, 2) or 2.0, is that integer; any other
+    number raises LfacValueError, and a value that is not a number
+    TypeError.  The hot callers test type(n) is int before the call.
+
+    >>> _integer(Fraction(4, 2)), _integer(-3.0)
+    (2, -3)
+    """
+    if type(n) is int:
+        return n
+    if not isinstance(n, numbers.Number):
+        raise TypeError("not a number: %r" % (n,))
+    try:
+        f = Fraction(n)
+    except (TypeError, ValueError, OverflowError):  # complex, nan, inf
+        f = None
+    if f is None or f.denominator != 1:
+        raise LfacValueError("not an integer: %s" % (n,))
+    return f.numerator
 
 
 def _check_name(name: str) -> str:
@@ -176,6 +203,14 @@ def _power_digits(terms, n: int) -> float:
     # POWER_DIGITS_MAX changes no verdict, and a huge n cannot overflow the
     # float product
     return min(n, 4 * POWER_DIGITS_MAX) * math.log10(m)
+
+
+def _check_power_digits(n: int, *sides) -> None:
+    """Refuse the n-th power of a fraction whose sides have these terms
+    when _power_digits passes POWER_DIGITS_MAX on either side."""
+    if max([_power_digits(terms, n) for terms in sides]) > POWER_DIGITS_MAX:
+        raise LfacValueError("power too large: coefficients of more than "
+                             "%d digits" % POWER_DIGITS_MAX)
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -385,7 +420,8 @@ class Scalar:
     @classmethod
     def v_power(cls, k: int) -> "Scalar":
         """v**k for any integer k (negative allowed)."""
-        k = int(k)
+        if type(k) is not int:
+            k = _integer(k)
         if k == 0:
             return _ONE
         if k > 0:
@@ -459,7 +495,8 @@ class Scalar:
         >>> str(((a + Scalar.v_power(1)) / Scalar.v_power(2)).times_v(3))
         'a*v + v^2'
         """
-        k = int(k)
+        if type(k) is not int:
+            k = _integer(k)
         if not k or not self._num:
             return self
         gens, num, den = self._gens, self._num, self._den
@@ -600,7 +637,11 @@ class Scalar:
         return Scalar(self._gens, tuple((e, -c) for e, c in self._num), self._den)
 
     def __pow__(self, n):
-        n = int(n)
+        if type(n) is not int:
+            try:
+                n = _integer(n)
+            except TypeError:
+                return NotImplemented
         if n == 0:
             return _ONE
         if self.is_zero:
@@ -619,13 +660,19 @@ class Scalar:
                 den = tuple([(e, d / c) for e, d in den])
         if n == 1:
             return Scalar(self._gens, num, den)
+        if len(num) == len(den) == 1:
+            # a Laurent monomial: scaling both exponent vectors by n keeps
+            # every gen used, and the denominator's coefficient stays 1
+            ((en, c),), ((ed, one),) = num, den
+            if c != 1:
+                _check_power_digits(n, num)
+                c = c ** n
+            return Scalar(self._gens, ((tuple([k * n for k in en]), c),),
+                          ((tuple([k * n for k in ed]), one),))
         if max(_power_terms(num, n), _power_terms(den, n)) > POWER_TERMS_MAX:
             raise LfacValueError("power too large: more than %d terms"
                                  % POWER_TERMS_MAX)
-        if max(_power_digits(num, n),
-               _power_digits(den, n)) > POWER_DIGITS_MAX:
-            raise LfacValueError("power too large: coefficients of more "
-                                 "than %d digits" % POWER_DIGITS_MAX)
+        _check_power_digits(n, num, den)
         return Scalar(self._gens, _poly_pow(num, n), _poly_pow(den, n))
 
     def inverse(self) -> "Scalar":

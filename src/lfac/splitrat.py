@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import LfacValueError, ScalarDomainError, _printable
 from .record import Record
-from .scalar import Scalar, half_integer
+from .scalar import Scalar, _integer, half_integer
 
 __all__ = ["SplitRational", "IdealGen", "ideal_generator"]
 
@@ -87,12 +87,12 @@ class SplitRational:
         merged: dict[Scalar, int] = {}
         for beta, e in factors:
             beta = _as_scalar(beta)
-            e = int(e)
+            e = _integer(e)
             if e == 0 or beta.is_zero:  # (1 - 0*X) is the empty factor
                 continue
             merged[beta] = merged.get(beta, 0) + e
         self.unit = unit
-        self.xpower = int(xpower)
+        self.xpower = _integer(xpower)
         self.factors = _sorted_factors(merged.items())
 
     @classmethod
@@ -145,7 +145,11 @@ class SplitRational:
         return self * other.inverse()
 
     def __pow__(self, n):
-        n = int(n)
+        if type(n) is not int:
+            try:
+                n = _integer(n)
+            except TypeError:
+                return NotImplemented
         if n == 0:
             return SplitRational._canonical(Scalar.one, 0, ())
         # scaling the exponents by n != 0 keeps the bases and their order

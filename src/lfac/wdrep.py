@@ -23,7 +23,7 @@ from __future__ import annotations
 from .chars import Character
 from .errors import LfacValueError, UnsupportedTensor
 from .record import Record
-from .scalar import Scalar
+from .scalar import Scalar, _integer
 from .splitrat import SplitRational
 
 __all__ = ["IrredPart", "Block", "WDRep", "SP_MAX", "BLOCK_MAX",
@@ -180,7 +180,7 @@ class WDRep:
 
 def sp(n: int) -> WDRep:
     """The single block trivial (x) sp(n) as a representation."""
-    return WDRep([Block(_TRIV, int(n))])
+    return WDRep([Block(_TRIV, _integer(n))])
 
 
 _SP0 = sp(0)
@@ -206,7 +206,7 @@ def sp_tensor(m: int, n: int) -> tuple[int, ...]:
     >>> sp_tensor(0, 1)
     (1,)
     """
-    m, n = int(m), int(n)
+    m, n = _integer(m), _integer(n)
     if m < 0 or n < 0:
         raise LfacValueError("sp indices must be >= 0")
     return tuple(range(abs(m - n), m + n + 1, 2))

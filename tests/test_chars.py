@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac.chars import Character
+from lfac.errors import LfacValueError
 from lfac.scalar import Scalar
 
 a = Scalar.symbol("a")
@@ -89,6 +90,18 @@ def test_absval():
     assert Character.absval(1).satake == v ** -2
     assert Character.absval(Fraction(-1, 2)).satake == v
     assert Character.absval(0).is_trivial
+
+
+def test_exponents_must_be_integers():
+    assert unr(a) ** Fraction(4, 2) == unr(a * a)
+    assert Character((("eta", 2.0),)) == ram("eta") ** 2
+    for n in (Fraction(1, 2), 1.5):
+        with pytest.raises(LfacValueError, match="not an integer"):
+            unr(a) ** n
+        with pytest.raises(LfacValueError, match="not an integer"):
+            Character((("eta", n),))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        unr(a) ** "x"
 
 
 def test_zero_satake_rejected():

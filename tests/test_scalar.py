@@ -59,6 +59,22 @@ def test_pow_conventions():
     assert a ** -2 == 1 / (a * a)
 
 
+def test_exponents_must_be_integers():
+    # a number equal to an integer is that integer; any other is refused,
+    # not truncated, and a value that is no number is left to Python
+    assert a ** Fraction(4, 2) == a ** 2.0 == a * a
+    assert Scalar.v_power(Fraction(-6, 3)) == v ** -2 == v.times_v(-3.0)
+    for n in (Fraction(1, 2), 1.5, -0.5, float("nan"), float("inf"), 1j):
+        with pytest.raises(LfacValueError, match="not an integer"):
+            a ** n
+        with pytest.raises(LfacValueError, match="not an integer"):
+            Scalar.v_power(n)
+        with pytest.raises(LfacValueError, match="not an integer"):
+            a.times_v(n)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        a ** "x"
+
+
 def test_str_monomial_mode():
     assert str(a * v ** -3) == "a*v^-3"
     assert str(2 * a * b ** 2) == "2*a*b^2"
@@ -292,15 +308,49 @@ def test_monomial_hash_is_route_free(pair, k):
     routes = [(m, scalar_canonicalize(str(m)), binary(x, y, operator.mul)),
               (m.times_v(k), m._monomial_product(w), w * m,
                scalar_canonicalize(str(m.times_v(k)))),
-              (m ** 2, m._monomial_product(m), scalar_canonicalize(str(m ** 2))),
               (m ** -1, (Scalar.one / m), scalar_canonicalize(str(m ** -1))),
               (m ** 0, Scalar.one, Fraction(1))]
+    for n in (2, 3, -2, -3):
+        routes.append((m ** n, _product_power(m, n), _sympy_pow(m, n),
+                       scalar_canonicalize(str(m ** n))))
     for built in routes:
         built = [scalar_canonicalize(z) for z in built]
         assert len({_form(z) for z in built}) == 1
         assert len({hash(z) for z in built}) == 1
         if not built[0].symbols:
             assert hash(built[0]) == hash(built[0].as_fraction())
+
+
+def _product_power(m, n):
+    """m ** n for a Laurent monomial m and n != 0, as repeated products of
+    m, or of its inverse from the sympy path, on signed exponent vectors."""
+    base = m if n > 0 else binary(Scalar.one, m, operator.truediv)
+    out = base
+    for _ in range(abs(n) - 1):
+        out = out._monomial_product(base)
+    return out
+
+
+@st.composite
+def laurent_monomials(draw):
+    """Nonzero Laurent monomials over a, b and v, built by the sympy path
+    alone, with a coefficient of +-1 or a negative or fractional one."""
+    coeff = draw(st.one_of(st.sampled_from([1, -1]),
+                           st.fractions(-9, 9, max_denominator=8).filter(bool)))
+    s = Scalar.from_rational(coeff)
+    for g in draw(st.lists(st.sampled_from("abv"), unique=True)):
+        s = binary(s, _sympy_pow(Scalar.symbol(g), draw(exps.filter(bool))),
+                   operator.mul)
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_monomials(), st.integers(-6, 6).filter(bool))
+def test_monomial_power_matches_general_route(m, n):
+    assert len(m._num) == len(m._den) == 1
+    fast = m ** n
+    _same(fast, _sympy_pow(m, n))
+    _same(fast, _product_power(m, n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -649,6 +699,23 @@ def test_power_bound():
             (a + b) ** -99999
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_power_bound_on_monomials_with_gens():
+    # the one digit rule, n * log10(max(|p|, q)) for the coefficient p/q,
+    # holds for a Laurent monomial with gens as for a rational constant
+    for x, n in ((2 * a, 99999), (2 * a * v, -99999),
+                 (Fraction(2, 3) * a, 9100)):
+        start = time.perf_counter()
+        with pytest.raises(LfacValueError,
+                           match="more than %d digits" % POWER_DIGITS_MAX):
+            x ** n
+        assert time.perf_counter() - start < 0.5
+    assert str((2 * a) ** 14000) == "%d*a^14000" % 2 ** 14000
+    assert len(str(2 ** 14000)) == 4215
+    x = (Fraction(2, 3) * a) ** 9000
+    assert str(x) == "%s*a^9000" % (Fraction(2, 3) ** 9000)
+    assert str((Fraction(-2, 3) * a * v ** -2) ** -3) == "-27/8*a^-3*v^6"
 
 
 def test_hash_is_cached_and_route_free():

@@ -55,6 +55,19 @@ def test_mul_div_pow():
     assert (g * h).unit == Scalar.from_rational(3)
 
 
+def test_exponents_must_be_integers():
+    g = SplitRational.from_poles([a])
+    assert g ** Fraction(4, 2) == g ** 2.0 == g * g
+    assert f((a, 2.0), xpower=Fraction(-3, 1)) == f((a, 2), xpower=-3)
+    for n in (Fraction(3, 2), 0.5):
+        for build in (lambda: g ** n, lambda: f((a, n)),
+                      lambda: f(xpower=n)):
+            with pytest.raises(LfacValueError, match="not an integer"):
+                build()
+    with pytest.raises(TypeError, match="unsupported operand"):
+        g ** "x"
+
+
 def test_shift():
     g = f((a, -1), unit=a, xpower=2)
     s = g.shift(Fraction(1, 2))

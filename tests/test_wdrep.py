@@ -28,6 +28,15 @@ def test_sp_tensor_table():
     assert sum(n + 1 for n in sp_tensor(2, 3)) == 12
 
 
+def test_sp_indices_must_be_integers():
+    assert sp(Fraction(4, 2)) == sp(2.0) == sp(2)
+    assert sp_tensor(3.0, Fraction(2, 2)) == sp_tensor(3, 1)
+    for build in (lambda: sp(1.5), lambda: sp_tensor(2, Fraction(1, 2)),
+                  lambda: sp_tensor(0.5, 1)):
+        with pytest.raises(LfacValueError, match="not an integer"):
+            build()
+
+
 def test_block_lfactor():
     assert lfactor(char_rep(unr(a), 3)) == SplitRational.from_poles([a * v ** -3])
     assert lfactor(char_rep(ram("eta", a))).is_one

@@ -3,10 +3,12 @@
 GL(2) parameters come in three kinds (principal series, Steinberg twist,
 supercuspidal).  GSp(4) parameters carry their block representation, a
 similitude character chi with rep^vee (x) chi = rep, and a type tag.  The
-shapes this package states itself (I, IIIa, IVa, VII, VIIIa, IXa, the two
-supercuspidal shapes) are coded below; types IIa, Va, VIa, X and XIa are
-generated at import from the params lines of the transcribed data file
-data/catalog_types.txt, and gsp4_types does the same for another file.
+Sally-Tadic types I, IIa, IIIa, IVa, Va, VIa, VII, VIIIa, IXa, X and XIa are
+shapes of the transcribed data file data/catalog_types.txt, irreducibility
+conditions included as its require lines; their constructors are generated
+at import from its params lines, and gsp4_types layers the shapes of another
+file over them.  Only the shapes the file grammar cannot state are coded
+below: the two supercuspidal shapes sc4 and scpair, and free.
 
 nov_lfactor is the pairing factor computed on the parameter side; for a
 principal-series sigma it automatically agrees with the product over the two
@@ -70,7 +72,8 @@ def principal_series(chi1: Character, chi2: Character,
     if tag and not reducible:
         raise TypeConstraintViolation(
             "principal series with ratio |.|^{+-1} is reducible; pass "
-            "reducible=True to construct it anyway")
+            "reducible=True, or red as the third argument of gl2.ps, to "
+            "construct it anyway")
     return Gl2Param(char_rep(chi1) + char_rep(chi2), chi1 * chi2,
                     "principal-series", tag)
 
@@ -124,54 +127,6 @@ def free(rep: WDRep, similitude: Character) -> Gsp4Param:
     return _make(rep, similitude, "FREE")
 
 
-def type_I(chi1: Character, chi2: Character, sigma: Character) -> Gsp4Param:
-    """Irreducible Borel-induced type: four lines closed under dual-twist."""
-    for c in (chi1, chi2, chi1 * chi2, chi1 * chi2.inverse()):
-        if _is_absval_square(c, 2) or _is_absval_square(c, -2):
-            raise TypeConstraintViolation(
-                "type I needs chi1, chi2, chi1*chi2, chi1/chi2 away from |.|^{+-1}")
-    rep = (char_rep(sigma) + char_rep(sigma * chi1) + char_rep(sigma * chi2)
-           + char_rep(sigma * chi1 * chi2))
-    return _make(rep, sigma ** 2 * chi1 * chi2, "I", (chi1, chi2, sigma))
-
-
-def type_IIIa(chi1: Character, chi2: Character) -> Gsp4Param:
-    """Two Steinberg blocks with distinct characters; similitude their product."""
-    if chi1 == chi2:
-        raise TypeConstraintViolation("type IIIa needs distinct block characters")
-    ratio = chi1 * chi2.inverse()
-    if _is_absval_square(ratio, 4) or _is_absval_square(ratio, -4):
-        raise TypeConstraintViolation(
-            "type IIIa needs the block-character ratio away from |.|^{+-2}")
-    rep = char_rep(chi1, 1) + char_rep(chi2, 1)
-    return _make(rep, chi1 * chi2, "IIIa", (chi1, chi2))
-
-
-def type_IVa(chi: Character) -> Gsp4Param:
-    """Steinberg type: a single (character) x sp(3) block, similitude chi^2."""
-    return _make(char_rep(chi, 3), chi ** 2, "IVa", (chi,))
-
-
-def type_VII(label: str, det: Character, chi: Character) -> Gsp4Param:
-    if chi.is_trivial:
-        raise TypeConstraintViolation("type VII needs a nontrivial twist "
-                                      "(the trivial one is type VIIIa)")
-    rho = IrredPart(2, label, base_det=det)
-    rep = WDRep([Block(rho, 0), Block(rho * chi, 0)])
-    return _make(rep, chi * det, "VII", (label, det, chi))
-
-
-def type_VIIIa(label: str, det: Character) -> Gsp4Param:
-    rho = IrredPart(2, label, base_det=det)
-    rep = WDRep([Block(rho, 0), Block(rho, 0)])
-    return _make(rep, det, "VIIIa", (label, det))
-
-
-def type_IXa(label: str, det: Character) -> Gsp4Param:
-    rho = IrredPart(2, label, base_det=det)
-    return _make(WDRep([Block(rho, 1)]), det, "IXa", (label, det))
-
-
 def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
     """Supercuspidal with an irreducible 4-dimensional parameter; the declared
     similitude is recorded as self-duality data (det = similitude^2)."""
@@ -206,7 +161,8 @@ def theta_lift(tau1: Gl2Param, tau2: Gl2Param) -> Gsp4Param:
 class CatalogShape(Record):
     name: str
     params: tuple[tuple[str, str], ...]       # (param name, "char" | "irred")
-    requires: tuple[tuple[str, str], ...]     # (constraint, param name)
+    # ("trivial-det", param name) or ("not-absval", expression text, K)
+    requires: tuple[tuple, ...]
     blocks: tuple[tuple[str, int], ...]       # (part expression text, n)
     similitude: str
 
@@ -280,15 +236,24 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
                                              % (where, no, m.group(1)))
                 cur["params"].append((m.group(1), m.group(2)))
         elif word == "require":
-            kind, _, pname = rest.partition(" ")
-            pname = pname.strip()
-            if kind != "trivial-det" or not pname:
+            kind, _, arg = rest.partition(" ")
+            arg = arg.strip()
+            if kind == "not-absval":
+                # EXPR is read on instantiation, like the block expressions
+                text, _, k = arg.rpartition(" ")
+                if not text.strip() or not re.fullmatch(r"[0-9]{1,4}", k):
+                    raise CatalogFormatError("%s:%d: require not-absval needs "
+                                             "an expression and an integer K"
+                                             % (where, no))
+                cur["requires"].append((kind, text.strip(), int(k)))
+                continue
+            if kind != "trivial-det" or not arg:
                 raise CatalogFormatError("%s:%d: unknown requirement %r"
                                          % (where, no, rest))
-            if pname not in dict(cur["params"]):
+            if arg not in dict(cur["params"]):
                 raise CatalogFormatError("%s:%d: require names undeclared "
-                                         "param %r" % (where, no, pname))
-            cur["requires"].append((kind, pname))
+                                         "param %r" % (where, no, arg))
+            cur["requires"].append((kind, arg))
         elif word == "block":
             m = re.match(r"\A(.*)\bsp\s+(\d+)\Z", rest)
             if not m:
@@ -314,23 +279,31 @@ def load_catalog(path=None) -> dict[str, CatalogShape]:
     return shapes
 
 
-def _as_part(value, where: str):
+def _as_part(value, name: str, text: str):
     if isinstance(value, Character):
         return value
     if isinstance(value, WDRep) and len(value.blocks) == 1 \
             and value.blocks[0].n == 0:
         return value.blocks[0].part
-    raise CatalogFormatError("%s: expression is not a single part" % where)
+    raise CatalogFormatError("%s block %r: expression is not a single part"
+                             % (name, text))
+
+
+def _not_absval_text(k: int) -> str:
+    # the condition "not |.|^{+-k/2}" as a refusal names it
+    if k == 0:
+        return "nontrivial"
+    return "away from |.|^{+-%s}" % (k // 2 if k % 2 == 0 else "%d/2" % k)
 
 
 def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
-    """Instantiate a transcribed shape with the given parameter bindings."""
-    from .dsl import evaluate_text  # local import, dsl builds on this module
+    """Instantiate a transcribed shape with the given parameter bindings; the
+    shapes of catalog are layered over the shipped ones."""
+    from .dsl import evaluate_shape_text  # local: dsl builds on this module
 
-    shapes = default_catalog() if catalog is None else catalog
-    if name not in shapes:
+    shape = (catalog or {}).get(name) or _DEFAULT_CATALOG.get(name)
+    if shape is None:
         raise TypeConstraintViolation("no catalog shape named %r" % name)
-    shape = shapes[name]
     if set(values) != {p for p, _ in shape.params}:
         raise TypeConstraintViolation(
             "shape %s takes params %s" % (name, [p for p, _ in shape.params]))
@@ -347,23 +320,32 @@ def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
                 raise TypeConstraintViolation(
                     "param %s of %s must be an irreducible part" % (pname, name))
             env[pname] = WDRep([Block(val, 0)])
-    for kind, pname in shape.requires:
-        if kind == "trivial-det" and not values[pname].det().is_trivial:
-            raise TypeConstraintViolation(
-                "shape %s requires det(%s) trivial" % (name, pname))
 
-    def value(text, where):
+    def value(what, text):
         # the expressions of a shape are read only here, on instantiation
         try:
-            return evaluate_text(text, env=env)
+            return evaluate_shape_text(text, env)
         except (LfacSyntaxError, LfacEvalError) as e:
-            raise CatalogFormatError("%s: %s" % (where, e)) from None
+            raise CatalogFormatError("%s %s %r: %s"
+                                     % (name, what, text, e)) from None
 
-    blocks = []
-    for text, n in shape.blocks:
-        where = "%s block %r" % (name, text)
-        blocks.append(Block(_as_part(value(text, where), where), n))
-    sim = value(shape.similitude, "%s similitude %r" % (name, shape.similitude))
+    for kind, arg, *k in shape.requires:  # k is [K] for not-absval
+        if kind == "trivial-det":
+            if not values[arg].det().is_trivial:
+                raise TypeConstraintViolation(
+                    "shape %s requires det(%s) trivial" % (name, arg))
+            continue
+        chi = value("require", arg)
+        if not isinstance(chi, Character):
+            raise CatalogFormatError("%s require %r: expression is not a "
+                                     "character" % (name, arg))
+        if _is_absval_square(chi, k[0]) or _is_absval_square(chi, -k[0]):
+            raise TypeConstraintViolation("shape %s requires %s %s" % (
+                name, arg, _not_absval_text(k[0])))
+
+    blocks = [Block(_as_part(value("block", text), name, text), n)
+              for text, n in shape.blocks]
+    sim = value("similitude", shape.similitude)
     if not isinstance(sim, Character):
         raise CatalogFormatError("%s: similitude must be a character" % name)
     return _make(WDRep(blocks), sim, name, args)
@@ -383,12 +365,6 @@ class Gsp4Type(Record):
 
 
 _CODED = {t.name: t for t in (
-    Gsp4Type("I", type_I, "ccc"),
-    Gsp4Type("IIIa", type_IIIa, "cc"),
-    Gsp4Type("IVa", type_IVa, "c"),
-    Gsp4Type("VII", type_VII, "lcc"),
-    Gsp4Type("VIIIa", type_VIIIa, "lc"),
-    Gsp4Type("IXa", type_IXa, "lc"),
     Gsp4Type("sc4", sc_irred4, "lc", optional=1),
     Gsp4Type("scpair", sc_pair, "llc", optional=1),
     Gsp4Type("free", free, "rc"),
@@ -398,7 +374,7 @@ _CODED = {t.name: t for t in (
 def _shape_type(shape: CatalogShape, shapes) -> Gsp4Type:
     """The registry row of a shape from its params: a char param is "c", an
     irred param a label and its determinant "lc", or "l" if trivial-det."""
-    trivial = {p for kind, p in shape.requires if kind == "trivial-det"}
+    trivial = {p for kind, p, *_ in shape.requires if kind == "trivial-det"}
     sig = "".join("c" if kind == "char" else "l" if p in trivial else "lc"
                   for p, kind in shape.params)
 
@@ -419,9 +395,10 @@ def _shape_type(shape: CatalogShape, shapes) -> Gsp4Type:
 
 
 def gsp4_types(shapes) -> dict[str, Gsp4Type]:
-    """The coded GSp(4) types plus one generated row per catalog shape."""
-    return {**_CODED, **{name: _shape_type(shape, shapes)
-                         for name, shape in shapes.items()}}
+    """The coded GSp(4) types plus one generated row per shape of the
+    shipped catalog, with the shapes of `shapes` layered over those."""
+    return {**_CODED, **{name: _shape_type(shape, shapes) for name, shape
+                         in {**_DEFAULT_CATALOG, **shapes}.items()}}
 
 
 _DEFAULT_CATALOG = load_catalog()
@@ -431,9 +408,11 @@ def default_catalog() -> dict[str, CatalogShape]:
     return _DEFAULT_CATALOG
 
 
-GSP4_TYPES = gsp4_types(default_catalog())
-type_IIa, type_Va, type_VIa, type_X, type_XIa = (
-    GSP4_TYPES[name].ctor for name in ("IIa", "Va", "VIa", "X", "XIa"))
+GSP4_TYPES = gsp4_types({})
+(type_I, type_IIa, type_IIIa, type_IVa, type_Va, type_VIa, type_VII,
+ type_VIIIa, type_IXa, type_X, type_XIa) = (
+    GSP4_TYPES[name].ctor for name in ("I", "IIa", "IIIa", "IVa", "Va", "VIa",
+                                       "VII", "VIIIa", "IXa", "X", "XIa"))
 
 
 def gsp4_param(name: str, *args, catalog=None) -> Gsp4Param:

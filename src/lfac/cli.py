@@ -24,7 +24,7 @@ def _common_flags(p: argparse.ArgumentParser, catalog=True):
     p.add_argument("--format", choices=("text", "json"), default="text")
     if catalog:
         p.add_argument("--catalog", metavar="FILE",
-                       help="load parameter shapes from FILE instead of the "
+                       help="layer the parameter shapes of FILE over the "
                             "builtin table")
     p.add_argument("--unicode", action="store_true",
                    help="superscripts and tensor signs in text output")

@@ -26,12 +26,14 @@ Every function is one row of the _SIMPLE table: a callable and a signature
 that _fn turns into the handler, with the arity check and the argument
 coercions.
 
-Catalog data files evaluate their block and similitude expressions through
-evaluate_text with the declared parameters bound in env.
+Catalog data files evaluate their block, similitude and require expressions
+through evaluate_shape_text with the declared parameters bound in env; each
+distinct expression text is parsed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -252,7 +254,7 @@ def _as_half(v) -> Fraction:
 
 class _Evaluator:
     def __init__(self, env, fns):
-        self.env = dict(env or {})
+        self.env = env or {}  # read only, so the caller's dict is not copied
         self.fns = fns
 
     def run(self, node):
@@ -486,12 +488,28 @@ _SIMPLE = {name: _fn(ctor, name, *sig) for name, ctor, *sig in (
 
 def evaluate_text(text: str, env=None, catalog=None):
     """Parse and evaluate one expression; env maps names to bound values and
-    the types of the shape table catalog replace the builtin ones."""
+    the types of the shape table catalog are layered over the shipped ones."""
     fns = _SIMPLE if catalog is None else {
-        **{k: f for k, f in _SIMPLE.items() if not k.startswith("gsp4.")},
-        **_gsp4_fns(cat.gsp4_types(catalog))}
+        **_SIMPLE, **_gsp4_fns(cat.gsp4_types(catalog))}
+    return _evaluate(_Parser(text).parse, env, fns)
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_tree(text: str):
+    # lru_cache keeps no exception, so a text that does not parse raises its
+    # syntax error again on every instantiation
+    return _Parser(text).parse()
+
+
+def evaluate_shape_text(text: str, env):
+    """evaluate_text for an expression of a catalog shape: each distinct
+    text is parsed once."""
+    return _evaluate(lambda: _shape_tree(text), env, _SIMPLE)
+
+
+def _evaluate(tree, env, fns):
     try:
-        return _Evaluator(env, fns).run(_Parser(text).parse())
+        return _Evaluator(env, fns).run(tree())
     except RecursionError:
         # the parser refuses nesting past NEST_MAX itself, and a run of '^'
         # is one node; this is left for a caller whose own stack is nearly

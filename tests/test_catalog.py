@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
                           theta_lift, type_I, type_IIa, type_IIIa, type_IVa,
                           type_IXa, type_VIa, type_VII, type_VIIIa, type_Va,
                           type_X, type_XIa)
+from lfac import dsl, render
 from lfac.chars import Character
 from lfac.cli import main
 from lfac.dsl import evaluate_text
@@ -178,9 +180,13 @@ def test_theta_lift():
 
 def test_default_catalog_shapes():
     shapes = default_catalog()
-    assert set(shapes) == {"IIa", "Va", "VIa", "X", "XIa"}
+    assert set(shapes) == {"I", "IIa", "IIIa", "IVa", "Va", "VIa", "VII",
+                           "VIIIa", "IXa", "X", "XIa"}
+    assert set(GSP4_TYPES) == set(shapes) | {"sc4", "scpair", "free"}
     assert shapes["X"].params == (("rho", "irred"), ("sigma", "char"))
     assert shapes["XIa"].requires == (("trivial-det", "rho"),)
+    assert shapes["IIIa"].requires == (("not-absval", "chi1/chi2", 0),
+                                       ("not-absval", "chi1/chi2", 4))
 
 
 def test_load_catalog_roundtrip(tmp_path):
@@ -225,8 +231,15 @@ def test_load_catalog_roundtrip(tmp_path):
                  id="repeated-similitude"),
     pytest.param("catalog-format 1\ntype foo bar\n",
                  ":2: type name 'foo bar'", id="unspellable-type"),
-    pytest.param("catalog-format 1\ntype I\n",
-                 ":2: type I is already declared", id="coded-type-I"),
+    pytest.param("catalog-format 1\ntype sc4\n",
+                 ":2: type sc4 is already declared", id="coded-type-sc4"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\n"
+                 "require not-absval s\n",
+                 ":4: require not-absval needs an expression and an integer K",
+                 id="not-absval-without-K"),
+    pytest.param("catalog-format 1\ntype T\nparams s:char\n"
+                 "require not-absval s -2\n",
+                 ":4: require not-absval needs", id="not-absval-negative-K"),
     pytest.param("catalog-format 1\ntype free\n",
                  ":2: type free is already declared", id="coded-type-free"),
 ])
@@ -243,7 +256,12 @@ def test_load_catalog_rejects(tmp_path, body, fragment):
      "Z block 'unr(a': expected ')' (line 1, col 6)"),
     ("block sigma sp 0\nsimilitude tensor(sigma)",
      "Z similitude 'tensor(sigma)': tensor takes 2 arguments"),
-], ids=["block-syntax", "similitude-eval"])
+    ("require not-absval unr(a 0\nblock sigma sp 0\nsimilitude sigma^2",
+     "Z require 'unr(a': expected ')' (line 1, col 6)"),
+    ("require not-absval sigma x sigma 2\nblock sigma sp 0\n"
+     "similitude sigma^2",
+     "Z require 'sigma x sigma': expression is not a character"),
+], ids=["block-syntax", "similitude-eval", "require-syntax", "require-kind"])
 def test_expression_errors_name_type_and_text(tmp_path, capsys, body, message):
     f = tmp_path / "cat.txt"
     f.write_text("catalog-format 1\ntype Z\nparams sigma:char\n" + body + "\n")
@@ -264,10 +282,11 @@ def test_expression_errors_name_type_and_text(tmp_path, capsys, body, message):
 def test_types_generated_from_params(three_shape_catalog):
     shapes = load_catalog(three_shape_catalog)
     types = gsp4_types(shapes)
-    data_file = {"IIa", "Va", "VIa", "X", "XIa"}
-    assert set(types) == set(GSP4_TYPES) - data_file | {"T", "Y", "Z"}
-    assert [GSP4_TYPES[n].sig for n in sorted(data_file)] \
-        == ["cc", "c", "c", "lcc", "lc"]
+    # the file's types are layered over the shipped ones
+    assert set(types) == set(GSP4_TYPES) | {"T", "Y", "Z"}
+    assert [GSP4_TYPES[n].sig for n in ("I", "IIa", "IIIa", "IVa", "Va", "VIa",
+                                        "VII", "VIIIa", "IXa", "X", "XIa")] \
+        == ["ccc", "cc", "cc", "c", "c", "c", "lcc", "lc", "lc", "lcc", "lc"]
     assert [types[n].sig for n in "TYZ"] == ["c", "lcc", "cl"]
     p = gsp4_param("Z", unr(a), "l", catalog=shapes)
     assert p == from_catalog("Z", {"sigma": unr(a), "rho": IrredPart(2, "l")},
@@ -275,8 +294,8 @@ def test_types_generated_from_params(three_shape_catalog):
     assert (p.st_type, p.entry) == ("Z", "Z")
     assert gsp4_param("Y", "l", unr(b), unr(a), catalog=shapes).rep \
         == type_X("l", unr(b), unr(a)).rep
-    with pytest.raises(TypeConstraintViolation):
-        gsp4_param("IIa", unr(a), unr(b), catalog=shapes)
+    assert gsp4_param("IIa", unr(a), unr(b), catalog=shapes) \
+        == type_IIa(unr(a), unr(b))
     with pytest.raises(TypeConstraintViolation):
         types["Y"].ctor("l", unr(a))
     with pytest.raises(TypeConstraintViolation):
@@ -312,6 +331,106 @@ def test_trivial_det_requirement_on_a_char_param(tmp_path):
     with pytest.raises(TypeConstraintViolation) as ex:
         evaluate_text("gsp4.T(unr(a))", catalog=shapes)
     assert str(ex.value) == "shape T requires det(s) trivial"
+
+
+# one row per not-absval line of the shipped file: the type, the condition,
+# the arguments of the points on it (|.|^{K/2} and its mirror |.|^{-K/2})
+# and of a generic point
+NOT_ABSVAL_ROWS = [
+    ("I", "chi1", 2, ["unr(v^-2), unr(b), unr(c)", "unr(v^2), unr(b), unr(c)"],
+     "unr(a), unr(b), unr(c)"),
+    ("I", "chi2", 2, ["unr(a), unr(v^-2), unr(c)", "unr(a), unr(v^2), unr(c)"],
+     "unr(a), unr(b), unr(c)"),
+    ("I", "chi1*chi2", 2, ["unr(a), unr(a^-1*v^-2), unr(c)",
+                           "unr(a), unr(a^-1*v^2), unr(c)"],
+     "unr(a), ram(eta, b), unr(c)"),
+    ("I", "chi1/chi2", 2, ["unr(a), unr(a*v^2), unr(c)",
+                           "unr(a), unr(a*v^-2), unr(c)"],
+     "ram(eta, a), unr(b), unr(c)"),
+    ("IIa", "chi^2", 2, ["unr(v^-1), unr(b)", "unr(v), unr(b)"],
+     "unr(a), unr(b)"),
+    ("IIa", "chi", 3, ["unr(v^-3), unr(b)", "unr(v^3), unr(b)"],
+     "unr(a*v^-3), unr(b)"),
+    ("IIIa", "chi1/chi2", 0, ["unr(a), unr(a)", "ram(eta, a), ram(eta, a)"],
+     "unr(a), unr(b)"),
+    ("IIIa", "chi1/chi2", 4, ["unr(a), unr(a*v^4)", "unr(a), unr(a*v^-4)"],
+     "unr(a), unr(a*v^2)"),
+    ("VII", "chi", 0, ["t1, unr(a), unr(1)"], "t1, unr(a), ram(eta, b)"),
+    ("X", "det(rho)", 2, ["t1, unr(v^-2), unr(b)", "t1, unr(v^2), unr(b)"],
+     "t1, unr(a), unr(b)"),
+]
+
+
+def test_not_absval_rows_cover_the_shipped_file():
+    shipped = [(name, req) for name, shape in default_catalog().items()
+               for req in shape.requires]
+    rows = [(name, ("not-absval", text, k))
+            for name, text, k, _, _ in NOT_ABSVAL_ROWS]
+    # trivial-det, which the constructors cannot break, is tested above
+    assert sorted(shipped) == sorted(rows + [("XIa", ("trivial-det", "rho"))])
+
+
+def _library_args(name: str, text: str) -> list:
+    # labels as the signature reads them, every other argument evaluated
+    args = re.split(r",\s*(?![^()]*\))", text)  # commas outside calls
+    return [arg if kind == "l" else evaluate_text(arg)
+            for kind, arg in zip(GSP4_TYPES[name].sig, args)]
+
+
+@pytest.mark.parametrize("name, cond, k, refused, generic", NOT_ABSVAL_ROWS,
+                         ids=["%s-%s-%d" % row[:3] for row in NOT_ABSVAL_ROWS])
+def test_not_absval_refuses_its_points(capsys, name, cond, k, refused,
+                                       generic):
+    told = ("nontrivial" if k == 0 else "away from |.|^{+-%s}"
+            % (k // 2 if k % 2 == 0 else "%d/2" % k))
+    message = "shape %s requires %s %s" % (name, cond, told)
+    for args in refused:
+        with pytest.raises(TypeConstraintViolation) as ex:
+            gsp4_param(name, *_library_args(name, args))
+        assert str(ex.value) == message
+        assert main(["eval", "gsp4.%s(%s)" % (name, args)]) == 2
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
+    text = "gsp4.%s(%s)" % (name, generic)
+    p = gsp4_param(name, *_library_args(name, generic))
+    assert render.text(p) == text and evaluate_text(text) == p
+    assert main(["eval", text]) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_catalog_file_layers_over_the_shipped_types(tmp_path):
+    f = tmp_path / "cat.txt"
+    f.write_text("catalog-format 1\ntype IIa\nparams sigma:char\n"
+                 "block sigma sp 3\nsimilitude sigma^2\n")
+    shapes = load_catalog(f)
+    assert set(shapes) == {"IIa"}
+    p = gsp4_param("IIa", unr(a), catalog=shapes)
+    assert p.rep == char_rep(unr(a), 3) and p.st_type == "IIa"
+    assert p == from_catalog("IIa", {"sigma": unr(a)}, shapes, (unr(a),))
+    # the types the file does not name are the shipped ones
+    assert gsp4_param("I", unr(a), unr(b), unr(c), catalog=shapes) \
+        == type_I(unr(a), unr(b), unr(c))
+    assert from_catalog("VIa", {"sigma": unr(a)}, shapes) \
+        == from_catalog("VIa", {"sigma": unr(a)})
+
+
+def test_shape_expressions_parse_once(monkeypatch):
+    type_I(unr(a), unr(b), unr(c))
+    parsed = []
+    parser = dsl._Parser
+    monkeypatch.setattr(dsl, "_Parser",
+                        lambda text: parsed.append(text) or parser(text))
+    assert type_I(unr(b), unr(c), unr(a)).st_type == "I"
+    assert parsed == []
+
+
+def test_reducible_principal_series_names_both_flags(capsys):
+    with pytest.raises(TypeConstraintViolation) as ex:
+        principal_series(unr(a), unr(a * v ** 2))
+    assert "reducible=True" in str(ex.value)
+    assert main(["eval", "gl2.ps(unr(a), unr(a*v^2))"]) == 2
+    err = capsys.readouterr().err
+    assert "red as the third argument of gl2.ps" in err
+    assert main(["eval", "gl2.ps(unr(a), unr(a*v^2), red)"]) == 0
 
 
 # ------------------------------------------------------------------ pairing

@@ -246,7 +246,7 @@ def test_json_error_envelope(capsys):
 def test_domain_error_exit_2(capsys):
     assert main(["eval", "gsp4.IIIa(unr(a), unr(a))"]) == 2
     _, err = capsys.readouterr()
-    assert "distinct" in err
+    assert "chi1/chi2 nontrivial" in err
 
 
 @pytest.mark.parametrize("expr", [
@@ -341,11 +341,21 @@ def test_catalog_file_type_evaluates_and_reads_back(three_shape_catalog,
     assert out == "gsp4.T(unr(a))\n"
 
 
-def test_catalog_file_replaces_data_file_types(three_shape_catalog, capsys):
+def test_catalog_file_replaces_data_file_types(three_shape_catalog, tmp_path,
+                                               capsys):
+    # a file type replaces the shipped type of its name, and the shipped
+    # types it does not name stay
+    f = tmp_path / "cat.txt"
+    f.write_text("catalog-format 1\ntype IIa\nparams sigma:char\n"
+                 "block sigma sp 3\nsimilitude sigma^2\n")
+    assert main(["eval", "L(gsp4.IIa(unr(a)))", "--catalog", str(f)]) == 0
+    assert capsys.readouterr().out == "1/(1 - a*v^-3*X)\n"
     assert main(["eval", "gsp4.IIa(unr(a), unr(b))", "--catalog",
-                 three_shape_catalog]) == 2
-    _, err = capsys.readouterr()
-    assert err == "error: unknown function gsp4.IIa\n"
+                 str(f)]) == 2
+    assert capsys.readouterr().err == "error: gsp4.IIa takes 1 argument\n"
+    for expr in ("gsp4.IIa(unr(a), unr(b))", "gsp4.I(unr(a), unr(b), unr(c))"):
+        assert main(["eval", expr, "--catalog", three_shape_catalog]) == 0
+        assert capsys.readouterr().out == expr + "\n"
 
 
 def test_catalog_file_read_once(tmp_path, capsys, monkeypatch):

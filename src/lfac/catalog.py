@@ -5,10 +5,10 @@ supercuspidal).  GSp(4) parameters carry their block representation, a
 similitude character chi with rep^vee (x) chi = rep, and a type tag.  The
 Sally-Tadic types I, IIa, IIIa, IVa, Va, VIa, VII, VIIIa, IXa, X and XIa are
 shapes of the transcribed data file data/catalog_types.txt, irreducibility
-conditions included as its require lines; their constructors are generated
-at import from its params lines, and gsp4_types layers the shapes of another
-file over them.  Only the shapes the file grammar cannot state are coded
-below: the two supercuspidal shapes sc4 and scpair, and free.
+conditions included as its require lines.  Each distinct shape compiles once
+into its registry row, and gsp4_types layers the rows of another file over
+GSP4_TYPES.  Only the shapes the file grammar cannot state are coded below:
+the two supercuspidal shapes sc4 and scpair, and free.
 
 nov_lfactor is the pairing factor computed on the parameter side; for a
 principal-series sigma it automatically agrees with the product over the two
@@ -18,6 +18,7 @@ pairing factors (those agreements are what the verify module rechecks).
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from collections.abc import Callable
@@ -177,18 +178,14 @@ _TYPE_RE = re.compile(r"\A[A-Za-z0-9_]+\Z")   # what gsp4.NAME can spell
 
 def load_catalog(path=None) -> dict[str, CatalogShape]:
     """Parse a catalog data file; default is the one shipped with the package."""
-    if path is None:
-        with open(_BUILTIN_CATALOG, encoding="utf-8") as fh:
+    where = "<builtin catalog>" if path is None else str(path)
+    try:
+        with open(_BUILTIN_CATALOG if path is None else path,
+                  encoding="utf-8") as fh:
             text = fh.read()
-        where = "<builtin catalog>"
-    else:
-        where = str(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as e:
-            raise CatalogFormatError("%s: not UTF-8 text (byte %d)"
-                                     % (where, e.start)) from None
+    except UnicodeDecodeError as e:
+        raise CatalogFormatError("%s: not UTF-8 text (byte %d)"
+                                 % (where, e.start)) from None
 
     lines = text.splitlines()
     if not lines or lines[0].strip() != "catalog-format 1":
@@ -299,56 +296,19 @@ def _not_absval_text(k: int) -> str:
 def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
     """Instantiate a transcribed shape with the given parameter bindings; the
     shapes of catalog are layered over the shipped ones."""
-    from .dsl import evaluate_shape_text  # local: dsl builds on this module
-
     shape = (catalog or {}).get(name) or _DEFAULT_CATALOG.get(name)
     if shape is None:
         raise TypeConstraintViolation("no catalog shape named %r" % name)
     if set(values) != {p for p, _ in shape.params}:
         raise TypeConstraintViolation(
             "shape %s takes params %s" % (name, [p for p, _ in shape.params]))
-    env = {}
-    for pname, kind in shape.params:
-        val = values[pname]
-        if kind == "char":
-            if not isinstance(val, Character):
-                raise TypeConstraintViolation(
-                    "param %s of %s must be a character" % (pname, name))
-            env[pname] = val
-        else:
-            if not isinstance(val, IrredPart):
-                raise TypeConstraintViolation(
-                    "param %s of %s must be an irreducible part" % (pname, name))
-            env[pname] = WDRep([Block(val, 0)])
+    return _shape_type(shape).ctor.build(values, args)
 
-    def value(what, text):
-        # the expressions of a shape are read only here, on instantiation
-        try:
-            return evaluate_shape_text(text, env)
-        except (LfacSyntaxError, LfacEvalError) as e:
-            raise CatalogFormatError("%s %s %r: %s"
-                                     % (name, what, text, e)) from None
 
-    for kind, arg, *k in shape.requires:  # k is [K] for not-absval
-        if kind == "trivial-det":
-            if not values[arg].det().is_trivial:
-                raise TypeConstraintViolation(
-                    "shape %s requires det(%s) trivial" % (name, arg))
-            continue
-        chi = value("require", arg)
-        if not isinstance(chi, Character):
-            raise CatalogFormatError("%s require %r: expression is not a "
-                                     "character" % (name, arg))
-        if _is_absval_square(chi, k[0]) or _is_absval_square(chi, -k[0]):
-            raise TypeConstraintViolation("shape %s requires %s %s" % (
-                name, arg, _not_absval_text(k[0])))
-
-    blocks = [Block(_as_part(value("block", text), name, text), n)
-              for text, n in shape.blocks]
-    sim = value("similitude", shape.similitude)
-    if not isinstance(sim, Character):
-        raise CatalogFormatError("%s: similitude must be a character" % name)
-    return _make(WDRep(blocks), sim, name, args)
+# what a param kind admits, how a refusal names it, and its value in scope
+_PARAM_KINDS = {"char": (Character, "a character", lambda chi: chi),
+                "irred": (IrredPart, "an irreducible part",
+                          lambda part: WDRep([Block(part, 0)]))}
 
 
 class Gsp4Type(Record):
@@ -371,17 +331,63 @@ _CODED = {t.name: t for t in (
 )}
 
 
-def _shape_type(shape: CatalogShape, shapes) -> Gsp4Type:
-    """The registry row of a shape from its params: a char param is "c", an
-    irred param a label and its determinant "lc", or "l" if trivial-det."""
+@functools.lru_cache(maxsize=None)
+def _shape_type(shape: CatalogShape) -> Gsp4Type:
+    """The registry row of a shape, compiled once per distinct shape: a char
+    param is "c", an irred param a label and its determinant "lc", or "l"
+    if trivial-det.  Its ctor binds the arguments and calls ctor.build, the
+    one instantiation of the shape, which reads the expressions in file
+    order with one evaluator and keeps each parse once made."""
+    name = shape.name
     trivial = {p for kind, p, *_ in shape.requires if kind == "trivial-det"}
     sig = "".join("c" if kind == "char" else "l" if p in trivial else "lc"
                   for p, kind in shape.params)
+    trees: dict = {}
+
+    def build(values: dict, args) -> Gsp4Param:
+        from .dsl import _SIMPLE, _Evaluator, _evaluate  # dsl imports this module
+
+        env = {}
+        for pname, kind in shape.params:
+            cls, noun, bind = _PARAM_KINDS[kind]
+            if not isinstance(values[pname], cls):
+                raise TypeConstraintViolation("param %s of %s must be %s"
+                                              % (pname, name, noun))
+            env[pname] = bind(values[pname])
+        ev = _Evaluator(env, _SIMPLE)
+
+        def value(what, text):
+            try:
+                return _evaluate(ev, text, trees)
+            except (LfacSyntaxError, LfacEvalError) as e:
+                raise CatalogFormatError("%s %s %r: %s"
+                                         % (name, what, text, e)) from None
+
+        for kind, arg, *k in shape.requires:  # k is [K] for not-absval
+            if kind == "trivial-det":
+                if not values[arg].det().is_trivial:
+                    raise TypeConstraintViolation(
+                        "shape %s requires det(%s) trivial" % (name, arg))
+                continue
+            chi = value("require", arg)
+            if not isinstance(chi, Character):
+                raise CatalogFormatError("%s require %r: expression is not a "
+                                         "character" % (name, arg))
+            if _is_absval_square(chi, k[0]) or _is_absval_square(chi, -k[0]):
+                raise TypeConstraintViolation("shape %s requires %s %s" % (
+                    name, arg, _not_absval_text(k[0])))
+
+        blocks = [Block(_as_part(value("block", text), name, text), n)
+                  for text, n in shape.blocks]
+        sim = value("similitude", shape.similitude)
+        if not isinstance(sim, Character):
+            raise CatalogFormatError("%s: similitude must be a character" % name)
+        return _make(WDRep(blocks), sim, name, args)
 
     def ctor(*args) -> Gsp4Param:
         if len(args) != len(sig):
             raise TypeConstraintViolation("type %s takes %d arguments"
-                                          % (shape.name, len(sig)))
+                                          % (name, len(sig)))
         rest, values = iter(args), {}
         for p, kind in shape.params:
             if kind == "char":
@@ -390,15 +396,9 @@ def _shape_type(shape: CatalogShape, shapes) -> Gsp4Type:
                 label = next(rest)
                 det = _TRIV if p in trivial else next(rest)
                 values[p] = IrredPart(2, label, base_det=det)
-        return from_catalog(shape.name, values, shapes, args)
-    return Gsp4Type(shape.name, ctor, sig)
-
-
-def gsp4_types(shapes) -> dict[str, Gsp4Type]:
-    """The coded GSp(4) types plus one generated row per shape of the
-    shipped catalog, with the shapes of `shapes` layered over those."""
-    return {**_CODED, **{name: _shape_type(shape, shapes) for name, shape
-                         in {**_DEFAULT_CATALOG, **shapes}.items()}}
+        return build(values, args)
+    ctor.build = build  # from_catalog binds by name and calls it directly
+    return Gsp4Type(name, ctor, sig)
 
 
 _DEFAULT_CATALOG = load_catalog()
@@ -408,11 +408,19 @@ def default_catalog() -> dict[str, CatalogShape]:
     return _DEFAULT_CATALOG
 
 
-GSP4_TYPES = gsp4_types({})
+GSP4_TYPES = {**_CODED, **{name: _shape_type(shape)
+                           for name, shape in _DEFAULT_CATALOG.items()}}
 (type_I, type_IIa, type_IIIa, type_IVa, type_Va, type_VIa, type_VII,
  type_VIIIa, type_IXa, type_X, type_XIa) = (
     GSP4_TYPES[name].ctor for name in ("I", "IIa", "IIIa", "IVa", "Va", "VIa",
                                        "VII", "VIIIa", "IXa", "X", "XIa"))
+
+
+def gsp4_types(shapes) -> dict[str, Gsp4Type]:
+    """GSP4_TYPES with the row of each shape of `shapes` layered over it;
+    every row the file does not name is the registry's own."""
+    return {**GSP4_TYPES, **{name: _shape_type(shape)
+                             for name, shape in shapes.items()}}
 
 
 def gsp4_param(name: str, *args, catalog=None) -> Gsp4Param:

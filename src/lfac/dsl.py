@@ -26,14 +26,13 @@ Every function is one row of the _SIMPLE table: a callable and a signature
 that _fn turns into the handler, with the arity check and the argument
 coercions.
 
-Catalog data files evaluate their block, similitude and require expressions
-through evaluate_shape_text with the declared parameters bound in env; each
-distinct expression text is parsed once.
+A catalog shape reads its expressions through _evaluate, with one
+_Evaluator per instantiation, and keeps each parse once made; under a
+catalog, evaluate_text adds handlers for the file's own types only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -455,7 +454,7 @@ def _fn(ctor, name, sig, optional=0):
 
 def _gsp4_fns(types) -> dict:
     return {"gsp4." + t.name: _fn(t.ctor, "gsp4." + t.name, t.sig, t.optional)
-            for t in types.values()}
+            for t in types}
 
 
 _SIMPLE = {name: _fn(ctor, name, *sig) for name, ctor, *sig in (
@@ -483,33 +482,24 @@ _SIMPLE = {name: _fn(ctor, name, *sig) for name, ctor, *sig in (
     ("entry", _entry, "slvv", 2),
     ("bessel", lambda chi1, chi2: (chi1, chi2), "cc"),
     ("polereport", lambda *entries: _poles.PoleReport(entries), "e*"),
-)} | _gsp4_fns(cat.GSP4_TYPES)
+)} | _gsp4_fns(cat.GSP4_TYPES.values())
 
 
 def evaluate_text(text: str, env=None, catalog=None):
     """Parse and evaluate one expression; env maps names to bound values and
     the types of the shape table catalog are layered over the shipped ones."""
-    fns = _SIMPLE if catalog is None else {
-        **_SIMPLE, **_gsp4_fns(cat.gsp4_types(catalog))}
-    return _evaluate(_Parser(text).parse, env, fns)
+    fns = _SIMPLE if catalog is None else {**_SIMPLE, **_gsp4_fns(
+        map(cat.gsp4_types(catalog).get, catalog))}
+    return _evaluate(_Evaluator(env, fns), text, {})
 
 
-@functools.lru_cache(maxsize=None)
-def _shape_tree(text: str):
-    # lru_cache keeps no exception, so a text that does not parse raises its
-    # syntax error again on every instantiation
-    return _Parser(text).parse()
-
-
-def evaluate_shape_text(text: str, env):
-    """evaluate_text for an expression of a catalog shape: each distinct
-    text is parsed once."""
-    return _evaluate(lambda: _shape_tree(text), env, _SIMPLE)
-
-
-def _evaluate(tree, env, fns):
+def _evaluate(ev, text: str, trees: dict):
+    """ev's value of text, whose parse is looked up in, or kept in, trees."""
     try:
-        return _Evaluator(env, fns).run(tree())
+        tree = trees.get(text)
+        if tree is None:
+            tree = trees[text] = _Parser(text).parse()
+        return ev.run(tree)
     except RecursionError:
         # the parser refuses nesting past NEST_MAX itself, and a run of '^'
         # is one node; this is left for a caller whose own stack is nearly

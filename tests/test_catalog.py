@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 
 import pytest
@@ -11,7 +12,7 @@ from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
                           theta_lift, type_I, type_IIa, type_IIIa, type_IVa,
                           type_IXa, type_VIa, type_VII, type_VIIIa, type_Va,
                           type_X, type_XIa)
-from lfac import dsl, render
+from lfac import catalog as cat, dsl, render
 from lfac.chars import Character
 from lfac.cli import main
 from lfac.dsl import evaluate_text
@@ -187,6 +188,21 @@ def test_default_catalog_shapes():
     assert shapes["XIa"].requires == (("trivial-det", "rho"),)
     assert shapes["IIIa"].requires == (("not-absval", "chi1/chi2", 0),
                                        ("not-absval", "chi1/chi2", 4))
+
+
+def test_docs_table_lists_the_shipped_shapes():
+    # the hand-kept table of catalog-format.md against the data file: one
+    # row per type, in file order, with its params in order
+    doc = (pathlib.Path(__file__).parents[1] / "docs" / "catalog-format.md") \
+        .read_text(encoding="utf-8")
+    table = doc.split("## The shipped shapes", 1)[1].split("\n\n")[1]
+    rows = [re.split(r"(?<!\\)\|", line)[1:3]
+            for line in table.splitlines()[2:]]
+    # a param cell may annotate a param, as in "rho (trivial det)"
+    assert [(name.strip(), [p.split()[0] for p in params.split(",")])
+            for name, params in rows] \
+        == [(name, [p for p, _ in shape.params])
+            for name, shape in default_catalog().items()]
 
 
 def test_load_catalog_roundtrip(tmp_path):
@@ -421,6 +437,38 @@ def test_shape_expressions_parse_once(monkeypatch):
                         lambda text: parsed.append(text) or parser(text))
     assert type_I(unr(b), unr(c), unr(a)).st_type == "I"
     assert parsed == []
+
+
+def test_file_rows_layer_over_the_shared_table(tmp_path, monkeypatch):
+    f = tmp_path / "cat.txt"
+    f.write_text("catalog-format 1\n"
+                 "type T\nparams sigma:char\nblock sigma sp 2\n"
+                 "similitude sigma^2\n"
+                 "type IIa\nparams sigma:char\nblock sigma sp 3\n"
+                 "similitude sigma^2\n")
+    shapes = load_catalog(f)
+    types = gsp4_types(shapes)
+    assert all(types[n] is GSP4_TYPES[n] for n in GSP4_TYPES if n != "IIa")
+    assert types["IIa"] is not GSP4_TYPES["IIa"]
+    expected = from_catalog("T", {"sigma": unr(a)}, shapes, (unr(a),))
+    assert evaluate_text("gsp4.T(unr(a))", catalog=shapes) == expected
+    assert gsp4_param("T", unr(a), catalog=shapes) == expected
+    assert gsp4_param("IIa", unr(b), catalog=shapes).rep == char_rep(unr(b), 3)
+    rows, parsed = [], []
+    shape_type, parser = cat._shape_type, dsl._Parser
+    monkeypatch.setattr(cat, "_shape_type",
+                        lambda shape: rows.append(shape) or shape_type(shape))
+    monkeypatch.setattr(dsl, "_Parser",
+                        lambda text: parsed.append(text) or parser(text))
+    for _ in range(3):
+        assert evaluate_text("gsp4.T(unr(a))", catalog=shapes) == expected
+        assert gsp4_param("T", unr(a), catalog=shapes) == expected
+        assert evaluate_text("gsp4.IIa(unr(b))", catalog=shapes).rep \
+            == char_rep(unr(b), 3)
+    # a row is asked for the file's own shapes only, and no shape
+    # expression is parsed again: only the texts evaluate_text was given
+    assert rows and all(shapes[s.name] is s for s in rows)
+    assert parsed == ["gsp4.T(unr(a))", "gsp4.IIa(unr(b))"] * 3
 
 
 def test_reducible_principal_series_names_both_flags(capsys):

@@ -138,7 +138,8 @@ def test_sympy_loads_only_for_a_genuine_sum():
 
 # every import inside a function body of the package, by module and function
 LAZY_IMPORTS = {
-    ("catalog", "from_catalog", ".dsl"),
+    ("catalog", "_shape_type", ".dsl"),
+    ("catalog", "build", ".dsl"),
     ("scalar", "scalar_canonicalize", ".dsl"),
     ("cli", "_cmd_verify", ".verify"),
     ("scalar", "_exact_quotient", "heapq"),

@@ -64,7 +64,7 @@ def principal_series(chi1: Character, chi2: Character,
     """i(chi1, chi2); the ratio chi1/chi2 = |.|^{+-1} cases are reducible and
     need the explicit flag, which records which constituent is 1-dimensional
     ("sub" when the ratio is |.|^{-1}, "quot" when it is |.|)."""
-    ratio = chi1 * chi2.inverse()
+    ratio = chi1 / chi2
     tag = None
     if _is_absval_square(ratio, -2):
         tag = "sub"

@@ -93,6 +93,27 @@ class Character:
             return Character(self.tag + other.tag, satake)
         return Character._raw(self.tag or other.tag, satake)
 
+    def __truediv__(self, other):
+        """self * other.inverse() in one step: the tags subtract and the
+        Satake values divide.
+
+        >>> a = Character.unramified(Scalar.symbol("a"))
+        >>> str(a / Character.ramified("eta"))
+        'ram(eta^-1, a)'
+        >>> (Character.ramified("eta", 2) / Character.ramified("eta")).is_unramified
+        True
+        """
+        if not isinstance(other, Character):
+            return NotImplemented
+        if other.is_trivial:
+            return self
+        satake = self.satake / other.satake
+        tag = tuple([(name, -e) for name, e in other.tag])
+        # as in __mul__, a tag meets another only when both sides are ramified
+        if self.tag and tag:
+            return Character(self.tag + tag, satake)
+        return Character._raw(self.tag or tag, satake)
+
     def __pow__(self, n):
         if type(n) is not int:
             try:

@@ -326,10 +326,8 @@ def _binop(op, a, b):
                 and isinstance(b, (Scalar, SplitRational)):
             return _as_split(a) * _as_split(b)
         raise LfacEvalError("cannot multiply %s and %s" % (_kind(a), _kind(b)))
-    if scalars:
+    if scalars or isinstance(a, Character) and isinstance(b, Character):
         return a / b
-    if isinstance(a, Character) and isinstance(b, Character):
-        return a * b.inverse()
     if isinstance(a, (Scalar, SplitRational)) \
             and isinstance(b, (Scalar, SplitRational)):
         return _as_split(a) / _as_split(b)

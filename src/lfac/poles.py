@@ -107,7 +107,7 @@ def _steinberg_cond(chi: Character, root: Scalar) -> bool:
 def _bessel(chi: Character, root: Scalar):
     vr = root.times_v(1)
     return (Character.unramified(vr),
-            chi * Character.unramified(vr.inverse()))
+            chi / Character.unramified(vr))
 
 
 def subregular_poles(pi) -> PoleReport:

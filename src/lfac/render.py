@@ -78,7 +78,7 @@ def _gl2_text(p: cat.Gl2Param) -> str:
         if p.reducible:
             # orientation decides sub against quot; keep the recorded one
             want = -2 if p.reducible == "sub" else 2
-            if not cat._is_absval_square(c1 * c2.inverse(), want):
+            if not cat._is_absval_square(c1 / c2, want):
                 c1, c2 = c2, c1
             return "gl2.ps(%s, %s, red)" % (c1, c2)
         return "gl2.ps(%s, %s)" % (c1, c2)

@@ -15,11 +15,12 @@ Conventions in force throughout the package:
 
 Arithmetic is computed here on exponent vectors:
 
-* products of two Laurent monomials (a one-term numerator over a one-term
-  denominator, the nonzero rational constants included), the common case,
-  directly on signed exponent vectors: the coefficients multiply, the
-  exponents add, the gens whose exponent cancels to 0 are dropped and the
-  rest split by sign into numerator and denominator (_monomial_product);
+* products and quotients of two Laurent monomials (a one-term numerator
+  over a one-term denominator, the nonzero rational constants included),
+  the common case, directly on signed exponent vectors: the coefficients
+  multiply or divide, the exponents add or subtract, the gens whose
+  exponent cancels to 0 are dropped and the rest split by sign into
+  numerator and denominator (_monomial_product);
 * a product with a power v**k of v, the shift of a Satake value and of
   s -> s + t, as an offset of the v exponents (times_v): v is the last gen,
   so the term order and the monic denominator stay, and only the v content
@@ -35,7 +36,8 @@ Arithmetic is computed here on exponent vectors:
   v^-99999999999 (c = 1) and 2^14000 (4215 digits) are not.  An exponent
   that is a number but not an integer, such as 1/2 or 1.5, is refused,
   not truncated;
-* every quotient, as the product with the inverse, which is reduced too;
+* every other quotient, as the product with the inverse, which is reduced
+  too;
 * every other product, of reduced fractions n1/d1 * n2/d2, whose gcd is
   gcd(n1, d2) * gcd(n2, d1) (_product);
 * every sum and difference, by Henrici's rule (_sum): with g = gcd(d1, d2),
@@ -461,16 +463,23 @@ class Scalar:
         return cls(gens, ((tuple([k if k > 0 else 0 for k in e]), c),),
                    ((tuple([-k if k < 0 else 0 for k in e]), _ONE_C),))
 
-    def _monomial_product(self, other) -> "Scalar":
-        """self * other for two Laurent monomials (one-term numerators and
-        denominators), on signed exponent vectors over the union of gens."""
+    def _monomial_product(self, other, op=operator.add) -> "Scalar":
+        """self * other, or self / other for op operator.sub, for two Laurent
+        monomials (one-term numerators and denominators), on signed exponent
+        vectors over the union of gens: op combines the exponents."""
         ((n1, c1),), ((d1, _),) = self._num, self._den
         ((n2, c2),), ((d2, _),) = other._num, other._den
-        c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+        if op is operator.add:
+            c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+        else:
+            c = c1 if c2 == 1 else c1 / c2
         if not other._gens:
             # a rational constant only scales the coefficient
             return self if c2 == 1 else Scalar(self._gens, ((n1, c),), self._den)
         if not self._gens:
+            if op is not operator.add:
+                # c * d2/n2: the inverse swaps the exponent vectors
+                return Scalar(other._gens, ((d2, c),), ((n2, _ONE_C),))
             return other if c1 == 1 else Scalar(other._gens, ((n2, c),), other._den)
         e1 = map(operator.sub, n1, d1)
         e2 = map(operator.sub, n2, d2)
@@ -481,7 +490,7 @@ class Scalar:
             gens = _gens_union(gens, other._gens)
             e1 = map((*e1, 0).__getitem__, _positions(self._gens, gens))
             e2 = map((*e2, 0).__getitem__, _positions(other._gens, gens))
-        return Scalar._monomial(gens, tuple(map(operator.add, e1, e2)), c)
+        return Scalar._monomial(gens, tuple(map(op, e1, e2)), c)
 
     def times_v(self, k: int) -> "Scalar":
         """self * v**k, built on the v exponents alone.
@@ -623,6 +632,8 @@ class Scalar:
             return NotImplemented
         if o.is_zero:
             raise ScalarDomainError("division by zero scalar")
+        if len(self._num) == len(o._num) == len(self._den) == len(o._den) == 1:
+            return self._monomial_product(o, operator.sub)
         # the inverse of a reduced fraction is reduced, so no gcd is needed
         return self * o ** -1
 

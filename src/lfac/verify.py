@@ -16,6 +16,7 @@ most the 23 letters of _LETTERS (a pool below 1 reads as 1).
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from .poles import subregular_poles
 from .record import Record
 from .scalar import _ONE_C, Scalar
 from .splitrat import SplitRational
-from .wdrep import (Block, IrredPart, WDRep, lfactor, part_dual, sp, tensor,
+from .wdrep import (Block, IrredPart, WDRep, _dual_twist, lfactor, sp, tensor,
                     twist)
 
 __all__ = ["TrialProfile", "CheckReport", "Failure", "random_rep",
@@ -118,14 +119,19 @@ def _random_irred(rng: random.Random, syms) -> IrredPart:
 def random_rep(profile: TrialProfile) -> WDRep:
     """A random representation under the profile's budget; character parts
     only unless allow_irred is set."""
-    rng = random.Random(profile.seed)
+    return _draw_rep(random.Random(profile.seed), profile)
+
+
+def _draw_rep(rng: random.Random, profile: TrialProfile) -> WDRep:
+    # random_rep's draws from an rng seeded with profile.seed
+    syms = _symbols(profile)
     blocks = []
     for _ in range(rng.randint(1, profile.block_budget)):
         n = rng.randint(0, profile.max_sp)
         if profile.allow_irred and rng.random() < 0.3:
-            blocks.append(Block(_random_irred(rng, _symbols(profile)), n))
+            blocks.append(Block(_random_irred(rng, syms), n))
         else:
-            blocks.append(Block(_random_char(rng, _symbols(profile)), n))
+            blocks.append(Block(_random_char(rng, syms), n))
     return WDRep(blocks)
 
 
@@ -168,7 +174,7 @@ def random_gsp4_free(rng: random.Random, syms, allow_irred=False,
         else:
             part = _random_char(rng, syms)
         blocks.append(Block(part, n))
-        blocks.append(Block(part_dual(part) * chi, n))
+        blocks.append(Block(_dual_twist(part, chi), n))
     return cat.free(WDRep(blocks), chi)
 
 
@@ -188,9 +194,8 @@ def random_pairing(seed: int, allow_irred=True) -> tuple[cat.Gsp4Param, cat.Gl2P
         beta = Character.unramified(_random_satake(rng, syms))
         chi = _random_char(rng, syms, ramified_rate=0.0)
         mu = _random_char(rng, syms, ramified_rate=0.0)
-        nu = beta ** 2 * mu * chi.inverse()
-        pi = cat.free(WDRep([Block(beta, 0), Block(chi * beta.inverse(), 0)]),
-                      chi)
+        nu = beta ** 2 * mu / chi
+        pi = cat.free(WDRep([Block(beta, 0), Block(chi / beta, 0)]), chi)
         sigma = _ps(mu, nu)
     else:
         pi = random_gsp4_free(rng, syms, allow_irred=allow_irred)
@@ -288,15 +293,17 @@ def check_soudry(tau1: cat.Gl2Param, tau2: cat.Gl2Param,
 
 # ------------------------------------------------------------------- suites
 
-def theoremA_fixed_cases() -> list[tuple[cat.Gsp4Param, cat.Gl2Param]]:
-    """The four fixed shapes checked against plain Steinberg."""
+@functools.lru_cache(maxsize=None)
+def theoremA_fixed_cases() -> tuple[tuple[cat.Gsp4Param, cat.Gl2Param], ...]:
+    """The four fixed shapes checked against plain Steinberg, built once per
+    process: the parameters are immutable records."""
     a = Character.unramified(Scalar.symbol("a"))
     b = Character.unramified(Scalar.symbol("b"))
     st = cat.steinberg()
-    return [(cat.type_IVa(a), st),
+    return ((cat.type_IVa(a), st),
             (cat.type_IIIa(a, b), st),
             (cat.sc_irred4("l4"), st),
-            (cat.sc_pair("l2", "l2p", a), st)]
+            (cat.sc_pair("l2", "l2p", a), st))
 
 
 def _trials(suite: str, trials: int, seed: int, profile: TrialProfile,
@@ -317,7 +324,7 @@ def _trials(suite: str, trials: int, seed: int, profile: TrialProfile,
 
 def _suite_lemma71(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
     return _trials("lemma71", trials, seed, profile,
-                   lambda p, _: check_lemma71(random_rep(p)))
+                   lambda p, rng: check_lemma71(_draw_rep(rng, p)))
 
 
 def _suite_theoremA(trials: int, seed: int, profile: TrialProfile) -> CheckReport:
@@ -336,7 +343,7 @@ def _matched_gl2_pair(rng: random.Random, syms):
     minus = Character.unramified(Scalar.from_rational(-1))
     if kinds == ("ps", "ps"):
         c1, c2, mu = (_random_char(rng, syms) for _ in range(3))
-        return _ps(c1, c2), _ps(mu, c1 * c2 * mu.inverse())
+        return _ps(c1, c2), _ps(mu, c1 * c2 / mu)
     if kinds == ("st", "st"):
         chi = _random_char(rng, syms)
         chi2 = chi if rng.random() < 0.5 else chi * minus
@@ -344,7 +351,7 @@ def _matched_gl2_pair(rng: random.Random, syms):
     if kinds == ("ps", "st"):
         chi = _random_char(rng, syms)
         mu = _random_char(rng, syms)
-        return _ps(mu, chi ** 2 * mu.inverse()), cat.steinberg(chi)
+        return _ps(mu, chi ** 2 / mu), cat.steinberg(chi)
     if kinds == ("sc", "sc"):
         det = _random_char(rng, syms)
         return (cat.supercuspidal("t1", det),
@@ -352,7 +359,7 @@ def _matched_gl2_pair(rng: random.Random, syms):
     if kinds == ("sc", "ps"):
         det = _random_char(rng, syms)
         mu = _random_char(rng, syms)
-        return cat.supercuspidal("t1", det), _ps(mu, det * mu.inverse())
+        return cat.supercuspidal("t1", det), _ps(mu, det / mu)
     chi = _random_char(rng, syms)
     return cat.supercuspidal("t1", chi ** 2), cat.steinberg(chi)
 

@@ -16,6 +16,9 @@ self-duality keeps a formal dual marker instead.
 
 L-factors only ever see unramified character blocks: a block unr(alpha) (x)
 sp(n) contributes 1/(1 - alpha v^{-n} X), everything else contributes 1.
+So lfactor(w) reads its poles off w's unramified character blocks, with no
+tensor product; tensor_lfactor(w1, w2) reads them off the unramified lines
+of w1 (x) w2 without building it.
 """
 
 from __future__ import annotations
@@ -183,9 +186,6 @@ def sp(n: int) -> WDRep:
     return WDRep([Block(_TRIV, _integer(n))])
 
 
-_SP0 = sp(0)
-
-
 def char_rep(chi: Character, n: int = 0) -> WDRep:
     return WDRep([Block(chi, n)])
 
@@ -278,7 +278,24 @@ def tensor_summands(w1: WDRep, w2: WDRep, n: int) -> tuple[Scalar, ...]:
 
 
 def lfactor(w: WDRep) -> SplitRational:
-    return tensor_lfactor(w, _SP0)
+    """L(w): a pole at alpha v^-n for each unramified character block
+    unr(alpha) (x) sp(n) of w; ramified and irreducible blocks give none.
+
+    >>> a, b = (Character.unramified(Scalar.symbol(s)) for s in "ab")
+    >>> eta = Character.ramified("eta")
+    >>> str(lfactor(char_rep(a, 1) + char_rep(b) + char_rep(eta, 2)))
+    '1/((1 - a*v^-1*X)(1 - b*X))'
+    """
+    return SplitRational.from_poles(
+        b.part.satake.times_v(-b.n) for b in w.blocks
+        if isinstance(b.part, Character) and not b.part.tag)
+
+
+def _dual_twist(p: WeilPart, chi: Character) -> WeilPart:
+    """p^vee (x) chi; for a character p, the quotient chi / p."""
+    if isinstance(p, Character):
+        return chi / p
+    return part_dual(p) * chi
 
 
 def similitude_check(w: WDRep, chi: Character) -> bool:
@@ -288,6 +305,6 @@ def similitude_check(w: WDRep, chi: Character) -> bool:
     sorted by Block.sort_key, two blocks are equal exactly when their keys
     are, and the dual twist keeps each block's n.
     """
-    keys = sorted([((part_dual(b.part) * chi).sort_key(), b.n)
+    keys = sorted([(_dual_twist(b.part, chi).sort_key(), b.n)
                    for b in w.blocks])
     return keys == [b.sort_key() for b in w.blocks]

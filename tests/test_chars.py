@@ -126,3 +126,22 @@ def test_substitute():
 def test_sort_key_orders_unramified_first():
     xs = sorted([ram("eta"), unr(a)], key=Character.sort_key)
     assert xs[0].is_unramified
+
+
+@settings(max_examples=150, deadline=None)
+@given(characters(), characters())
+def test_quotient_matches_product_with_inverse(x, y):
+    # the tags subtract in one step; x / x cancels a ramified tag to an
+    # unramified (trivial) character
+    t = Character.trivial()
+    for p, q in ((x, y), (y, x), (x, x), (x, t), (t, x), (t, t)):
+        _same_char(p / q, p * q.inverse())
+
+
+def test_quotient_cancels_ramified_tags():
+    chi = ram("eta", a) * ram("xi") / (ram("eta") * ram("xi", v))
+    assert chi.is_unramified and chi == unr(a * v ** -1)
+    assert (ram("eta", a) / ram("eta", a)).is_trivial
+    assert str(unr(a) / ram("eta")) == "ram(eta^-1, a)"
+    with pytest.raises(TypeError, match="unsupported operand"):
+        unr(a) / a

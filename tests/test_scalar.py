@@ -772,3 +772,37 @@ def test_is_one_reads_the_stored_form():
     assert Scalar.from_rational(Fraction(4, 4)).is_one
     for x in (Scalar.zero, Scalar.from_rational(-1), a, v, a / (a + 1)):
         assert not x.is_one
+
+
+def _same_quotient(x, y):
+    # the one-step quotient against the product with the inverse, the route
+    # it replaces, and against the sympy path
+    got, want = x / y, x * y ** -1
+    _same(got, want)
+    assert str(got) == str(want) and got.sort_key() == want.sort_key()
+    _same(got, binary(x, y, operator.truediv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_monomial_quotient_matches_the_power_route(pair):
+    # constants, disjoint gens and exponents that cancel are among the draws;
+    # x / x cancels every gen
+    x, y = pair
+    for p, q in ((x, y), (y, x), (x, x)):
+        _same_quotient(p, q)
+
+
+@pytest.mark.parametrize("x, y", [
+    (Fraction(2, 3), Fraction(-4, 5)),
+    (Fraction(2, 3), Fraction(2, 3)),
+    (Fraction(-2), a * v ** -3),
+    (a * v ** -3, Fraction(-2)),
+    (a * v ** -3, Fraction(1)),
+    (a ** 2 / b, c * v),
+    (Fraction(3, 2) * a ** 2 * v / b, Fraction(-3, 4) * a ** 2 * v / b),
+    (a * v / b, b / (a * v)),
+], ids=["constants", "constant-cancels", "constant-by-monomial",
+        "monomial-by-constant", "by-one", "disjoint", "cancels", "inverse"])
+def test_monomial_quotient_cases(x, y):
+    _same_quotient(scalar_canonicalize(x), scalar_canonicalize(y))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from lfac.verify import (_LETTERS, TRIAL_STRIDE, CheckReport, Failure,
                          TrialProfile, _matched_gl2_pair, _random_char,
                          _random_satake, check_corollary62, check_lemma71,
                          check_soudry, check_theoremA, random_gsp4_free,
-                         random_pairing, random_rep, run_suite,
+                         random_gl2, random_pairing, random_rep, run_suite,
                          theoremA_fixed_cases)
 from lfac.catalog import theta_lift
 from lfac.wdrep import Block, char_rep, dual, similitude_check, twist
@@ -75,6 +76,47 @@ def test_random_rep_deterministic():
     assert random_rep(p) == random_rep(TrialProfile(21))
     # derived seeds explore: at least one of ten differs from the base draw
     assert any(random_rep(p.derived(i)) != random_rep(p) for i in range(10))
+
+
+# sha256 of the reprs of every suite's draws over seeds 0-499: a seed names
+# one trial, so a change to the draw code must leave every draw as it is
+DRAWS_DIGEST = \
+    "be9ca4f6b3a627643b5d1b4c9c26dae32615b207c684df61915a8dec82d70811"
+
+
+def test_draws_are_pinned():
+    h = hashlib.sha256()
+    syms = _LETTERS[:4]
+    for seed in range(500):
+        for irred in (False, True):
+            h.update(repr(random_rep(TrialProfile(seed, allow_irred=irred)))
+                     .encode())
+        rng = random.Random(seed)
+        h.update(repr(random_gsp4_free(rng, syms, allow_irred=True)).encode())
+        h.update(repr(random_gsp4_free(rng, syms)).encode())
+        h.update(repr(random_gl2(rng, syms)).encode())
+        h.update(repr(_matched_gl2_pair(rng, syms)).encode())
+        h.update(repr(random_pairing(seed)).encode())
+    assert h.hexdigest() == DRAWS_DIGEST
+
+
+def test_lemma71_trial_checks_random_rep(monkeypatch):
+    checked = []
+
+    def recording_check(w):
+        checked.append(w)
+        return CheckReport("lemma71", 1)
+    monkeypatch.setattr(lfac.verify, "check_lemma71", recording_check)
+    profile = TrialProfile(0, block_budget=6, max_sp=2, allow_irred=True)
+    run_suite("lemma71", 30, 17, profile)
+    base = profile.replace(seed=17)
+    assert checked == [random_rep(base.derived(i)) for i in range(30)]
+    assert len({repr(w) for w in checked}) > 20
+
+
+def test_theoremA_fixed_cases_are_built_once():
+    assert theoremA_fixed_cases() is theoremA_fixed_cases()
+    assert isinstance(theoremA_fixed_cases(), tuple)
 
 
 def test_random_pairing_satisfies_similitude():

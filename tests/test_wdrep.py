@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfac.chars import Character
 from lfac.dsl import evaluate_text
@@ -173,6 +175,27 @@ def test_lfactor_matches_per_block_product():
         assert lfactor(w) == _per_block_lfactor(w), seed
         assert tensor_lfactor(w, sp(2)) \
             == _per_block_lfactor(tensor(w, sp(2))), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 8), st.integers(0, 5))
+def test_lfactor_matches_the_tensor_with_sp0(seed, budget, max_sp):
+    # the poles read off the blocks against the route they replace: the
+    # unramified lines of w (x) sp(0)
+    w = random_rep(TrialProfile(seed, block_budget=budget, max_sp=max_sp,
+                                allow_irred=True))
+    got, want = lfactor(w), tensor_lfactor(w, sp(0))
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and got.sort_key() == want.sort_key()
+
+
+def test_lfactor_draws_reach_every_kind_of_block():
+    # the draws above include ramified characters and irreducible parts
+    parts = [blk.part for seed in range(50) for blk in random_rep(
+        TrialProfile(seed, block_budget=8, max_sp=5, allow_irred=True)).blocks]
+    assert sum(isinstance(p, IrredPart) for p in parts) >= 10
+    assert sum(isinstance(p, Character) and not p.is_unramified
+               for p in parts) >= 10
 
 
 def test_lfactor_builds_one_split_rational(monkeypatch):

@@ -10,7 +10,7 @@ the formula-level identities.
 import importlib
 
 from .catalog import (Gl2Param, Gsp4Param, default_catalog, free,
-                      from_catalog, gl2_param, gsp4_param, load_catalog,
+                      from_catalog, gsp4_param, load_catalog,
                       nov_lfactor, principal_series, rs_lfactor, sc_irred4,
                       sc_pair, steinberg, supercuspidal, theta_lift, type_I,
                       type_IIa, type_IIIa, type_IVa, type_IXa, type_Va,
@@ -25,11 +25,11 @@ from .errors import (CatalogFormatError, CentralCharacterMismatch,
 from .poles import (NovSplit, PoleEntry, PoleReport, PsSplit,
                     exceptional_poles, hom_dim, ideals_JK, nov_split,
                     ps_split, subregular_poles)
-from .scalar import Scalar, half_integer, scalar_canonicalize
+from .scalar import Scalar, half_integer
 from .splitrat import IdealGen, SplitRational, ideal_generator
 from .wdrep import (Block, IrredPart, WDRep, char_rep, dual,
                     lfactor, similitude_check, sp, sp_tensor, tensor,
-                    tensor_lfactor, tensor_summands, twist)
+                    tensor_lfactor, twist)
 
 __version__ = "0.1.0"
 
@@ -61,12 +61,12 @@ __all__ = [
     "UnsupportedTensor", "WDRep", "char_rep", "check_corollary62",
     "check_lemma71", "check_soudry", "check_theoremA", "default_catalog",
     "dual", "evaluate_text", "exceptional_poles", "free", "from_catalog",
-    "gl2_param", "gsp4_param", "half_integer", "hom_dim", "ideal_generator",
+    "gsp4_param", "half_integer", "hom_dim", "ideal_generator",
     "ideals_JK", "lfactor", "load_catalog", "nov_lfactor", "nov_split",
     "parse_scalar", "principal_series", "ps_split", "rs_lfactor",
-    "run_suite", "sc_irred4", "sc_pair", "scalar_canonicalize",
+    "run_suite", "sc_irred4", "sc_pair",
     "similitude_check", "sp", "sp_tensor", "steinberg", "subregular_poles",
-    "supercuspidal", "tensor", "tensor_lfactor", "tensor_summands",
+    "supercuspidal", "tensor", "tensor_lfactor",
     "theta_lift", "twist", "type_I", "type_IIa", "type_IIIa", "type_IVa",
     "type_IXa", "type_Va", "type_VIa", "type_VII", "type_VIIIa", "type_X",
     "type_XIa",

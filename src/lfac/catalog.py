@@ -34,7 +34,7 @@ from .splitrat import SplitRational
 from .wdrep import (Block, IrredPart, WDRep, lfactor, char_rep,
                     check_sp_index, similitude_check, tensor_lfactor)
 
-__all__ = ["Gl2Param", "Gsp4Param", "Gsp4Type", "GSP4_TYPES", "gl2_param",
+__all__ = ["Gl2Param", "Gsp4Param", "Gsp4Type", "GSP4_TYPES",
            "gsp4_param", "gsp4_types", "theta_lift", "nov_lfactor", "rs_lfactor",
            "load_catalog", "default_catalog", "principal_series", "steinberg",
            "supercuspidal"]
@@ -87,17 +87,6 @@ def steinberg(chi: Character = _TRIV) -> Gl2Param:
 def supercuspidal(label: str, det: Character = _TRIV) -> Gl2Param:
     part = IrredPart(2, label, base_det=det)
     return Gl2Param(WDRep([Block(part, 0)]), det, "supercuspidal")
-
-
-_GL2 = {"ps": principal_series, "principal-series": principal_series,
-        "st": steinberg, "steinberg-twist": steinberg,
-        "sc": supercuspidal, "supercuspidal": supercuspidal}
-
-
-def gl2_param(kind: str, *args, **kwargs) -> Gl2Param:
-    if kind not in _GL2:
-        raise TypeConstraintViolation("unknown GL(2) kind %r" % kind)
-    return _GL2[kind](*args, **kwargs)
 
 
 # -------------------------------------------------------------------- GSp(4)

@@ -16,7 +16,7 @@ import sys
 from . import SUITE_NAMES, render
 from . import catalog as cat
 from . import poles as _poles
-from .dsl import evaluate_text, lfactor_of
+from .dsl import _KINDS, evaluate_text, lfactor_of
 from .errors import LfacError, LfacSyntaxError
 
 
@@ -48,10 +48,10 @@ def _value(args, expr: str):
     return evaluate_text(expr, catalog=args.shapes)
 
 
-def _param(args, expr: str, want, what: str):
+def _param(args, expr: str, want):
     v = _value(args, expr)
     if not isinstance(v, want):
-        raise LfacError("%r is not %s" % (expr, what))
+        raise LfacError("%r is not %s" % (expr, _KINDS[want]))
     return v
 
 
@@ -68,7 +68,7 @@ def _cmd_lfactor(args) -> int:
         f = lfactor_of(_value(args, args.expr))
     else:
         a = _value(args, args.expr)
-        b = _param(args, args.against, cat.Gl2Param, "a GL(2) parameter")
+        b = _param(args, args.against, cat.Gl2Param)
         if isinstance(a, cat.Gsp4Param):
             f = cat.nov_lfactor(a, b)
         elif isinstance(a, cat.Gl2Param):
@@ -82,13 +82,11 @@ def _cmd_lfactor(args) -> int:
 
 def _cmd_poles(args) -> int:
     if args.exceptional:
-        pi = _param(args, args.exceptional[0], cat.Gsp4Param,
-                    "a GSp(4) parameter")
-        sigma = _param(args, args.exceptional[1], cat.Gl2Param,
-                       "a GL(2) parameter")
+        pi = _param(args, args.exceptional[0], cat.Gsp4Param)
+        sigma = _param(args, args.exceptional[1], cat.Gl2Param)
         report = _poles.exceptional_poles(pi, sigma)
     else:
-        pi = _param(args, args.subregular, cat.Gsp4Param, "a GSp(4) parameter")
+        pi = _param(args, args.subregular, cat.Gsp4Param)
         report = _poles.subregular_poles(pi)
     _emit(args, {"report": render.to_json(report)}, [render.text(report)])
     return 0
@@ -96,13 +94,13 @@ def _cmd_poles(args) -> int:
 
 def _cmd_split(args) -> int:
     if args.nov:
-        pi = _param(args, args.nov[0], cat.Gsp4Param, "a GSp(4) parameter")
-        sigma = _param(args, args.nov[1], cat.Gl2Param, "a GL(2) parameter")
+        pi = _param(args, args.nov[0], cat.Gsp4Param)
+        sigma = _param(args, args.nov[1], cat.Gl2Param)
         s = _poles.nov_split(pi, sigma)
         fields = [("full", s.full), ("exceptional", s.exceptional),
                   ("regular", s.regular)]
     else:
-        pi = _param(args, args.ps, cat.Gsp4Param, "a GSp(4) parameter")
+        pi = _param(args, args.ps, cat.Gsp4Param)
         s = _poles.ps_split(pi)
         fields = [("full", s.full), ("exceptional", s.exceptional),
                   ("subregular", s.subregular), ("kirillov", s.kirillov)]
@@ -115,7 +113,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    pi = _param(args, args.pi, cat.Gsp4Param, "a GSp(4) parameter")
+    pi = _param(args, args.pi, cat.Gsp4Param)
     j, k = _poles.ideals_JK(pi)
     _emit(args, {"ideals": {"J": render.to_json(j), "K": render.to_json(k)}},
           ["J: %s" % j, "K: %s" % k])

@@ -6,15 +6,19 @@ examined, sorted, with a classification tag, the witnessing blocks (repeated
 per multiplicity, since the classified poles themselves are always simple),
 and for subregular roots the distinguished character pair.
 
-Exceptional candidates are the unramified line summands of the parameter
-tensor; the root qualifies when the product of similitude and central
-character is unramified with value root^2 (the vanishing of chi_pi chi_sigma
-|.|^{2 s0}).  Subregular candidates are the line summands of the GSp(4)
-parameter alone (case 1, requiring that chi_pi |.|^{2 s0 + 1} does not
-vanish) and the Steinberg summands unr(root * v) (case 2, requiring that it
-does).  The two requirements are negations of each other, so the cases never
-meet at one root.  This module owns the four classifications and their
-names in the expression language (TAGS, TAG_NAMES), read and printed alike.
+The candidates are read where the L-factors read their poles.  Exceptional
+candidates are the lines unr(alpha) (x) sp(0) of phi_pi (x) phi_sigma, read
+off wdrep._unramified_lines as tensor_lfactor reads them, without building
+the tensor.  Subregular candidates are the unramified character blocks of
+phi_pi itself, read as lfactor reads them: unr(root) (x) sp(0) for case 1
+and unr(root * v) (x) sp(1) for case 2.
+
+One rule decides them, _vanishes(chi, root, k): chi |.|^{2 s0 + k} is
+trivial at q^{s0} = root.  An exceptional root needs it with k = 0 and chi
+= chi_pi chi_sigma; a case-2 root needs it with k = 1 and chi = chi_pi, and
+a case-1 root needs it to fail there, so the two cases never meet at one
+root.  This module owns the four classifications and their names in the
+expression language (TAGS, TAG_NAMES), read and printed alike.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .chars import Character
 from .record import Record
 from .scalar import Scalar
 from .splitrat import SplitRational
-from .wdrep import Block, lfactor, sp, tensor_summands
+from .wdrep import Block, _unramified_lines, lfactor
 
 __all__ = ["PoleEntry", "PoleReport", "exceptional_poles", "subregular_poles",
            "nov_split", "ps_split", "hom_dim", "ideals_JK", "NovSplit",
@@ -71,14 +75,21 @@ def _sorted_entries(entries) -> tuple[PoleEntry, ...]:
                                                 e.classification)))
 
 
+def _vanishes(chi: Character, root: Scalar, k: int) -> bool:
+    # chi |.|^{2 s0 + k} trivial at q^{s0} = root
+    return chi.is_unramified and chi.satake == (root ** 2).times_v(2 * k)
+
+
 def exceptional_poles(pi, sigma) -> PoleReport:
-    """Classify the unramified line summands of the pairing tensor."""
+    """Classify the unramified lines unr(alpha) (x) sp(0) of the pairing
+    tensor."""
     chi = pi.similitude * sigma.central
+    lines = Counter(alpha for alpha, ks in _unramified_lines(pi.rep, sigma.rep)
+                    if 0 in ks)
     entries = []
-    for root, mult in Counter(tensor_summands(pi.rep, sigma.rep, 0)).items():
-        ok = chi.is_unramified and chi.satake == root ** 2
+    for root, mult in lines.items():
         entries.append(PoleEntry(
-            root, EXCEPTIONAL if ok else REGULAR,
+            root, EXCEPTIONAL if _vanishes(chi, root, 0) else REGULAR,
             (Block(Character.unramified(root), 0),) * mult))
     return PoleReport(_sorted_entries(entries))
 
@@ -99,11 +110,6 @@ def nov_split(pi, sigma) -> NovSplit:
     return NovSplit(full, full / l_ex, l_ex, report)
 
 
-def _steinberg_cond(chi: Character, root: Scalar) -> bool:
-    # chi_pi |.|^{2 s0 + 1} trivial at q^{s0} = root
-    return chi.is_unramified and chi.satake == (root ** 2).times_v(2)
-
-
 def _bessel(chi: Character, root: Scalar):
     vr = root.times_v(1)
     return (Character.unramified(vr),
@@ -111,25 +117,27 @@ def _bessel(chi: Character, root: Scalar):
 
 
 def subregular_poles(pi) -> PoleReport:
+    """Classify the unramified character blocks of pi with n = 0 (case 1)
+    and n = 1 (case 2)."""
     chi = pi.similitude
-    line = Counter(tensor_summands(pi.rep, sp(0), 0))
-    stei = Counter(tensor_summands(pi.rep, sp(0), 1))
+    found = Counter(b for b in pi.rep.blocks if b.n < 2
+                    and isinstance(b.part, Character) and not b.part.tag)
     entries: dict[Scalar, PoleEntry] = {}
-    for gamma, mult in stei.items():
-        root = gamma.times_v(-1)
-        if _steinberg_cond(chi, root):
-            wit = (Block(Character.unramified(gamma), 1),) * mult
-            entries[root] = PoleEntry(root, SUBREGULAR2, wit,
-                                      _bessel(chi, root))
-    for root, mult in line.items():
-        wit = (Block(Character.unramified(root), 0),) * mult
-        if not _steinberg_cond(chi, root):
+    for b, mult in found.items():
+        root = b.part.satake.times_v(-b.n)
+        wit = (b,) * mult
+        if b.n:
+            if _vanishes(chi, root, 1):
+                entries[root] = PoleEntry(root, SUBREGULAR2, wit,
+                                          _bessel(chi, root))
+        elif not _vanishes(chi, root, 1):
             entries[root] = PoleEntry(root, SUBREGULAR1, wit,
                                       _bessel(chi, root))
-        elif root not in entries:
-            # a line root where the case-2 condition holds but no Steinberg
-            # partner exists: not subregular; only a FREE parameter has one
-            entries[root] = PoleEntry(root, REGULAR, wit)
+        else:
+            # a line root where the case-2 condition holds: regular unless
+            # a Steinberg partner makes it case 2; only a FREE parameter
+            # has no partner
+            entries.setdefault(root, PoleEntry(root, REGULAR, wit))
     return PoleReport(_sorted_entries(entries.values()))
 
 

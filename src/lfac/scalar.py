@@ -76,8 +76,8 @@ from fractions import Fraction
 from .errors import (HalfIntegerError, LfacValueError, ScalarDomainError,
                      _printable)
 
-__all__ = ["Scalar", "scalar_canonicalize", "half_integer", "RESERVED_NAMES",
-           "POWER_TERMS_MAX", "POWER_DIGITS_MAX"]
+__all__ = ["Scalar", "half_integer", "RESERVED_NAMES", "POWER_TERMS_MAX",
+           "POWER_DIGITS_MAX"]
 
 RESERVED_NAMES = frozenset({"q", "X", "x", "sp"})
 
@@ -798,15 +798,3 @@ _ONE = Scalar((), (((), _ONE_C),), (((), _ONE_C),))
 Scalar.zero = _ZERO
 Scalar.one = _ONE
 
-
-def scalar_canonicalize(x) -> Scalar:
-    """Canonicalize scalar-like input: Scalar (idempotent), int, Fraction, or
-    expression text understood by the surface grammar."""
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_rational(x)
-    if isinstance(x, str):
-        from .dsl import parse_scalar
-        return parse_scalar(x)
-    raise TypeError("cannot canonicalize %r as a scalar" % (x,))

@@ -137,10 +137,7 @@ def _draw_rep(rng: random.Random, profile: TrialProfile) -> WDRep:
 
 def _ps(chi1: Character, chi2: Character) -> cat.Gl2Param:
     # random draws occasionally land on the reducible ratio; keep them
-    try:
-        return cat.principal_series(chi1, chi2)
-    except TypeConstraintViolation:
-        return cat.principal_series(chi1, chi2, reducible=True)
+    return cat.principal_series(chi1, chi2, reducible=True)
 
 
 def random_gl2(rng: random.Random, syms, kinds=("ps", "st", "sc"),

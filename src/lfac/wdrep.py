@@ -18,7 +18,12 @@ L-factors only ever see unramified character blocks: a block unr(alpha) (x)
 sp(n) contributes 1/(1 - alpha v^{-n} X), everything else contributes 1.
 So lfactor(w) reads its poles off w's unramified character blocks, with no
 tensor product; tensor_lfactor(w1, w2) reads them off the unramified lines
-of w1 (x) w2 without building it.
+of w1 (x) w2 without building it, through _unramified_lines.  The pole
+classifiers of poles.py read the same two places: subregular_poles the
+blocks of pi with n = 0 and n = 1, as lfactor reads them, and
+exceptional_poles the lines of _unramified_lines whose Clebsch-Gordan range
+holds 0.  A twin pair has one refusal, from _unramified_lines, for
+tensor_lfactor and exceptional_poles alike.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .splitrat import SplitRational
 
 __all__ = ["IrredPart", "Block", "WDRep", "SP_MAX", "BLOCK_MAX",
            "check_sp_index", "sp", "sp_tensor",
-           "tensor", "tensor_lfactor", "tensor_summands", "lfactor",
+           "tensor", "tensor_lfactor", "lfactor",
            "similitude_check", "dual", "twist"]
 
 _TRIV = Character.trivial()
@@ -237,7 +242,7 @@ def tensor(w1: WDRep, w2: WDRep) -> WDRep:
     return WDRep(out)
 
 
-def _unramified_lines(w1: WDRep, w2: WDRep, what: str):
+def _unramified_lines(w1: WDRep, w2: WDRep):
     """(satake, sp range) for each unramified character line of w1 (x) w2.
     Only a character-times-character pair holds one; an irreducible times a
     character is irreducible.  An irreducible-times-irreducible pair that is
@@ -258,23 +263,15 @@ def _unramified_lines(w1: WDRep, w2: WDRep, what: str):
             elif (isinstance(p, IrredPart) and isinstance(q, IrredPart)
                   and twin_pair(p, q)):
                 raise UnsupportedTensor(
-                    "unramified-twist-of-dual pair (%s, %s): %s not "
-                    "determined by declared data" % (p.label, q.label, what))
+                    "unramified-twist-of-dual pair (%s, %s): L-factor not "
+                    "determined by declared data" % (p.label, q.label))
 
 
 def tensor_lfactor(w1: WDRep, w2: WDRep) -> SplitRational:
     """L-factor of w1 (x) w2, defined whenever no block pair is a twin pair."""
     return SplitRational.from_poles(
         alpha.times_v(-k)
-        for alpha, ks in _unramified_lines(w1, w2, "L-factor") for k in ks)
-
-
-def tensor_summands(w1: WDRep, w2: WDRep, n: int) -> tuple[Scalar, ...]:
-    """Satake values (with multiplicity) of the unramified character blocks
-    unr(alpha) (x) sp(n) inside w1 (x) w2; with w2 = sp(0) those of w1."""
-    found = [alpha for alpha, ks in _unramified_lines(w1, w2, "summands")
-             if n in ks]
-    return tuple(sorted(found, key=Scalar.sort_key))
+        for alpha, ks in _unramified_lines(w1, w2) for k in ks)
 
 
 def lfactor(w: WDRep) -> SplitRational:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
-                          free, from_catalog, gl2_param, gsp4_param,
+                          free, from_catalog, gsp4_param,
                           gsp4_types, load_catalog,
                           nov_lfactor, principal_series, rs_lfactor,
                           sc_irred4, sc_pair, steinberg, supercuspidal,
@@ -67,14 +67,6 @@ def test_supercuspidal():
     assert p.central == unr(a)
     assert p.lfactor() == 1
     assert p.rep.dim == 2
-
-
-def test_gl2_dispatch():
-    assert gl2_param("st", unr(a)) == steinberg(unr(a))
-    assert gl2_param("principal-series", unr(a), unr(b)) \
-        == principal_series(unr(a), unr(b))
-    with pytest.raises(TypeConstraintViolation):
-        gl2_param("borel", unr(a))
 
 
 # ------------------------------------------------------------------ GSp(4)

@@ -140,7 +140,6 @@ def test_sympy_loads_only_for_a_genuine_sum():
 LAZY_IMPORTS = {
     ("catalog", "_shape_type", ".dsl"),
     ("catalog", "build", ".dsl"),
-    ("scalar", "scalar_canonicalize", ".dsl"),
     ("cli", "_cmd_verify", ".verify"),
     ("scalar", "_exact_quotient", "heapq"),
     ("scalar", "_ring", "sympy"),
@@ -301,6 +300,36 @@ def test_pairing_needs_gl2_on_the_right(capsys):
     assert main(["lfactor", "gsp4.VIa(unr(a))", "unr(b)"]) == 2
     _, err = capsys.readouterr()
     assert "GL(2)" in err
+
+
+TWIN = ["gsp4.X(t1, unr(b), unr(a))", "gl2.sc(t1, unr(b))"]
+TWIN_REFUSAL = ("unramified-twist-of-dual pair (t1, t1): L-factor not "
+                "determined by declared data")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poles", "--subregular", "unr(a)"],
+     "'unr(a)' is not a GSp(4) parameter"),
+    (["poles", "--exceptional", "gsp4.VIa(unr(a))", "a"],
+     "'a' is not a GL(2) parameter"),
+    (["split", "--nov", "gl2.st()", "gl2.st()"],
+     "'gl2.st()' is not a GSp(4) parameter"),
+    (["split", "--ps", "L(gsp4.VIa(unr(a)))"],
+     "'L(gsp4.VIa(unr(a)))' is not a GSp(4) parameter"),
+    (["ideals", "sp(1)"], "'sp(1)' is not a GSp(4) parameter"),
+    (["lfactor", "gsp4.VIa(unr(a))", "unr(b)"],
+     "'unr(b)' is not a GL(2) parameter"),
+    (["lfactor"] + TWIN, TWIN_REFUSAL),
+    (["split", "--nov"] + TWIN, TWIN_REFUSAL),
+    (["poles", "--exceptional"] + TWIN, TWIN_REFUSAL),
+], ids=["subregular", "exceptional", "nov", "ps", "ideals", "pairing",
+        "twin-lfactor", "twin-nov", "twin-exceptional"])
+def test_refusal_text_in_both_formats(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert main(argv + ["--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["error"]["message"] == message
 
 
 def test_missing_catalog_file_exit_2(capsys):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac import scalar
+from lfac.dsl import parse_scalar
 from lfac.errors import HalfIntegerError, LfacValueError, ScalarDomainError
 from lfac.scalar import (POWER_DIGITS_MAX, POWER_TERMS_MAX, RESERVED_NAMES,
                          Scalar, _exact_quotient, _gens_order, _poly_mul,
-                         half_integer, scalar_canonicalize)
+                         half_integer)
 from oracle import binary, field, from_frac, lift
 
 a, b, c = (Scalar.symbol(s) for s in "abc")
@@ -116,9 +117,9 @@ def test_eq_hash_against_numbers():
 
 
 def test_canonicalize_entry_points():
-    assert scalar_canonicalize("a*v^-3") == a * v ** -3
-    assert scalar_canonicalize(5) == Scalar.from_rational(5)
-    assert scalar_canonicalize(a) is a
+    assert parse_scalar("a*v^-3") == a * v ** -3
+    assert parse_scalar("5") == Scalar.from_rational(5)
+    assert Scalar.from_rational(Fraction(10, 2)) == parse_scalar("10/2")
 
 
 def test_half_integer():
@@ -151,7 +152,7 @@ def test_ring_laws(x, y):
 @settings(max_examples=60, deadline=None)
 @given(scalars())
 def test_str_reparses(x):
-    assert scalar_canonicalize(str(x)) == x
+    assert parse_scalar(str(x)) == x
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,16 +306,15 @@ def test_monomial_hash_is_route_free(pair, k):
     x, y = pair
     m = x._monomial_product(y)
     w = Scalar.v_power(k)
-    routes = [(m, scalar_canonicalize(str(m)), binary(x, y, operator.mul)),
+    routes = [(m, parse_scalar(str(m)), binary(x, y, operator.mul)),
               (m.times_v(k), m._monomial_product(w), w * m,
-               scalar_canonicalize(str(m.times_v(k)))),
-              (m ** -1, (Scalar.one / m), scalar_canonicalize(str(m ** -1))),
-              (m ** 0, Scalar.one, Fraction(1))]
+               parse_scalar(str(m.times_v(k)))),
+              (m ** -1, (Scalar.one / m), parse_scalar(str(m ** -1))),
+              (m ** 0, Scalar.one, Scalar.from_rational(1))]
     for n in (2, 3, -2, -3):
         routes.append((m ** n, _product_power(m, n), _sympy_pow(m, n),
-                       scalar_canonicalize(str(m ** n))))
+                       parse_scalar(str(m ** n))))
     for built in routes:
-        built = [scalar_canonicalize(z) for z in built]
         assert len({_form(z) for z in built}) == 1
         assert len({hash(z) for z in built}) == 1
         if not built[0].symbols:
@@ -720,7 +720,7 @@ def test_power_bound_on_monomials_with_gens():
 
 def test_hash_is_cached_and_route_free():
     routes = [a, Scalar.symbol("a"), (a * b) / b, (a ** 2 - a * b) / (a - b),
-              (a * v) * v ** -1, scalar_canonicalize("a")]
+              (a * v) * v ** -1, parse_scalar("a")]
     assert len({_form(x) for x in routes}) == 1
     assert len({hash(x) for x in routes}) == 1
     assert routes[3]._hash == hash(routes[3])  # filled on first use
@@ -805,4 +805,5 @@ def test_monomial_quotient_matches_the_power_route(pair):
 ], ids=["constants", "constant-cancels", "constant-by-monomial",
         "monomial-by-constant", "by-one", "disjoint", "cancels", "inverse"])
 def test_monomial_quotient_cases(x, y):
-    _same_quotient(scalar_canonicalize(x), scalar_canonicalize(y))
+    _same_quotient(*(Scalar.from_rational(z) if isinstance(z, Fraction) else z
+                     for z in (x, y)))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from lfac.chars import Character
 from lfac.dsl import evaluate_text
 from lfac.errors import LfacValueError, UnsupportedTensor
+from lfac.poles import exceptional_poles
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.verify import TrialProfile, random_rep
@@ -14,8 +16,7 @@ from lfac.render import text
 from lfac.wdrep import (BLOCK_MAX, SP_MAX, Block, IrredPart, WDRep,
                         char_rep, dual, lfactor, part_dual, similitude_check,
                         sp, sp_tensor,
-                        tensor, tensor_lfactor,
-                        tensor_summands, twist)
+                        tensor, tensor_lfactor, twist)
 
 a, b = Scalar.symbol("a"), Scalar.symbol("b")
 v = Scalar.v_power(1)
@@ -149,9 +150,11 @@ def test_tensor_lines_twin_message():
     rho = IrredPart(2, "t1", base_det=unr(a))
     w = char_rep(unr(b), 1) + WDRep([Block(rho, 0)])
     twin = twist(dual(WDRep([Block(rho, 2)])), unr(b))
+    pi = SimpleNamespace(rep=w, similitude=unr(a))
+    sigma = SimpleNamespace(rep=twin, central=unr(b))
     for f, what in ((lambda: tensor_lfactor(w, twin), "L-factor"),
                     (lambda: tensor_lfactor(twin, w), "L-factor"),
-                    (lambda: tensor_summands(w, twin, 0), "summands")):
+                    (lambda: exceptional_poles(pi, sigma), "L-factor")):
         with pytest.raises(UnsupportedTensor) as ex:
             f()
         assert str(ex.value) == ("unramified-twist-of-dual pair (t1, t1): %s "
@@ -275,20 +278,6 @@ def test_largest_tensor_is_linear_and_small(monkeypatch):
     # SplitRational per pole would rehash every earlier pole, ~n^2/2 calls
     assert len(calls) <= 5 * (n + 1)
     assert len(text(w)) < 10_000 and len(str(f)) < 10_000
-
-
-def test_tensor_summands_counts_lines():
-    w1 = char_rep(unr(a), 1) + char_rep(unr(a), 1)
-    lines = tensor_summands(w1, char_rep(Character.trivial(), 1), 0)
-    assert list(lines) == [a, a]
-
-
-def test_tensor_summands_match_tensor_against_sp0():
-    w1 = char_rep(unr(a)) + char_rep(unr(b), 1)
-    w2 = char_rep(unr(b), 1)
-    t = tensor(w1, w2)
-    assert tensor_summands(w1, w2, 0) == tensor_summands(t, sp(0), 0)
-    assert tensor_summands(w1, w2, 1) == tensor_summands(t, sp(0), 1)
 
 
 def test_lemma_identities_worked_example():

@@ -11,7 +11,7 @@ unramified quadratic character is available as value -1.
 from __future__ import annotations
 
 from .errors import LfacValueError, _printable
-from .scalar import Scalar, _check_name, _integer, half_integer
+from .scalar import Scalar, _check_name, _integer, _v_exponent
 
 __all__ = ["Character"]
 
@@ -74,8 +74,7 @@ class Character:
     @classmethod
     def absval(cls, t) -> "Character":
         """|.|^t for half-integer t."""
-        # -2t is integral for a half-integer t
-        return cls((), Scalar.v_power(int(-2 * half_integer(t))))
+        return cls((), Scalar.v_power(_v_exponent(t)))
 
     # ---------------------------------------------------------------- algebra
 

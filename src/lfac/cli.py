@@ -18,6 +18,7 @@ from . import catalog as cat
 from . import poles as _poles
 from .dsl import _KINDS, evaluate_text, lfactor_of
 from .errors import LfacError, LfacSyntaxError
+from .wdrep import BLOCK_MAX
 
 
 def _common_flags(p: argparse.ArgumentParser, catalog=True):
@@ -191,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--budget", type=_at_least(1), default=4,
                    help="block budget per random representation "
-                        "(lemma71 only)")
+                        "(lemma71 only; a draw w whose w (x) sp(1) has "
+                        "more than %d blocks is refused)" % BLOCK_MAX)
     p.add_argument("--pool", type=_at_least(1), default=4,
                    help="number of distinct Satake symbols, at most 23 "
                         "(all suites)")

@@ -46,6 +46,8 @@ TAGS = {"exceptional": EXCEPTIONAL, "sub1": SUBREGULAR1, "sub2": SUBREGULAR2,
         "regular": REGULAR}
 TAG_NAMES = {v: k for k, v in TAGS.items()}
 
+_HALF = Fraction(1, 2)
+
 
 class PoleEntry(Record):
     root: Scalar
@@ -178,5 +180,4 @@ def ideals_JK(pi) -> tuple[SplitRational, SplitRational]:
     split = nov_split(pi, st)
     l = lfactor(pi.rep)
     den = l * l.shift(1)
-    half = Fraction(1, 2)
-    return split.full.shift(half) / den, split.regular.shift(half) / den
+    return split.full.shift(_HALF) / den, split.regular.shift(_HALF) / den

@@ -102,6 +102,26 @@ def half_integer(t) -> Fraction:
     return f
 
 
+def _v_exponent(t) -> int:
+    """-2t as an int for a half-integer t: the power of v in X -> v^{-2t} X
+    (the shift s -> s + t) and in |.|^t.  An int or a Fraction is read off
+    directly; any other input goes through half_integer.
+
+    >>> _v_exponent(1), _v_exponent(Fraction(-1, 2)), _v_exponent("3/2")
+    (-2, 1, -3)
+    """
+    if type(t) is int:
+        return -2 * t
+    if type(t) is not Fraction:
+        t = half_integer(t)
+    d = t.denominator
+    if d == 1:
+        return -2 * t.numerator
+    if d == 2:
+        return -t.numerator
+    raise HalfIntegerError("not a half-integer: %s" % (t,))
+
+
 def _integer(n) -> int:
     """n as an int, for an exponent or an index: a number equal to an
     integer, such as Fraction(4, 2) or 2.0, is that integer; any other

@@ -11,10 +11,12 @@ L-factor is the special case unit 1, xpower 0, all exponents <= 0 (then the
 value is 1/P(X) with P(0) = 1).
 
 The factors are kept sorted by base (Scalar.sort_key), and every
-operation keeps that order where it can: a product merges its two sorted
-factor lists in one pass, an inverse or a power only negates or scales the
-exponents, and only the substitution s -> s + t, which can reorder the
-bases, and the constructors sort.
+operation keeps that order where it can: a product or a quotient merges its
+two sorted factor lists in one pass, adding or subtracting the exponents, an
+inverse or a power only negates or scales the exponents, and only the
+substitution s -> s + t, which can reorder the bases, and the constructors
+sort.  For a half-integer t that substitution is X -> v^{-2t} X, an integer
+offset of the v exponents of the unit and of every base.
 
 Ideal semantics: X is a unit of C[q^s, q^{-s}], so a fractional ideal only
 sees the exponents at each base.  The sum of the principal ideals (f_1),
@@ -24,11 +26,12 @@ base contributing exponent 0 there.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import LfacValueError, ScalarDomainError, _printable
 from .record import Record
-from .scalar import Scalar, _integer, half_integer
+from .scalar import Scalar, _integer, _v_exponent
 
 __all__ = ["SplitRational", "IdealGen", "ideal_generator"]
 
@@ -44,27 +47,31 @@ def _sorted_factors(pairs) -> tuple:
                         key=lambda p: p[0].sort_key()))
 
 
-def _merge(xs: tuple, ys: tuple) -> tuple:
-    """The factors of a product of two sorted factor tuples, merged in one
-    pass: the exponents of a base on both sides add, and a base whose
+def _merge(xs: tuple, ys: tuple, op=operator.add) -> tuple:
+    """The factors of a product of two sorted factor tuples, or of a quotient
+    for op operator.sub, merged in one pass: op combines the exponents of a
+    base on both sides, a base only ys has takes op(0, e), and a base whose
     exponent cancels to 0 drops.  Equal sort keys are equal bases."""
+    add = op is operator.add
     out = []
     i = j = 0
     while i < len(xs) and j < len(ys):
         (bx, ex), (by, ey) = xs[i], ys[j]
         kx, ky = bx.sort_key(), by.sort_key()
         if kx == ky:
-            if ex + ey:
-                out.append((bx, ex + ey))
+            e = op(ex, ey)
+            if e:
+                out.append((bx, e))
             i += 1
             j += 1
         elif kx < ky:
             out.append(xs[i])
             i += 1
         else:
-            out.append(ys[j])
+            out.append(ys[j] if add else (by, -ey))
             j += 1
-    return (*out, *xs[i:], *ys[j:])
+    rest = ys[j:] if add else [(b, -e) for b, e in ys[j:]]
+    return (*out, *xs[i:], *rest)
 
 
 class SplitRational:
@@ -142,7 +149,11 @@ class SplitRational:
     def __truediv__(self, other):
         if not isinstance(other, SplitRational):
             return NotImplemented
-        return self * other.inverse()
+        # most units are 1, and a quotient by 1 need not be computed
+        u, w = self.unit, other.unit
+        return SplitRational._canonical(
+            u if w.is_one else u / w, self.xpower - other.xpower,
+            _merge(self.factors, other.factors, operator.sub))
 
     def __pow__(self, n):
         if type(n) is not int:
@@ -161,10 +172,9 @@ class SplitRational:
         """The substitution s -> s + t for a half-integer t, i.e. X -> v^{-2t} X.
         The unit and every base move by a power of v, an offset of their v
         exponents (Scalar.times_v)."""
-        t = half_integer(t)
-        if not t:
+        k = _v_exponent(t)
+        if not k:
             return self
-        k = int(-2 * t)
         unit = self.unit.times_v(k * self.xpower)
         # b -> b * v^k is injective, so the bases stay distinct, but it can
         # change their order

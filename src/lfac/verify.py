@@ -29,7 +29,7 @@ from .record import Record
 from .scalar import _ONE_C, Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, IrredPart, WDRep, _dual_twist, lfactor, sp, tensor,
-                    twist)
+                    tensor_lfactor, twist)
 
 __all__ = ["TrialProfile", "CheckReport", "Failure", "random_rep",
            "random_gl2", "random_gsp4_free", "random_pairing",
@@ -40,6 +40,11 @@ __all__ = ["TrialProfile", "CheckReport", "Failure", "random_rep",
 TRIAL_STRIDE = 1_000_003
 
 _LETTERS = [c for c in "abcdefghijklmnoprstuwyz" if c not in "qvx"]
+
+# the shifts s -> s +- 1/2 of the division identities, and their sp(1)
+_HALF = Fraction(1, 2)
+_MINUS_HALF = Fraction(-1, 2)
+_SP1 = sp(1)
 
 
 class TrialProfile(Record):
@@ -220,14 +225,19 @@ def check_lemma71(w: WDRep) -> CheckReport:
     Identity 1: L(w,s) L(w,s+1) / L(w (x) sp(1), s+1/2) is the product of the
     n=0 block factors.  Identity 2 tensors the numerator arguments by sp(1)
     and picks out the n=1 blocks instead.
+
+    w1 = w (x) sp(1) is built as blocks and L(w1) read off them, so tensor
+    and lfactor run on every trial; L(w1 (x) sp(1)) is read off the
+    unramified tensor lines of (w1, sp(1)) by tensor_lfactor, without
+    building the product.  Hence only w1 is held to BLOCK_MAX.
     """
     rep = CheckReport("lemma71", 1)
     l = lfactor(w)
-    w1 = tensor(w, sp(1))
-    l1 = lfactor(w1).shift(Fraction(1, 2))
+    w1 = tensor(w, _SP1)
+    l1 = lfactor(w1).shift(_HALF)
     _compare(rep, l * l.shift(1) / l1, lfactor(_blocks_with_n(w, 0)),
              "identity 1", w)
-    _compare(rep, l1 * l1.shift(1) / lfactor(tensor(w1, sp(1))).shift(1),
+    _compare(rep, l1 * l1.shift(1) / tensor_lfactor(w1, _SP1).shift(1),
              lfactor(_blocks_with_n(w, 1)), "identity 2", w)
     return rep
 
@@ -242,7 +252,7 @@ def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
         w = twist(pi.rep, sigma.rep.blocks[0].part)
         l = lfactor(w)
         n0 = lfactor(_blocks_with_n(w, 0))
-        return (l * l.shift(1) / n0).shift(Fraction(-1, 2))
+        return (l * l.shift(1) / n0).shift(_MINUS_HALF)
     raise TypeConstraintViolation("no product route for kind %r" % sigma.kind)
 
 
@@ -260,7 +270,7 @@ def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
     if pi.st_type in ("IIIa", "IVa") and sigma.kind == "steinberg-twist" \
             and sigma.rep.blocks[0].part.is_trivial:
         l = lfactor(pi.rep)
-        _compare(rep, a.shift(Fraction(1, 2)), l * l.shift(1),
+        _compare(rep, a.shift(_HALF), l * l.shift(1),
                  "IIIa/IVa closed form", pi.rep)
         if subregular_poles(pi).subregular_roots():
             rep.record(0, 0, "unexpected subregular poles on %r" % (pi.rep,))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfac.chars import Character
-from lfac.errors import LfacValueError
+from lfac.errors import HalfIntegerError, LfacValueError
 from lfac.scalar import Scalar
 
 a = Scalar.symbol("a")
@@ -90,6 +90,9 @@ def test_absval():
     assert Character.absval(1).satake == v ** -2
     assert Character.absval(Fraction(-1, 2)).satake == v
     assert Character.absval(0).is_trivial
+    assert Character.absval("3/2").satake == v ** -3
+    with pytest.raises(HalfIntegerError, match=r"\Anot a half-integer: 1/3\Z"):
+        Character.absval("1/3")
 
 
 def test_exponents_must_be_integers():

@@ -296,6 +296,19 @@ def test_verify_refuses_a_pool_past_the_letters(capsys):
     assert main(["verify", "--trials", "1", "--pool", "23"]) == 0
 
 
+def test_lemma71_budget_is_held_to_one_tensor(capsys):
+    # w (x) sp(1) is built and held to BLOCK_MAX; (w (x) sp(1)) (x) sp(1)
+    # is only read for its L-factor, so a draw whose second tensor would
+    # be too large still runs
+    argv = ["verify", "--suite", "lemma71", "--trials", "20", "--seed", "1"]
+    assert main(argv + ["--budget", "400"]) == 0
+    assert capsys.readouterr() == ("lemma71: trials=20 failures=0 PASS\n", "")
+    assert main(argv + ["--budget", "600"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: representation would have 1010 "
+                                 "blocks, more than 1000\n")
+
+
 def test_pairing_needs_gl2_on_the_right(capsys):
     assert main(["lfactor", "gsp4.VIa(unr(a))", "unr(b)"]) == 2
     _, err = capsys.readouterr()
@@ -442,12 +455,13 @@ def test_closed_stdout_exits_2_without_traceback(fmt, unbuffered):
     # a buffered one in the flush; either way it is an io error, exit 2
     src = str(pathlib.Path(lfac.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
-    proc = subprocess.Popen([sys.executable, "-m", "lfac", "verify",
-                             "--trials", "3", "--format", fmt], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=300) == 2
+    with subprocess.Popen([sys.executable, "-m", "lfac", "verify",
+                           "--trials", "3", "--format", fmt], env=env,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 2
     assert err == "error: [Errno 32] Broken pipe\n"
 
 

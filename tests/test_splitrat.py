@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfac.errors import LfacValueError, ScalarDomainError
+from lfac.errors import HalfIntegerError, LfacValueError, ScalarDomainError
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational, ideal_generator
 
@@ -206,7 +206,8 @@ def sharing_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sharing_pairs(), st.integers(-3, 3),
-       st.sampled_from([0, Fraction(1, 2), -1, Fraction(-3, 2), 2]),
+       st.sampled_from([0, Fraction(1, 2), -1, Fraction(-3, 2), 2,
+                        "3/2", 1.5, Fraction(4, 2)]),
        pole_bases)
 def test_private_constructor_matches_public(pair, n, t, poles):
     # products merge two sorted factor tuples, and inverses and powers keep
@@ -223,10 +224,14 @@ def test_private_constructor_matches_public(pair, n, t, poles):
                     [(b, e * n) for b, e in x.factors])
     x = pair[0]
     assert (x * x.inverse()).factors == ()
-    w = v ** int(-2 * t)
+    # a shift by an int, a Fraction, a str or a float, against -2t taken
+    # in Fraction arithmetic
+    w = v ** int(-2 * Fraction(t))
     _same_split(x.shift(t), x.unit * w ** x.xpower, x.xpower,
                 [(b * w, e) for b, e in x.factors])
     assert x.shift(0) is x
+    with pytest.raises(HalfIntegerError, match=r"\Anot a half-integer: 1/3\Z"):
+        x.shift(Fraction(1, 3))
     _same_split(SplitRational.from_poles(poles), 1, 0,
                 [(b, -1) for b in poles])
 

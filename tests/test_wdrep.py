@@ -178,6 +178,9 @@ def test_lfactor_matches_per_block_product():
         assert lfactor(w) == _per_block_lfactor(w), seed
         assert tensor_lfactor(w, sp(2)) \
             == _per_block_lfactor(tensor(w, sp(2))), seed
+        # the route lemma71's identity 2 no longer builds
+        w1 = tensor(w, sp(1))
+        assert tensor_lfactor(w1, sp(1)) == lfactor(tensor(w1, sp(1))), seed
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,11 +10,11 @@ the formula-level identities.
 import importlib
 
 from .catalog import (Gl2Param, Gsp4Param, default_catalog, free,
-                      from_catalog, gsp4_param, load_catalog,
-                      nov_lfactor, principal_series, rs_lfactor, sc_irred4,
-                      sc_pair, steinberg, supercuspidal, theta_lift, type_I,
-                      type_IIa, type_IIIa, type_IVa, type_IXa, type_Va,
-                      type_VIa, type_VII, type_VIIIa, type_X, type_XIa)
+                      gsp4_param, load_catalog, nov_lfactor, principal_series,
+                      rs_lfactor, sc_irred4, sc_pair, steinberg, supercuspidal,
+                      theta_lift, type_I, type_IIa, type_IIIa, type_IVa,
+                      type_IXa, type_Va, type_VIa, type_VII, type_VIIIa,
+                      type_X, type_XIa)
 from .chars import Character
 from .dsl import evaluate_text, parse_scalar
 from .errors import (CatalogFormatError, CentralCharacterMismatch,
@@ -60,7 +60,7 @@ __all__ = [
     "TrialProfile", "TypeConstraintViolation", "UnsupportedPair",
     "UnsupportedTensor", "WDRep", "char_rep", "check_corollary62",
     "check_lemma71", "check_soudry", "check_theoremA", "default_catalog",
-    "dual", "evaluate_text", "exceptional_poles", "free", "from_catalog",
+    "dual", "evaluate_text", "exceptional_poles", "free",
     "gsp4_param", "half_integer", "hom_dim", "ideal_generator",
     "ideals_JK", "lfactor", "load_catalog", "nov_lfactor", "nov_split",
     "parse_scalar", "principal_series", "ps_split", "rs_lfactor",

@@ -92,29 +92,30 @@ def supercuspidal(label: str, det: Character = _TRIV) -> Gl2Param:
 # -------------------------------------------------------------------- GSp(4)
 
 class Gsp4Param(Record):
+    """A GSp(4) parameter and the call that built it: entry is the
+    expression function (gsp4.VIa, gsp4.sc4, gsp4.free, theta, ...) and args
+    its arguments, so entry(args...) is its text form.  A record built
+    directly has no entry and no text form."""
     rep: WDRep
     similitude: Character
-    st_type: str                                  # catalog type tag or FREE
-    theta: tuple[Gl2Param, Gl2Param] | None = None
-    args: tuple | None = None                     # constructor data, for rendering
-    entry: str | None = None                      # GSP4_TYPES name that built args
+    st_type: str               # catalog type tag, SC or FREE
+    entry: str | None = None
+    args: tuple = ()
 
     def lfactor(self) -> SplitRational:
         return lfactor(self.rep)
 
 
-def _make(rep: WDRep, sim: Character, st_type: str, args=None, theta=None,
-          entry=None) -> Gsp4Param:
-    # the registry name defaults to the type tag; only SC has two entries
+def _make(rep: WDRep, sim: Character, st_type: str, entry: str,
+          args: tuple) -> Gsp4Param:
     if not similitude_check(rep, sim):
         raise SimilitudeViolation(
             "declared similitude %s fails the dual-twist check" % sim)
-    return Gsp4Param(rep, sim, st_type, theta, args,
-                     None if args is None else entry or st_type)
+    return Gsp4Param(rep, sim, st_type, entry, args)
 
 
 def free(rep: WDRep, similitude: Character) -> Gsp4Param:
-    return _make(rep, similitude, "FREE")
+    return _make(rep, similitude, "FREE", "gsp4.free", (rep, similitude))
 
 
 def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
@@ -122,8 +123,8 @@ def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
     similitude is recorded as self-duality data (det = similitude^2)."""
     part = IrredPart(4, label, base_det=similitude ** 2,
                      selfdual_twist=similitude.inverse())
-    return _make(WDRep([Block(part, 0)]), similitude, "SC", (label, similitude),
-                 entry="sc4")
+    return _make(WDRep([Block(part, 0)]), similitude, "SC", "gsp4.sc4",
+                 (label, similitude))
 
 
 def sc_pair(label1: str, label2: str, det: Character = _TRIV) -> Gsp4Param:
@@ -133,7 +134,7 @@ def sc_pair(label1: str, label2: str, det: Character = _TRIV) -> Gsp4Param:
         raise TypeConstraintViolation("supercuspidal pair needs distinct labels")
     rep = WDRep([Block(IrredPart(2, label1, base_det=det), 0),
                  Block(IrredPart(2, label2, base_det=det), 0)])
-    return _make(rep, det, "SC", (label1, label2, det), entry="scpair")
+    return _make(rep, det, "SC", "gsp4.scpair", (label1, label2, det))
 
 
 def theta_lift(tau1: Gl2Param, tau2: Gl2Param) -> Gsp4Param:
@@ -142,8 +143,8 @@ def theta_lift(tau1: Gl2Param, tau2: Gl2Param) -> Gsp4Param:
     if tau1.central != tau2.central:
         raise CentralCharacterMismatch(
             "central characters differ: %s vs %s" % (tau1.central, tau2.central))
-    return _make(tau1.rep + tau2.rep, tau1.central, "FREE",
-                 theta=(tau1, tau2))
+    return _make(tau1.rep + tau2.rep, tau1.central, "FREE", "theta",
+                 (tau1, tau2))
 
 
 # ------------------------------------------------------- transcribed catalog
@@ -282,24 +283,6 @@ def _not_absval_text(k: int) -> str:
     return "away from |.|^{+-%s}" % (k // 2 if k % 2 == 0 else "%d/2" % k)
 
 
-def from_catalog(name: str, values: dict, catalog=None, args=None) -> Gsp4Param:
-    """Instantiate a transcribed shape with the given parameter bindings; the
-    shapes of catalog are layered over the shipped ones."""
-    shape = (catalog or {}).get(name) or _DEFAULT_CATALOG.get(name)
-    if shape is None:
-        raise TypeConstraintViolation("no catalog shape named %r" % name)
-    if set(values) != {p for p, _ in shape.params}:
-        raise TypeConstraintViolation(
-            "shape %s takes params %s" % (name, [p for p, _ in shape.params]))
-    return _shape_type(shape).ctor.build(values, args)
-
-
-# what a param kind admits, how a refusal names it, and its value in scope
-_PARAM_KINDS = {"char": (Character, "a character", lambda chi: chi),
-                "irred": (IrredPart, "an irreducible part",
-                          lambda part: WDRep([Block(part, 0)]))}
-
-
 class Gsp4Type(Record):
     """One GSp(4) constructor as the expression language spells it.
 
@@ -324,25 +307,33 @@ _CODED = {t.name: t for t in (
 def _shape_type(shape: CatalogShape) -> Gsp4Type:
     """The registry row of a shape, compiled once per distinct shape: a char
     param is "c", an irred param a label and its determinant "lc", or "l"
-    if trivial-det.  Its ctor binds the arguments and calls ctor.build, the
-    one instantiation of the shape, which reads the expressions in file
-    order with one evaluator and keeps each parse once made."""
+    if trivial-det.  Its ctor is the one instantiation of the shape: it
+    binds the arguments and reads the expressions in file order with one
+    evaluator, keeping each parse once made."""
     name = shape.name
+    entry = "gsp4." + name
     trivial = {p for kind, p, *_ in shape.requires if kind == "trivial-det"}
     sig = "".join("c" if kind == "char" else "l" if p in trivial else "lc"
                   for p, kind in shape.params)
     trees: dict = {}
 
-    def build(values: dict, args) -> Gsp4Param:
+    def ctor(*args) -> Gsp4Param:
         from .dsl import _SIMPLE, _Evaluator, _evaluate  # dsl imports this module
 
-        env = {}
-        for pname, kind in shape.params:
-            cls, noun, bind = _PARAM_KINDS[kind]
-            if not isinstance(values[pname], cls):
-                raise TypeConstraintViolation("param %s of %s must be %s"
-                                              % (pname, name, noun))
-            env[pname] = bind(values[pname])
+        if len(args) != len(sig):
+            raise TypeConstraintViolation("type %s takes %d arguments"
+                                          % (name, len(sig)))
+        rest, env = iter(args), {}
+        for p, kind in shape.params:
+            if kind == "irred":
+                label = next(rest)
+                det = _TRIV if p in trivial else next(rest)
+                env[p] = WDRep([Block(IrredPart(2, label, base_det=det), 0)])
+                continue
+            env[p] = next(rest)
+            if not isinstance(env[p], Character):
+                raise TypeConstraintViolation("param %s of %s must be a "
+                                              "character" % (p, name))
         ev = _Evaluator(env, _SIMPLE)
 
         def value(what, text):
@@ -354,7 +345,8 @@ def _shape_type(shape: CatalogShape) -> Gsp4Type:
 
         for kind, arg, *k in shape.requires:  # k is [K] for not-absval
             if kind == "trivial-det":
-                if not values[arg].det().is_trivial:
+                # an irred param under it takes no determinant argument
+                if isinstance(env[arg], Character) and not env[arg].is_trivial:
                     raise TypeConstraintViolation(
                         "shape %s requires det(%s) trivial" % (name, arg))
                 continue
@@ -371,22 +363,7 @@ def _shape_type(shape: CatalogShape) -> Gsp4Type:
         sim = value("similitude", shape.similitude)
         if not isinstance(sim, Character):
             raise CatalogFormatError("%s: similitude must be a character" % name)
-        return _make(WDRep(blocks), sim, name, args)
-
-    def ctor(*args) -> Gsp4Param:
-        if len(args) != len(sig):
-            raise TypeConstraintViolation("type %s takes %d arguments"
-                                          % (name, len(sig)))
-        rest, values = iter(args), {}
-        for p, kind in shape.params:
-            if kind == "char":
-                values[p] = next(rest)
-            else:
-                label = next(rest)
-                det = _TRIV if p in trivial else next(rest)
-                values[p] = IrredPart(2, label, base_det=det)
-        return build(values, args)
-    ctor.build = build  # from_catalog binds by name and calls it directly
+        return _make(WDRep(blocks), sim, name, entry, args)
     return Gsp4Type(name, ctor, sig)
 
 

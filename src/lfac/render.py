@@ -92,16 +92,11 @@ def _gl2_text(p: cat.Gl2Param) -> str:
 
 
 def _gsp4_text(p: cat.Gsp4Param) -> str:
-    if p.theta is not None:
-        return "theta(%s, %s)" % (_gl2_text(p.theta[0]), _gl2_text(p.theta[1]))
-    if p.entry is not None:
-        pieces = [a if isinstance(a, str) else text(a) for a in p.args]
-        return "gsp4.%s(%s)" % (p.entry, ", ".join(pieces))
-    if p.st_type != "FREE":
-        # gsp4.free would parse back as FREE, not as this type
+    if p.entry is None:
         raise LfacValueError("a %s parameter built without its constructor "
                              "arguments has no text form" % p.st_type)
-    return "gsp4.free(%s, %s)" % (_rep_text(p.rep), p.similitude)
+    return "%s(%s)" % (p.entry, ", ".join(
+        [a if isinstance(a, str) else text(a) for a in p.args]))
 
 
 def _entry_text(e: _poles.PoleEntry) -> str:

@@ -5,8 +5,7 @@ import re
 import pytest
 
 from lfac.catalog import (GSP4_TYPES, Gl2Param, Gsp4Param, default_catalog,
-                          free, from_catalog, gsp4_param,
-                          gsp4_types, load_catalog,
+                          free, gsp4_param, gsp4_types, load_catalog,
                           nov_lfactor, principal_series, rs_lfactor,
                           sc_irred4, sc_pair, steinberg, supercuspidal,
                           theta_lift, type_I, type_IIa, type_IIIa, type_IVa,
@@ -20,7 +19,7 @@ from lfac.errors import (CatalogFormatError, CentralCharacterMismatch,
                          SimilitudeViolation, TypeConstraintViolation,
                          UnsupportedPair)
 from lfac.scalar import Scalar
-from lfac.wdrep import IrredPart, char_rep, lfactor, tensor_lfactor
+from lfac.wdrep import char_rep, lfactor, tensor_lfactor
 
 a = Scalar.symbol("a")
 b = Scalar.symbol("b")
@@ -164,7 +163,8 @@ def test_theta_lift():
         theta_lift(tau1, tau2)
     tau2 = principal_series(unr(a * b) * unr(c).inverse(), unr(c))
     lift = theta_lift(tau1, tau2)
-    assert lift.st_type == "FREE" and lift.theta == (tau1, tau2)
+    assert lift.st_type == "FREE"
+    assert (lift.entry, lift.args) == ("theta", (tau1, tau2))
     assert lift.similitude == tau1.central
     assert lift.rep == tau1.rep + tau2.rep
 
@@ -205,7 +205,7 @@ def test_load_catalog_roundtrip(tmp_path):
                  "block sigma sp 2\n"
                  "similitude sigma^2\n")
     shapes = load_catalog(f)
-    p = from_catalog("T", {"sigma": unr(a)}, catalog=shapes)
+    p = gsp4_param("T", unr(a), catalog=shapes)
     assert str(p.lfactor()) == "1/(1 - a*v^-2*X)"
     assert p.similitude == unr(a) ** 2
 
@@ -275,7 +275,7 @@ def test_expression_errors_name_type_and_text(tmp_path, capsys, body, message):
     f.write_text("catalog-format 1\ntype Z\nparams sigma:char\n" + body + "\n")
     shapes = load_catalog(f)  # expressions are read on instantiation
     with pytest.raises(CatalogFormatError) as ex:
-        from_catalog("Z", {"sigma": unr(a)}, shapes)
+        gsp4_param("Z", unr(a), catalog=shapes)
     assert str(ex.value) == message
     argv = ["eval", "gsp4.Z(unr(a))", "--catalog", str(f)]
     assert main(argv) == 2
@@ -297,9 +297,7 @@ def test_types_generated_from_params(three_shape_catalog):
         == ["ccc", "cc", "cc", "c", "c", "c", "lcc", "lc", "lc", "lcc", "lc"]
     assert [types[n].sig for n in "TYZ"] == ["c", "lcc", "cl"]
     p = gsp4_param("Z", unr(a), "l", catalog=shapes)
-    assert p == from_catalog("Z", {"sigma": unr(a), "rho": IrredPart(2, "l")},
-                             shapes, (unr(a), "l"))
-    assert (p.st_type, p.entry) == ("Z", "Z")
+    assert (p.st_type, p.entry, p.args) == ("Z", "gsp4.Z", (unr(a), "l"))
     assert gsp4_param("Y", "l", unr(b), unr(a), catalog=shapes).rep \
         == type_X("l", unr(b), unr(a)).rep
     assert gsp4_param("IIa", unr(a), unr(b), catalog=shapes) \
@@ -310,22 +308,22 @@ def test_types_generated_from_params(three_shape_catalog):
         type_X("l", unr(a))
 
 
-def test_from_catalog_binding_errors():
+def test_type_binding_errors():
     with pytest.raises(TypeConstraintViolation):
-        from_catalog("nope", {})
-    with pytest.raises(TypeConstraintViolation):
-        from_catalog("VIa", {"tau": unr(a)})
-    with pytest.raises(TypeConstraintViolation):
-        from_catalog("VIa", {"sigma": a})  # a scalar is not a character
-    with pytest.raises(TypeConstraintViolation):
-        from_catalog("X", {"rho": unr(a), "sigma": unr(b)})
+        gsp4_param("nope")
+    with pytest.raises(TypeConstraintViolation) as ex:
+        type_VIa(a)  # a scalar is not a character
+    assert str(ex.value) == "param sigma of VIa must be a character"
 
 
 def test_trivial_det_requirement():
-    from lfac.wdrep import IrredPart
-    rho = IrredPart(2, "l", base_det=ram("eta"))
+    # an irred param under trivial-det takes no determinant argument
+    assert GSP4_TYPES["XIa"].sig == "lc"
+    p = type_XIa("l", unr(a))
+    assert [b.part.base_det for b in p.rep.blocks if b.part.dim == 2] \
+        == [Character.trivial()]
     with pytest.raises(TypeConstraintViolation):
-        from_catalog("XIa", {"rho": rho, "sigma": unr(a)})
+        type_XIa("l", ram("eta"), unr(a))
 
 
 def test_trivial_det_requirement_on_a_char_param(tmp_path):
@@ -413,12 +411,10 @@ def test_catalog_file_layers_over_the_shipped_types(tmp_path):
     assert set(shapes) == {"IIa"}
     p = gsp4_param("IIa", unr(a), catalog=shapes)
     assert p.rep == char_rep(unr(a), 3) and p.st_type == "IIa"
-    assert p == from_catalog("IIa", {"sigma": unr(a)}, shapes, (unr(a),))
     # the types the file does not name are the shipped ones
     assert gsp4_param("I", unr(a), unr(b), unr(c), catalog=shapes) \
         == type_I(unr(a), unr(b), unr(c))
-    assert from_catalog("VIa", {"sigma": unr(a)}, shapes) \
-        == from_catalog("VIa", {"sigma": unr(a)})
+    assert gsp4_param("VIa", unr(a), catalog=shapes) == type_VIa(unr(a))
 
 
 def test_shape_expressions_parse_once(monkeypatch):
@@ -442,7 +438,7 @@ def test_file_rows_layer_over_the_shared_table(tmp_path, monkeypatch):
     types = gsp4_types(shapes)
     assert all(types[n] is GSP4_TYPES[n] for n in GSP4_TYPES if n != "IIa")
     assert types["IIa"] is not GSP4_TYPES["IIa"]
-    expected = from_catalog("T", {"sigma": unr(a)}, shapes, (unr(a),))
+    expected = types["T"].ctor(unr(a))
     assert evaluate_text("gsp4.T(unr(a))", catalog=shapes) == expected
     assert gsp4_param("T", unr(a), catalog=shapes) == expected
     assert gsp4_param("IIa", unr(b), catalog=shapes).rep == char_rep(unr(b), 3)

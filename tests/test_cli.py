@@ -139,7 +139,7 @@ def test_sympy_loads_only_for_a_genuine_sum():
 # every import inside a function body of the package, by module and function
 LAZY_IMPORTS = {
     ("catalog", "_shape_type", ".dsl"),
-    ("catalog", "build", ".dsl"),
+    ("catalog", "ctor", ".dsl"),
     ("cli", "_cmd_verify", ".verify"),
     ("scalar", "_exact_quotient", "heapq"),
     ("scalar", "_ring", "sympy"),

@@ -137,7 +137,7 @@ def test_gsp4_expressions():
 
 def test_theta_and_pole_functions():
     lift = ev("theta(gl2.st(unr(a)), gl2.ps(unr(a*b), unr(a/b)))")
-    assert isinstance(lift, Gsp4Param) and lift.theta is not None
+    assert isinstance(lift, Gsp4Param) and lift.entry == "theta"
     report = ev("exceptional(gsp4.VIa(unr(a)), gl2.st())")
     assert isinstance(report, PoleReport)
     assert [str(r) for r in report.exceptional_roots()] == ["a"]

@@ -28,7 +28,7 @@ FIELDS = {
                 "selfdual_twist"),
     Block: ("part", "n"),
     Gl2Param: ("rep", "central", "kind", "reducible"),
-    Gsp4Param: ("rep", "similitude", "st_type", "theta", "args", "entry"),
+    Gsp4Param: ("rep", "similitude", "st_type", "entry", "args"),
     CatalogShape: ("name", "params", "requires", "blocks", "similitude"),
     Gsp4Type: ("name", "ctor", "sig", "optional"),
     PoleEntry: ("root", "classification", "witnesses", "bessel"),

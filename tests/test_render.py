@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lfac.catalog import (GSP4_TYPES, free, from_catalog, gsp4_types,
+from lfac.catalog import (GSP4_TYPES, Gsp4Param, free, gsp4_types,
                           load_catalog, principal_series, sc_irred4, sc_pair,
                           steinberg, supercuspidal, theta_lift, type_IIIa,
                           type_VIa, type_X)
@@ -46,14 +46,13 @@ def test_text_theta_and_free():
 
 
 def test_catalog_type_without_args_has_no_text():
-    # gsp4.free(...) would parse back as FREE, an unequal parameter
-    bare = from_catalog("Va", {"sigma": unr(a)})
+    # a record built directly names no constructor call to print
+    p = type_VIa(unr(a))
+    bare = Gsp4Param(p.rep, p.similitude, "VIa")
     for render in (text, to_json):
         with pytest.raises(LfacValueError):
             render(bare)
-    typed = from_catalog("Va", {"sigma": unr(a)}, args=(unr(a),))
-    assert text(typed) == "gsp4.Va(unr(a))"
-    assert evaluate_text(text(typed)) == typed
+    assert evaluate_text(text(p)) == p
 
 
 def test_empty_rep_has_no_text():

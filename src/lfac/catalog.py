@@ -75,7 +75,7 @@ def principal_series(chi1: Character, chi2: Character,
             "principal series with ratio |.|^{+-1} is reducible; pass "
             "reducible=True, or red as the third argument of gl2.ps, to "
             "construct it anyway")
-    return Gl2Param(char_rep(chi1) + char_rep(chi2), chi1 * chi2,
+    return Gl2Param(WDRep([Block(chi1, 0), Block(chi2, 0)]), chi1 * chi2,
                     "principal-series", tag)
 
 

@@ -169,6 +169,13 @@ def _positions(sub: tuple[str, ...], gens: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(sub.index(g) if g in sub else len(sub) for g in gens)
 
 
+@functools.lru_cache(maxsize=None)
+def _gens_plan(g1: tuple[str, ...], g2: tuple[str, ...]):
+    # the union of g1 and g2, and where each of its gens sits in g1 and in g2
+    gens = _gens_union(g1, g2)
+    return gens, _positions(g1, gens), _positions(g2, gens)
+
+
 # The most terms a power may expand to, by the estimate of _power_terms; a
 # larger power raises LfacValueError before it expands.  The bound is set by
 # time and output size, like wdrep.SP_MAX and wdrep.BLOCK_MAX: it admits
@@ -507,9 +514,9 @@ class Scalar:
         if gens != other._gens:
             # each gen of the union read from its place in each operand, or
             # from a 0 appended past the end
-            gens = _gens_union(gens, other._gens)
-            e1 = map((*e1, 0).__getitem__, _positions(self._gens, gens))
-            e2 = map((*e2, 0).__getitem__, _positions(other._gens, gens))
+            gens, at1, at2 = _gens_plan(gens, other._gens)
+            e1 = map((*e1, 0).__getitem__, at1)
+            e2 = map((*e2, 0).__getitem__, at2)
         return Scalar._monomial(gens, tuple(map(op, e1, e2)), c)
 
     def times_v(self, k: int) -> "Scalar":

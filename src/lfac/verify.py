@@ -12,6 +12,10 @@ then k), so a seed names one trial.  Of the profile, only random_rep reads
 block_budget and max_sp, so they reach lemma71 alone; allow_irred reaches
 lemma71 and theoremA; symbol_pool reaches all three suites and names at
 most the 23 letters of _LETTERS (a pool below 1 reads as 1).
+
+Theorem A's two routes share no L-factor reader: nov_lfactor reads the lines
+of phi_pi (x) phi_sigma, the product route each L(phi_pi (x) chi) off phi_pi's
+blocks through lfactor(w, chi), with no twist built.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .record import Record
 from .scalar import _ONE_C, Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, IrredPart, WDRep, _dual_twist, lfactor, sp, tensor,
-                    tensor_lfactor, twist)
+                    tensor_lfactor)
 
 __all__ = ["TrialProfile", "CheckReport", "Failure", "random_rep",
            "random_gl2", "random_gsp4_free", "random_pairing",
@@ -244,14 +248,15 @@ def check_lemma71(w: WDRep) -> CheckReport:
 
 def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
     """The pairing factor without any tensor machinery: the two-character
-    product for principal series, the division identity for Steinberg twists."""
+    product for principal series, the division identity for Steinberg twists,
+    each L(phi_pi (x) chi) read off phi_pi's blocks by lfactor(w, chi)."""
     if sigma.kind == "principal-series":
         c1, c2 = (b.part for b in sigma.rep.blocks)
-        return lfactor(twist(pi.rep, c1)) * lfactor(twist(pi.rep, c2))
+        return lfactor(pi.rep, c1) * lfactor(pi.rep, c2)
     if sigma.kind == "steinberg-twist":
-        w = twist(pi.rep, sigma.rep.blocks[0].part)
-        l = lfactor(w)
-        n0 = lfactor(_blocks_with_n(w, 0))
+        chi = sigma.rep.blocks[0].part
+        l = lfactor(pi.rep, chi)
+        n0 = lfactor(_blocks_with_n(pi.rep, 0), chi)
         return (l * l.shift(1) / n0).shift(_MINUS_HALF)
     raise TypeConstraintViolation("no product route for kind %r" % sigma.kind)
 

@@ -16,13 +16,13 @@ self-duality keeps a formal dual marker instead.
 
 L-factors only ever see unramified character blocks: a block unr(alpha) (x)
 sp(n) contributes 1/(1 - alpha v^{-n} X), everything else contributes 1.
-So lfactor(w) reads its poles off w's unramified character blocks, with no
-tensor product; tensor_lfactor(w1, w2) reads them off the unramified lines
-of w1 (x) w2 without building it, through _unramified_lines.  The pole
-classifiers of poles.py read the same two places: subregular_poles the
-blocks of pi with n = 0 and n = 1, as lfactor reads them, and
-exceptional_poles the lines of _unramified_lines whose Clebsch-Gordan range
-holds 0.  A twin pair has one refusal, from _unramified_lines, for
+So lfactor(w, chi) reads the poles of w (x) chi off w's character blocks,
+with no twist or tensor product built; tensor_lfactor(w1, w2) reads them off
+the unramified lines of w1 (x) w2 without building it, through
+_unramified_lines.  The pole classifiers of poles.py read the same two
+places: subregular_poles the blocks of pi with n = 0 and n = 1, as lfactor
+reads them, and exceptional_poles the lines of _unramified_lines whose
+Clebsch-Gordan range holds 0.  A twin pair has one refusal, from _unramified_lines, for
 tensor_lfactor and exceptional_poles alike.
 """
 
@@ -253,7 +253,10 @@ def _unramified_lines(w1: WDRep, w2: WDRep):
             p, q = b1.part, b2.part
             if isinstance(p, Character) and isinstance(q, Character):
                 if not p.tag and not q.tag:
-                    yield p.satake * q.satake, sp_tensor(b1.n, b2.n)
+                    # a trivial side needs no Scalar multiply
+                    yield (p.satake if q.is_trivial else q.satake
+                           if p.is_trivial else p.satake * q.satake,
+                           sp_tensor(b1.n, b2.n))
                 elif p.tag and q.tag:
                     # the tags may cancel; ramified times unramified, in a
                     # free tag group, cannot
@@ -274,18 +277,23 @@ def tensor_lfactor(w1: WDRep, w2: WDRep) -> SplitRational:
         for alpha, ks in _unramified_lines(w1, w2) for k in ks)
 
 
-def lfactor(w: WDRep) -> SplitRational:
-    """L(w): a pole at alpha v^-n for each unramified character block
-    unr(alpha) (x) sp(n) of w; ramified and irreducible blocks give none.
+def lfactor(w: WDRep, chi: Character | None = None) -> SplitRational:
+    """L(w (x) chi), chi trivial by default, read off w's blocks with no
+    twist built: a pole at (p chi).satake v^-n for each character block
+    p (x) sp(n) of w with p chi unramified, that is, p's tag inverse to chi's.
 
     >>> a, b = (Character.unramified(Scalar.symbol(s)) for s in "ab")
     >>> eta = Character.ramified("eta")
-    >>> str(lfactor(char_rep(a, 1) + char_rep(b) + char_rep(eta, 2)))
-    '1/((1 - a*v^-1*X)(1 - b*X))'
+    >>> w = char_rep(a, 1) + char_rep(b) + char_rep(eta, 2)
+    >>> str(lfactor(w)), str(lfactor(w, b / eta))
+    ('1/((1 - a*v^-1*X)(1 - b*X))', '1/(1 - b*v^-2*X)')
     """
+    s = None if chi is None or chi.is_trivial else chi.satake
+    tag = () if s is None else tuple([(name, -e) for name, e in chi.tag])
     return SplitRational.from_poles(
-        b.part.satake.times_v(-b.n) for b in w.blocks
-        if isinstance(b.part, Character) and not b.part.tag)
+        (b.part.satake if s is None else b.part.satake * s).times_v(-b.n)
+        for b in w.blocks
+        if isinstance(b.part, Character) and b.part.tag == tag)
 
 
 def _dual_twist(p: WeilPart, chi: Character) -> WeilPart:

@@ -807,3 +807,14 @@ def test_monomial_quotient_matches_the_power_route(pair):
 def test_monomial_quotient_cases(x, y):
     _same_quotient(*(Scalar.from_rational(z) if isinstance(z, Fraction) else z
                      for z in (x, y)))
+
+
+def test_a_product_on_different_gens_takes_one_plan():
+    # the union of the gens and where each of its gens sits in each operand
+    assert scalar._gens_plan(("a", "v"), ("b",)) \
+        == (("a", "b", "v"), (0, 2, 1), (1, 0, 1))
+    before = scalar._gens_plan.cache_info()
+    assert str(Scalar.symbol("a") * Scalar.v_power(-1) / Scalar.symbol("b")) \
+        == "a*b^-1*v^-1"
+    after = scalar._gens_plan.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2

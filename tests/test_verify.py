@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 import lfac.verify
+import lfac.wdrep
 from lfac.catalog import (principal_series, sc_irred4, steinberg,
                           supercuspidal, type_IVa, type_VIa)
 from lfac.chars import Character
@@ -11,13 +13,15 @@ from lfac.errors import TypeConstraintViolation
 from lfac.scalar import Scalar
 from lfac.splitrat import SplitRational
 from lfac.verify import (_LETTERS, TRIAL_STRIDE, CheckReport, Failure,
-                         TrialProfile, _matched_gl2_pair, _random_char,
+                         TrialProfile, _blocks_with_n, _draw_rep,
+                         _matched_gl2_pair, _random_char,
                          _random_satake, check_corollary62, check_lemma71,
                          check_soudry, check_theoremA, random_gsp4_free,
                          random_gl2, random_pairing, random_rep, run_suite,
                          theoremA_fixed_cases)
 from lfac.catalog import theta_lift
-from lfac.wdrep import Block, char_rep, dual, similitude_check, twist
+from lfac.wdrep import (Block, char_rep, dual, lfactor, similitude_check,
+                        twist)
 
 from oracle import numeric_equal, numeric_second_opinion
 
@@ -304,3 +308,64 @@ def test_similitude_check_matches_the_rep_route():
     assert irred >= 40
     for pi, _ in theoremA_fixed_cases():
         _check_against_the_rep_route(pi.rep, pi.similitude)
+
+
+def _twisting_char(rng, syms, kind):
+    # trivial, unramified, or ramified with the inverse tag of a drawn
+    # ramified character, so that it can cancel a block's tag
+    if kind == 0:
+        return Character.trivial()
+    if kind == 1:
+        return _random_char(rng, syms, ramified_rate=0.0)
+    return _random_char(rng, syms, ramified_rate=1.0).inverse()
+
+
+def test_twisted_lfactor_matches_the_built_twist():
+    # lfactor(w, chi) reads L(w (x) chi) off w's blocks; the reference
+    # builds twist(w, chi) and reads it, for w and for its n = 0 slice
+    profile = TrialProfile(0, allow_irred=True)
+    syms = _LETTERS[:profile.symbol_pool]
+    ramified_poles = 0
+    for seed in range(1200):
+        rng = random.Random(seed)
+        w = _draw_rep(rng, profile)
+        kind = seed % 3
+        chi = _twisting_char(rng, syms, kind)
+        for u in (w, _blocks_with_n(w, 0)):
+            got, want = lfactor(u, chi), lfactor(twist(u, chi))
+            assert got == want and str(got) == str(want), (seed, u, chi)
+        if kind == 0:
+            assert str(lfactor(w, chi)) == str(lfactor(w)), seed
+        # a ramified chi gives a pole only where it cancels a block's tag
+        ramified_poles += kind == 2 and not lfactor(w, chi).is_one
+    assert ramified_poles >= 50
+
+
+def _drop_first(lines):
+    # the tensor route's fault: its first unramified line goes missing
+    def faulty(w1, w2):
+        return itertools.islice(lines(w1, w2), 1, None)
+    return faulty
+
+
+def _drop_a_pole(reader):
+    # the product route's fault: a twisted L-factor loses one pole
+    def faulty(w, chi=None):
+        f = reader(w, chi)
+        if chi is None or not f.factors:
+            return f
+        return f / SplitRational.from_poles([f.factors[0][0]])
+    return faulty
+
+
+@pytest.mark.parametrize("module, name, fault", [
+    (lfac.wdrep, "_unramified_lines", _drop_first),
+    (lfac.verify, "lfactor", _drop_a_pole),
+], ids=["tensor-route", "product-route"])
+def test_theoremA_catches_a_fault_in_either_route(module, name, fault,
+                                                  monkeypatch):
+    assert run_suite("theoremA", 40, 3)[0].passed
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = run_suite("theoremA", 40, 3)[0]
+    assert not report.passed
+    assert any("routes disagree" in f.detail for f in report.failures)

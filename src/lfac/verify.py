@@ -249,7 +249,8 @@ def check_lemma71(w: WDRep) -> CheckReport:
 def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
     """The pairing factor without any tensor machinery: the two-character
     product for principal series, the division identity for Steinberg twists,
-    each L(phi_pi (x) chi) read off phi_pi's blocks by lfactor(w, chi)."""
+    each L(phi_pi (x) chi) read off phi_pi's blocks by lfactor(w, chi).  No
+    twist is built; the Steinberg branch builds only the n = 0 slice."""
     if sigma.kind == "principal-series":
         c1, c2 = (b.part for b in sigma.rep.blocks)
         return lfactor(pi.rep, c1) * lfactor(pi.rep, c2)

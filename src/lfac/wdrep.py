@@ -22,8 +22,8 @@ the unramified lines of w1 (x) w2 without building it, through
 _unramified_lines.  The pole classifiers of poles.py read the same two
 places: subregular_poles the blocks of pi with n = 0 and n = 1, as lfactor
 reads them, and exceptional_poles the lines of _unramified_lines whose
-Clebsch-Gordan range holds 0.  A twin pair has one refusal, from _unramified_lines, for
-tensor_lfactor and exceptional_poles alike.
+Clebsch-Gordan range holds 0.  A twin pair has one refusal, from
+_unramified_lines, for tensor_lfactor and exceptional_poles alike.
 """
 
 from __future__ import annotations
@@ -253,10 +253,7 @@ def _unramified_lines(w1: WDRep, w2: WDRep):
             p, q = b1.part, b2.part
             if isinstance(p, Character) and isinstance(q, Character):
                 if not p.tag and not q.tag:
-                    # a trivial side needs no Scalar multiply
-                    yield (p.satake if q.is_trivial else q.satake
-                           if p.is_trivial else p.satake * q.satake,
-                           sp_tensor(b1.n, b2.n))
+                    yield p.satake * q.satake, sp_tensor(b1.n, b2.n)
                 elif p.tag and q.tag:
                     # the tags may cancel; ramified times unramified, in a
                     # free tag group, cannot

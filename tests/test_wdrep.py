@@ -14,7 +14,7 @@ from lfac.splitrat import SplitRational
 from lfac.verify import TrialProfile, random_rep
 from lfac.render import text
 from lfac.wdrep import (BLOCK_MAX, SP_MAX, Block, IrredPart, WDRep,
-                        _unramified_lines, char_rep, dual, lfactor, part_dual, similitude_check,
+                        char_rep, dual, lfactor, part_dual, similitude_check,
                         sp, sp_tensor,
                         tensor, tensor_lfactor, twist)
 
@@ -144,15 +144,6 @@ def test_tensor_lines_match_tensor(allow_irred):
         # an irreducible x character pair adds no pole
         assert got == tensor_lfactor(_char_blocks(w1), _char_blocks(w2)), seed
     assert defined >= 30
-
-
-def test_lines_against_a_trivial_side_take_the_other_satake_value():
-    # no Scalar multiply by 1: the line's value is the other side's own
-    alpha = a * v ** 2
-    for w1, w2 in ((char_rep(unr(alpha), 2), sp(1)),
-                   (sp(0), char_rep(unr(alpha), 3))):
-        (value, _), = _unramified_lines(w1, w2)
-        assert value is alpha
 
 
 def test_tensor_lines_twin_message():

@@ -1,14 +1,15 @@
 """Local parameter catalog for GL(2) and GSp(4), and the pairing L-factors.
 
-GL(2) parameters come in three kinds (principal series, Steinberg twist,
-supercuspidal).  GSp(4) parameters carry their block representation, a
-similitude character chi with rep^vee (x) chi = rep, and a type tag.  The
-Sally-Tadic types I, IIa, IIIa, IVa, Va, VIa, VII, VIIIa, IXa, X and XIa are
-shapes of the transcribed data file data/catalog_types.txt, irreducibility
-conditions included as its require lines.  Each distinct shape compiles once
-into its registry row, and gsp4_types layers the rows of another file over
-GSP4_TYPES.  Only the shapes the file grammar cannot state are coded below:
-the two supercuspidal shapes sc4 and scpair, and free.
+A GL(2) parameter (gl2.ps, gl2.st, gl2.sc) or a GSp(4) one (its block
+representation, a similitude chi with rep^vee (x) chi = rep, a type tag)
+records the call that built it, which render prints, so the sub/quot order
+of a reducible gl2.ps is decided here only.  The Sally-Tadic types I, IIa,
+IIIa, IVa, Va, VIa, VII, VIIIa, IXa, X and XIa are shapes of the transcribed
+data file data/catalog_types.txt, irreducibility conditions included as its
+require lines.  Each distinct shape compiles once into its registry row, and
+gsp4_types layers the rows of another file over GSP4_TYPES.  Only the shapes
+the file grammar cannot state are coded below: the two supercuspidal shapes
+sc4 and scpair, and free.
 
 nov_lfactor is the pairing factor computed on the parameter side; for a
 principal-series sigma it automatically agrees with the product over the two
@@ -28,7 +29,7 @@ from .errors import (CatalogFormatError, CentralCharacterMismatch,
                      LfacEvalError, LfacSyntaxError, LfacValueError,
                      SimilitudeViolation, TypeConstraintViolation,
                      UnsupportedPair, UnsupportedTensor)
-from .record import Record
+from .record import Record, _substitute
 from .scalar import Scalar
 from .splitrat import SplitRational
 from .wdrep import (Block, IrredPart, WDRep, lfactor, char_rep,
@@ -45,13 +46,35 @@ _TRIV = Character.trivial()
 # --------------------------------------------------------------------- GL(2)
 
 class Gl2Param(Record):
+    """A GL(2) parameter and its call (gl2.ps, gl2.st or gl2.sc); gl2.ps
+    args are in block order, or as called when reducible (sub vs quot)."""
     rep: WDRep
     central: Character
-    kind: str                     # principal-series | steinberg-twist | supercuspidal
+    entry: str
+    args: tuple
     reducible: str | None = None  # None | "sub" | "quot" (1-dim sub/quotient)
 
     def lfactor(self) -> SplitRational:
         return lfactor(self.rep)
+
+    def substitute(self, values: dict) -> "Gl2Param":
+        # rebuilt by its constructor, which re-derives args and rechecks
+        ctor = {"gl2.ps": principal_series, "gl2.st": steinberg,
+                "gl2.sc": supercuspidal}[self.entry]
+        return ctor(*_substitute(self.args, values))
+
+
+# a bare name of the expression language (dsl lexes by it), as labels must be
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?"
+
+
+def _check_irred(where: str, label, det) -> None:
+    if not (isinstance(label, str) and re.fullmatch(_NAME, label)):
+        raise TypeConstraintViolation("label %r of %s must be a bare name"
+                                      % (label, where))
+    if not isinstance(det, Character):
+        raise TypeConstraintViolation("the determinant or similitude of %s "
+                                      "must be a character" % where)
 
 
 def _is_absval_square(chi: Character, k: int) -> bool:
@@ -65,37 +88,37 @@ def principal_series(chi1: Character, chi2: Character,
     need the explicit flag, which records which constituent is 1-dimensional
     ("sub" when the ratio is |.|^{-1}, "quot" when it is |.|)."""
     ratio = chi1 / chi2
-    tag = None
-    if _is_absval_square(ratio, -2):
-        tag = "sub"
-    elif _is_absval_square(ratio, 2):
-        tag = "quot"
+    tag = "sub" if _is_absval_square(ratio, -2) else \
+        "quot" if _is_absval_square(ratio, 2) else None
     if tag and not reducible:
         raise TypeConstraintViolation(
             "principal series with ratio |.|^{+-1} is reducible; pass "
             "reducible=True, or red as the third argument of gl2.ps, to "
             "construct it anyway")
-    return Gl2Param(WDRep([Block(chi1, 0), Block(chi2, 0)]), chi1 * chi2,
-                    "principal-series", tag)
+    rep = WDRep([Block(chi1, 0), Block(chi2, 0)])
+    b1, b2 = rep.blocks
+    return Gl2Param(rep, chi1 * chi2, "gl2.ps", (chi1, chi2, "red") if tag
+                    else (b1.part, b2.part), tag)
 
 
 def steinberg(chi: Character = _TRIV) -> Gl2Param:
     """chi St, the twisted Steinberg; plain St for trivial chi."""
-    return Gl2Param(char_rep(chi, 1), chi ** 2, "steinberg-twist")
+    return Gl2Param(char_rep(chi, 1), chi ** 2, "gl2.st",
+                    () if chi.is_trivial else (chi,))
 
 
 def supercuspidal(label: str, det: Character = _TRIV) -> Gl2Param:
+    _check_irred("gl2.sc", label, det)
     part = IrredPart(2, label, base_det=det)
-    return Gl2Param(WDRep([Block(part, 0)]), det, "supercuspidal")
+    return Gl2Param(WDRep([Block(part, 0)]), det, "gl2.sc",
+                    (label,) if det.is_trivial else (label, det))
 
 
 # -------------------------------------------------------------------- GSp(4)
 
 class Gsp4Param(Record):
-    """A GSp(4) parameter and the call that built it: entry is the
-    expression function (gsp4.VIa, gsp4.sc4, gsp4.free, theta, ...) and args
-    its arguments, so entry(args...) is its text form.  A record built
-    directly has no entry and no text form."""
+    """A GSp(4) parameter and its call (gsp4.VIa, gsp4.free, theta, ...);
+    a record built directly has no entry and no text form."""
     rep: WDRep
     similitude: Character
     st_type: str               # catalog type tag, SC or FREE
@@ -121,6 +144,7 @@ def free(rep: WDRep, similitude: Character) -> Gsp4Param:
 def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
     """Supercuspidal with an irreducible 4-dimensional parameter; the declared
     similitude is recorded as self-duality data (det = similitude^2)."""
+    _check_irred("gsp4.sc4", label, similitude)
     part = IrredPart(4, label, base_det=similitude ** 2,
                      selfdual_twist=similitude.inverse())
     return _make(WDRep([Block(part, 0)]), similitude, "SC", "gsp4.sc4",
@@ -130,6 +154,8 @@ def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
 def sc_pair(label1: str, label2: str, det: Character = _TRIV) -> Gsp4Param:
     """Supercuspidal with parameter a sum of two distinct 2-dimensional
     irreducibles sharing a determinant; similitude is that determinant."""
+    for label in (label1, label2):
+        _check_irred("gsp4.scpair", label, det)
     if label1 == label2:
         raise TypeConstraintViolation("supercuspidal pair needs distinct labels")
     rep = WDRep([Block(IrredPart(2, label1, base_det=det), 0),
@@ -328,6 +354,7 @@ def _shape_type(shape: CatalogShape) -> Gsp4Type:
             if kind == "irred":
                 label = next(rest)
                 det = _TRIV if p in trivial else next(rest)
+                _check_irred(entry, label, det)
                 env[p] = WDRep([Block(IrredPart(2, label, base_det=det), 0)])
                 continue
             env[p] = next(rest)

@@ -49,14 +49,14 @@ from .wdrep import (Block, IrredPart, WDRep, char_rep, dual, lfactor, sp,
 __all__ = ["evaluate_text", "lfactor_of", "parse_scalar"]
 
 # whitespace and comments are the unnamed alternatives; "bad" catches any
-# other character
+# other character; a name is the catalog's _NAME, the form of a label
 _TOKEN_RE = re.compile(r"""
     \s+ | \#[^\n]*
   | (?P<number>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?)
+  | (?P<name>%s)
   | (?P<op>[-+*/^(),])
   | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+""" % cat._NAME, re.VERBOSE | re.DOTALL)
 
 # the binary operator levels, loosest first; at the last one a group
 # directly after a value is an implicit '*'

@@ -23,6 +23,8 @@ from .wdrep import Block, WDRep
 __all__ = ["SCHEMA", "text", "to_json", "unicodize"]
 
 SCHEMA = "lfac-1"
+_GL2_FAMILIES = {"gl2.ps": "principal-series", "gl2.st": "steinberg-twist",
+                 "gl2.sc": "supercuspidal"}
 
 
 # -------------------------------------------------------------------- text
@@ -72,29 +74,10 @@ def _rep_text(w: WDRep) -> str:
     return " + ".join(_block_text(b) for b in w.blocks)
 
 
-def _gl2_text(p: cat.Gl2Param) -> str:
-    if p.kind == "principal-series":
-        c1, c2 = (b.part for b in p.rep.blocks)
-        if p.reducible:
-            # orientation decides sub against quot; keep the recorded one
-            want = -2 if p.reducible == "sub" else 2
-            if not cat._is_absval_square(c1 / c2, want):
-                c1, c2 = c2, c1
-            return "gl2.ps(%s, %s, red)" % (c1, c2)
-        return "gl2.ps(%s, %s)" % (c1, c2)
-    if p.kind == "steinberg-twist":
-        chi = p.rep.blocks[0].part
-        return "gl2.st()" if chi.is_trivial else "gl2.st(%s)" % chi
-    part = p.rep.blocks[0].part
-    if part.base_det.is_trivial:
-        return "gl2.sc(%s)" % part.label
-    return "gl2.sc(%s, %s)" % (part.label, part.base_det)
-
-
-def _gsp4_text(p: cat.Gsp4Param) -> str:
+def _call_text(p) -> str:
     if p.entry is None:
-        raise LfacValueError("a %s parameter built without its constructor "
-                             "arguments has no text form" % p.st_type)
+        raise LfacValueError("a parameter built without its constructor "
+                             "arguments has no text form")
     return "%s(%s)" % (p.entry, ", ".join(
         [a if isinstance(a, str) else text(a) for a in p.args]))
 
@@ -118,10 +101,8 @@ def text(value) -> str:
         return str(value)
     if isinstance(value, WDRep):
         return _rep_text(value)
-    if isinstance(value, cat.Gl2Param):
-        return _gl2_text(value)
-    if isinstance(value, cat.Gsp4Param):
-        return _gsp4_text(value)
+    if isinstance(value, (cat.Gl2Param, cat.Gsp4Param)):
+        return _call_text(value)
     if isinstance(value, _poles.PoleEntry):
         return _entry_text(value)
     if isinstance(value, _poles.PoleReport):
@@ -192,11 +173,12 @@ def to_json(value):
     if isinstance(value, WDRep):
         return _rep_json(value)
     if isinstance(value, cat.Gl2Param):
-        return {"kind": "gl2", "text": _gl2_text(value), "family": value.kind,
+        return {"kind": "gl2", "text": _call_text(value),
+                "family": _GL2_FAMILIES[value.entry],
                 "reducible": value.reducible, "central": str(value.central),
                 "rep": _rep_json(value.rep)}
     if isinstance(value, cat.Gsp4Param):
-        return {"kind": "gsp4", "text": _gsp4_text(value),
+        return {"kind": "gsp4", "text": _call_text(value),
                 "type": value.st_type, "similitude": str(value.similitude),
                 "rep": _rep_json(value.rep)}
     if isinstance(value, _poles.PoleEntry):

@@ -158,12 +158,10 @@ def _gens_order(names) -> tuple[str, ...]:
     return tuple(rest) + (("v",) if "v" in names else ())
 
 
-@functools.lru_cache(maxsize=None)
 def _gens_union(g1: tuple[str, ...], g2: tuple[str, ...]) -> tuple[str, ...]:
     return _gens_order(set(g1) | set(g2))
 
 
-@functools.lru_cache(maxsize=None)
 def _positions(sub: tuple[str, ...], gens: tuple[str, ...]) -> tuple[int, ...]:
     # where each gen of gens sits in sub, len(sub) for a gen sub lacks
     return tuple(sub.index(g) if g in sub else len(sub) for g in gens)
@@ -567,7 +565,7 @@ class Scalar:
         self._gens in the global order."""
         if gens == self._gens:
             return dict(self._num), dict(self._den)
-        at = _positions(self._gens, gens)
+        at = _gens_plan(self._gens, gens)[1]
         return tuple({tuple(map((*e, 0).__getitem__, at)): c for e, c in terms}
                      for terms in (self._num, self._den))
 
@@ -575,7 +573,7 @@ class Scalar:
         """self * other for reduced fractions n1/d1 and n2/d2.  Since
         gcd(n1, d1) = gcd(n2, d2) = 1, the gcd of n1*n2 and d1*d2 is
         gcd(n1, d2) * gcd(n2, d1), and _cancel takes each."""
-        gens = _gens_union(self._gens, other._gens)
+        gens = _gens_plan(self._gens, other._gens)[0]
         n1, d1 = self._polys(gens)
         n2, d2 = other._polys(gens)
         n1, d2, _ = _cancel(n1, d2)
@@ -617,7 +615,7 @@ class Scalar:
         the gcd of the product of the denominators is never taken.  Over
         one-term denominators g is their elementwise min, and e1*e2*g
         their lcm."""
-        gens = _gens_union(self._gens, o._gens)
+        gens = _gens_plan(self._gens, o._gens)[0]
         n1, d1 = self._polys(gens)
         n2, d2 = o._polys(gens)
         e1, e2, g = _cancel(d1, d2)

@@ -251,29 +251,29 @@ def _product_route(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> SplitRational:
     product for principal series, the division identity for Steinberg twists,
     each L(phi_pi (x) chi) read off phi_pi's blocks by lfactor(w, chi).  No
     twist is built; the Steinberg branch builds only the n = 0 slice."""
-    if sigma.kind == "principal-series":
+    if sigma.entry == "gl2.ps":
         c1, c2 = (b.part for b in sigma.rep.blocks)
         return lfactor(pi.rep, c1) * lfactor(pi.rep, c2)
-    if sigma.kind == "steinberg-twist":
+    if sigma.entry == "gl2.st":
         chi = sigma.rep.blocks[0].part
         l = lfactor(pi.rep, chi)
         n0 = lfactor(_blocks_with_n(pi.rep, 0), chi)
         return (l * l.shift(1) / n0).shift(_MINUS_HALF)
-    raise TypeConstraintViolation("no product route for kind %r" % sigma.kind)
+    raise TypeConstraintViolation("no product route for %s" % sigma.entry)
 
 
 def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
     """Tensor route against product route for a non-supercuspidal sigma; for
     IIIa and IVa against plain Steinberg, additionally the closed form
     L(pi,s) L(pi,s+1) at s+1/2 and the absence of subregular poles."""
-    if sigma.kind == "supercuspidal":
+    if sigma.entry == "gl2.sc":
         raise TypeConstraintViolation("theoremA route comparison needs a "
                                       "non-supercuspidal sigma")
     rep = CheckReport("theoremA", 1)
     a = cat.nov_lfactor(pi, sigma)
     _compare(rep, a, _product_route(pi, sigma), "routes disagree", pi.rep,
              sigma.rep)
-    if pi.st_type in ("IIIa", "IVa") and sigma.kind == "steinberg-twist" \
+    if pi.st_type in ("IIIa", "IVa") and sigma.entry == "gl2.st" \
             and sigma.rep.blocks[0].part.is_trivial:
         l = lfactor(pi.rep)
         _compare(rep, a.shift(_HALF), l * l.shift(1),
@@ -286,7 +286,7 @@ def check_theoremA(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
 def check_corollary62(pi: cat.Gsp4Param, sigma: cat.Gl2Param) -> CheckReport:
     """Tensor-route pairing factor equals the product over the two inducing
     characters of a principal-series sigma."""
-    if sigma.kind != "principal-series":
+    if sigma.entry != "gl2.ps":
         raise TypeConstraintViolation("corollary62 route needs a principal "
                                       "series sigma")
     # for a principal-series sigma, theoremA is just the route comparison

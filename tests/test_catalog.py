@@ -34,7 +34,7 @@ absval = Character.absval
 
 def test_principal_series():
     p = principal_series(unr(a), unr(b))
-    assert p.kind == "principal-series" and p.reducible is None
+    assert p.entry == "gl2.ps" and p.reducible is None
     assert p.central == unr(a * b)
     assert str(p.lfactor()) == "1/((1 - a*X)(1 - b*X))"
 
@@ -53,7 +53,7 @@ def test_principal_series_reducible_flag():
 
 def test_steinberg():
     p = steinberg(unr(a))
-    assert p.kind == "steinberg-twist"
+    assert p.entry == "gl2.st"
     assert p.central == unr(a) ** 2
     assert str(p.lfactor()) == "1/(1 - a*v^-1*X)"
     assert p.rep.blocks[0].n == 1
@@ -62,7 +62,7 @@ def test_steinberg():
 
 def test_supercuspidal():
     p = supercuspidal("l", det=unr(a))
-    assert p.kind == "supercuspidal"
+    assert p.entry == "gl2.sc"
     assert p.central == unr(a)
     assert p.lfactor() == 1
     assert p.rep.dim == 2
@@ -314,6 +314,34 @@ def test_type_binding_errors():
     with pytest.raises(TypeConstraintViolation) as ex:
         type_VIa(a)  # a scalar is not a character
     assert str(ex.value) == "param sigma of VIa must be a character"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: type_VII(unr(a), unr(a), unr(a)),  # a character as a label
+    lambda: sc_irred4(unr(a)),
+    lambda: supercuspidal(unr(a)),
+    lambda: supercuspidal("x y"),  # prints as text that does not parse
+    lambda: sc_irred4("2l"),
+    lambda: type_VII("l", a, unr(a)),  # a scalar as a determinant
+    lambda: sc_pair("l", "m", a),
+    lambda: type_X(1, unr(a), unr(a)),  # an int as a label
+], ids=["VII-char-label", "sc4-char-label", "sc-char-label",
+        "sc-spaced-label", "sc4-digit-label", "VII-scalar-det",
+        "scpair-scalar-det", "X-int-label"])
+def test_library_labels_and_determinants_are_checked(build):
+    # each of these once built text the expression reader refuses, or
+    # raised an untyped error
+    with pytest.raises(TypeConstraintViolation,
+                       match="must be a bare name|must be a character"):
+        build()
+
+
+def test_valid_labels_still_build():
+    for p in (supercuspidal("t.1", unr(a)), sc_irred4("u_2", unr(a)),
+              sc_pair("l", "m.x", ram("eta")),
+              type_VII("rho.1", unr(a), unr(b)), type_X("x", unr(b), unr(a)),
+              type_XIa("A9", unr(a))):
+        assert evaluate_text(render.text(p)) == p
 
 
 def test_trivial_det_requirement():

@@ -117,7 +117,7 @@ def test_gl2_expressions():
     assert ev("gl2.ps(unr(a), unr(b))") == principal_series(unr(a), unr(b))
     assert ev("gl2.ps(unr(a), unr(a)*abs(1), red)").reducible == "sub"
     assert ev("gl2.st(unr(a))") == steinberg(unr(a))
-    assert ev("gl2.sc(l, unr(a))").kind == "supercuspidal"
+    assert ev("gl2.sc(l, unr(a))").entry == "gl2.sc"
     with pytest.raises(LfacEvalError):
         ev("gl2.ps(unr(a), unr(b), blue)")
 

@@ -27,7 +27,7 @@ FIELDS = {
     IrredPart: ("dim", "label", "starred", "twist", "base_det",
                 "selfdual_twist"),
     Block: ("part", "n"),
-    Gl2Param: ("rep", "central", "kind", "reducible"),
+    Gl2Param: ("rep", "central", "entry", "args", "reducible"),
     Gsp4Param: ("rep", "similitude", "st_type", "entry", "args"),
     CatalogShape: ("name", "params", "requires", "blocks", "similitude"),
     Gsp4Type: ("name", "ctor", "sig", "optional"),

@@ -155,6 +155,57 @@ def test_catalog_file_types_roundtrip(three_shape_catalog, data):
     assert evaluate_text(text(p), catalog=shapes) == p
 
 
+def _gl2_roundtrip(p, family):
+    back = evaluate_text(text(p))
+    assert back == p and back.reducible == p.reducible
+    assert text(back) == text(p)
+    assert to_json(p)["family"] == family
+    # a = 1 may make a character trivial or reorder the blocks; the
+    # substituted parameter is rebuilt by its constructor, so it still
+    # reads back equal, or it is refused as a newly reducible gl2.ps
+    try:
+        q = p.substitute({"a": 1})
+    except TypeConstraintViolation:
+        assert p.entry == "gl2.ps" and p.reducible is None
+        return
+    assert evaluate_text(text(q)) == q and q.reducible == p.reducible
+
+
+@settings(max_examples=60, deadline=None)
+@given(chi=chars, mu=chars, ratio=st.sampled_from([None, 1, -1]))
+def test_gl2_ps_prints_as_its_call(chi, mu, ratio):
+    # ratio 1 or -1 makes mu = chi |.|^ratio, a reducible principal series
+    if ratio is not None:
+        mu = chi * Character.absval(ratio)
+    p = principal_series(chi, mu, reducible=True)
+    q = principal_series(mu, chi, reducible=True)
+    for x in (p, q):
+        _gl2_roundtrip(x, "principal-series")
+    if p.reducible is None:
+        # both orders are one value, printed in block order
+        assert p == q and text(p) == text(q) and q.reducible is None
+        assert text(p) == "gl2.ps(%s, %s)" % tuple(
+            b.part for b in p.rep.blocks)
+    else:
+        # the order tells the 1-dimensional sub from the quotient
+        assert {p.reducible, q.reducible} == {"sub", "quot"}
+        assert text(p) == "gl2.ps(%s, %s, red)" % (chi, mu)
+        assert text(q) == "gl2.ps(%s, %s, red)" % (mu, chi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chi=st.one_of(st.just(Character.trivial()), chars),
+       det=st.one_of(st.just(Character.trivial()), chars),
+       label=st.sampled_from(["l", "t1", "rho.2"]))
+def test_gl2_st_and_sc_print_as_their_call(chi, det, label):
+    st_, sc = steinberg(chi), supercuspidal(label, det)
+    _gl2_roundtrip(st_, "steinberg-twist")
+    _gl2_roundtrip(sc, "supercuspidal")
+    assert text(st_) == ("gl2.st()" if chi.is_trivial else "gl2.st(%s)" % chi)
+    assert text(sc) == ("gl2.sc(%s)" % label if det.is_trivial
+                        else "gl2.sc(%s, %s)" % (label, det))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_generated_values_roundtrip(seed):

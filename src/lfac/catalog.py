@@ -137,10 +137,40 @@ def _make(rep: WDRep, sim: Character, st_type: str, entry: str,
     return Gsp4Param(rep, sim, st_type, entry, args)
 
 
+def _arity(low: int, high: float) -> str:
+    if high == low:
+        return "%d argument%s" % (low, "" if low == 1 else "s")
+    if high == float("inf"):
+        return "at least %d argument%s" % (low, "" if low == 1 else "s")
+    return "%d to %d arguments" % (low, high)
+
+
+def _coded(name: str):
+    """Decorate fn as the ctor of the coded row gsp4.<name>: a call with the
+    wrong number of arguments is refused as a shape row refuses it."""
+    def row(fn):
+        high = fn.__code__.co_argcount
+        low = high - len(fn.__defaults__ or ())
+
+        @functools.wraps(fn)
+        def ctor(*args):
+            if not low <= len(args) <= high:
+                raise TypeConstraintViolation("type %s takes %s"
+                                              % (name, _arity(low, high)))
+            return fn(*args)
+        return ctor
+    return row
+
+
+@_coded("free")
 def free(rep: WDRep, similitude: Character) -> Gsp4Param:
+    if not (isinstance(rep, WDRep) and isinstance(similitude, Character)):
+        raise TypeConstraintViolation("gsp4.free takes a representation and "
+                                      "a character")
     return _make(rep, similitude, "FREE", "gsp4.free", (rep, similitude))
 
 
+@_coded("sc4")
 def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
     """Supercuspidal with an irreducible 4-dimensional parameter; the declared
     similitude is recorded as self-duality data (det = similitude^2)."""
@@ -151,6 +181,7 @@ def sc_irred4(label: str, similitude: Character = _TRIV) -> Gsp4Param:
                  (label, similitude))
 
 
+@_coded("scpair")
 def sc_pair(label1: str, label2: str, det: Character = _TRIV) -> Gsp4Param:
     """Supercuspidal with parameter a sum of two distinct 2-dimensional
     irreducibles sharing a determinant; similitude is that determinant."""
@@ -347,8 +378,8 @@ def _shape_type(shape: CatalogShape) -> Gsp4Type:
         from .dsl import _SIMPLE, _Evaluator, _evaluate  # dsl imports this module
 
         if len(args) != len(sig):
-            raise TypeConstraintViolation("type %s takes %d arguments"
-                                          % (name, len(sig)))
+            raise TypeConstraintViolation(
+                "type %s takes %s" % (name, _arity(len(sig), len(sig))))
         rest, env = iter(args), {}
         for p, kind in shape.params:
             if kind == "irred":

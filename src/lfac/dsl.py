@@ -10,17 +10,19 @@ a value multiplies it, so factored denominators like
 (1 - a*X)(1 - b*v^-1*X) read back in.  The lone subtraction producing a
 factored object is 1 - beta*X.
 
-The reader lexes the text in one regex pass into (kind, piece, offset)
-tokens; the line and column of a syntax error are worked out from its
-offset only when the error is raised.  The three binary operator levels
-('+'/'-', 'x', '*'/'/' with the implicit '*') share one loop over _LEVELS,
-and a run of one level's operators parses to one flat chain that evaluates
-in a loop, so its length is not limited.  Unary minus signs are read in a
-loop too, and a run of '^' exponents parses to one power node that
-evaluates in a loop, so the parser recurses only into groups and calls;
-the evaluator recurses once per call or unary minus.  Groups,
-calls and unary minus signs nest at most NEST_MAX deep, a fixed bound that
-does not depend on how deep the caller's stack already is.
+The reader lexes the text with one regex pass into a list of pieces,
+whose kind is their first character, and parses them with one frame per
+operand: expr reads the three binary operator levels ('+'/'-', 'x',
+'*'/'/' with the implicit '*') in one loop, and a run of one level's
+operators parses to one flat chain that evaluates in a loop, so its length
+is not limited.  Unary minus signs are read in a loop too, and a run of
+'^' exponents parses to one power node, so the parser recurses only into
+groups and calls; the evaluator, which looks up its handler by the node
+tag, recurses once per call or unary minus.  Only when the parse stops is
+the text searched for a refused character, and the line and column of the
+error worked out.  Groups, calls and unary minus signs nest at most
+NEST_MAX deep, a fixed bound that does not depend on how deep the caller's
+stack already is.
 
 Every function is one row of the _SIMPLE table: a callable and a signature
 that _fn turns into the handler, with the arity check and the argument
@@ -48,111 +50,147 @@ from .wdrep import (Block, IrredPart, WDRep, char_rep, dual, lfactor, sp,
 
 __all__ = ["evaluate_text", "lfactor_of", "parse_scalar"]
 
-# whitespace and comments are the unnamed alternatives; "bad" catches any
-# other character; a name is the catalog's _NAME, the form of a label
-_TOKEN_RE = re.compile(r"""
-    \s+ | \#[^\n]*
-  | (?P<number>\d+)
-  | (?P<name>%s)
-  | (?P<op>[-+*/^(),])
-  | (?P<bad>.)
-""" % cat._NAME, re.VERBOSE | re.DOTALL)
+# a piece is the group: a number, a name (the catalog's _NAME, the form of a
+# label), an operator, or any other character but whitespace, which the
+# parser refuses; a comment leaves the group empty, and the search skips
+# whitespace
+_TOKEN_RE = re.compile(r"\#.*|(\d+|%s|[-+*/^(),]|\S)" % cat._NAME)
+# the pieces but the last, each as long as the lexer takes it, so that a
+# match ends at the first refused character, in time linear in the text;
+# only an error compiles it
+_CLEAN = (r"(?:\s+(?!\s)|\#.*(?!.)|\d+(?!\d)|%s(?![A-Za-z0-9_])|[-+*/^(),])*"
+          % cat._NAME)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                        "abcdefghijklmnopqrstuvwxyz_")
+# the operators of the last level, where a group directly after a value is
+# an implicit '*'
+_TIGHT = frozenset("*/(")
 
-# the binary operator levels, loosest first; at the last one a group
-# directly after a value is an implicit '*'
-_LEVELS = (("+", "-"), ("x",), ("*", "/", "("))
-
-# the deepest nesting of groups, calls and unary minus signs: at five parser
-# frames a level, 160 leave room under the default recursion limit of 1000
+# the deepest nesting of groups, calls and unary minus signs: at two parser
+# frames a level, and three evaluator frames a call, 160 leave room under
+# the default recursion limit of 1000
 NEST_MAX = 160
 
 
 class _Parser:
-    """Recursive descent over (kind, piece, offset) tokens.  A run of one
-    level's operators parses to one flat chain node, so only nesting
-    recurses.  No name or number spells an operator, so a token is tested
-    by its piece alone."""
+    """Recursive descent over the pieces, "" at the end.  No name or number
+    spells an operator, so a piece is tested by its text alone."""
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = [(m.lastgroup, m.group(), m.start())
-                     for m in _TOKEN_RE.finditer(text) if m.lastgroup]
-        self.toks.append(("end", "", len(text)))
+        self.pieces = _TOKEN_RE.findall(text)
+        if "#" in text:
+            self.pieces = [p for p in self.pieces if p]
+        self.pieces.append("")
         self.i = 0
-        self.depth = -1  # the outermost operand is not nested
-        for kind, piece, offset in self.toks:
-            if kind == "bad":
-                raise self.error("unexpected character %r" % piece, offset)
+        self.depth = 0  # the groups, calls and minus signs around expr
 
-    def error(self, msg, offset=None) -> LfacSyntaxError:
-        """msg at the line and column of offset (the current token's by
-        default), worked out only here."""
+    def error(self, msg, i=None, offset=None) -> LfacSyntaxError:
+        """msg at offset, by default at the start of piece i, or else of the
+        current piece, whose offset is lexed again only here."""
         if offset is None:
-            offset = self.toks[self.i][2]
+            offset = ([m.start() for m in _TOKEN_RE.finditer(self.text)
+                       if m.lastindex] + [len(self.text)])[
+                self.i if i is None else i]
         return LfacSyntaxError(msg, self.text.count("\n", 0, offset) + 1,
                                offset - self.text.rfind("\n", 0, offset))
 
-    def at(self, *pieces) -> bool:
-        return self.toks[self.i][1] in pieces
-
     def expect(self, op):
-        if not self.at(op):
+        if self.pieces[self.i] != op:
             raise self.error("expected %r" % op)
         self.i += 1
 
     def parse(self):
-        node = self.expr()
-        kind, piece, _ = self.toks[self.i]
-        if kind != "end":
-            raise self.error("trailing input %r" % piece)
-        return node
+        try:
+            node = self.expr()
+            if self.pieces[self.i]:
+                raise self.error("trailing input %r" % self.pieces[self.i])
+            return node
+        except (LfacSyntaxError, RecursionError):
+            # a refused character is reported first, wherever the parse
+            # stopped
+            end = re.match(_CLEAN, self.text).end()
+            if end == len(self.text):
+                raise
+            raise self.error("unexpected character %r" % self.text[end],
+                             offset=end) from None
 
-    def expr(self, level=0):
-        # unary reads the last level's operands directly: a frame less a level
-        ops = _LEVELS[level]
-        last = level + 1 == len(_LEVELS)
-        first = self.unary() if last else self.expr(level + 1)
-        rest = []
-        while self.at(*ops):
-            op = self.toks[self.i][1]
-            if op == "(":
-                op = "*"
-            else:
-                self.i += 1
-            rest.append((op, self.unary() if last else self.expr(level + 1)))
-        return ("chain", first, rest) if rest else first
-
-    def unary(self):
-        # unary minus signs, an atom and its '^' exponents; every operand
-        # but the outermost is one level inside a group or call, and each
-        # minus sign nests one more
-        signs = 0
-        while self.at("-"):
-            self.i += 1
-            signs += 1
-        self.depth += signs + 1
+    def expr(self):
+        # '+'/'-' chains of 'x' chains of '*'/'/' chains; the first operand
+        # is as deep as the expression
         if self.depth > NEST_MAX:
             raise LfacSyntaxError("expression nested too deeply", 1, 1)
-        node = self.atom()
-        self.depth -= signs + 1
-        exps = []
-        while self.at("^"):
+        p, operand = self.pieces, self.operand
+        node, terms, factors, op = operand(), [], [], None
+        while True:
+            if p[self.i] in _TIGHT:
+                rest = []
+                while p[self.i] in _TIGHT:
+                    tight = p[self.i]
+                    self.i += tight != "("
+                    rest.append(("*" if tight == "(" else tight, operand()))
+                node = ("chain", node, rest)
+            factors.append(("x", node))
+            if p[self.i] != "x":
+                terms.append((op, _flat(factors)))
+                op = p[self.i]
+                if op != "+" and op != "-":
+                    return _flat(terms)
+                factors = []
             self.i += 1
-            exps.append(self.exponent())
-        if exps:
+            node = operand()
+
+    def operand(self):
+        # unary minus signs, an atom and its '^' exponents; each minus sign
+        # nests one level, and a group or a call's arguments one more
+        p, i, signs = self.pieces, self.i, 0
+        while p[i] == "-":
+            i += 1
+            signs += 1
+        if signs and self.depth + signs > NEST_MAX:
+            raise LfacSyntaxError("expression nested too deeply", 1, 1)
+        piece = p[i]
+        self.i = i + 1
+        if piece.isdecimal():
+            node = ("num", Scalar.from_rational(self.literal(i)))
+        elif piece != "(" and piece[:1] not in _NAME_START:
+            self.i = i
+            raise self.error("expected a value")
+        # only known or dotted function names consume a following '(', so
+        # X(1 - a*X)^2 is X times a group raised to 2
+        elif piece == "(" or p[i + 1] == "(" and (piece in _SIMPLE
+                                                  or "." in piece):
+            call = piece != "("
+            self.i += call
+            self.depth += signs + 1
+            args = [] if call and p[self.i] == ")" else [self.expr()]
+            while call and p[self.i] == ",":
+                self.i += 1
+                args.append(self.expr())
+            self.depth -= signs + 1
+            self.expect(")")
+            node = ("call", piece, args) if call else args[0]
+        else:
+            node = ("name", piece)
+        if p[self.i] == "^":
             # one node for the run, raised left to right: 2^3^2 is 64
+            exps = []
+            while p[self.i] == "^":
+                self.i += 1
+                exps.append(self.exponent())
             node = ("pow", node, exps)
         for _ in range(signs):
             node = ("neg", node)
         return node
 
     def exponent(self) -> int:
-        paren = self.at("(")
+        p = self.pieces
+        paren = p[self.i] == "("
         self.i += paren
-        sign = -1 if self.at("-") else 1
+        sign = -1 if p[self.i] == "-" else 1
         self.i += sign < 0
         digits = self.i
-        if self.toks[digits][0] != "number":
+        if not p[digits].isdecimal():
             raise self.error("exponent must be an integer")
         self.i += 1
         if paren:
@@ -160,35 +198,16 @@ class _Parser:
         return sign * self.literal(digits)
 
     def literal(self, i: int) -> int:
-        _, piece, offset = self.toks[i]
         try:
-            return int(piece)
+            return int(self.pieces[i])
         except ValueError:  # past the interpreter's limit on integer digits
             raise self.error("integer literal of %d digits is too long"
-                             % len(piece), offset) from None
+                             % len(self.pieces[i]), i) from None
 
-    def atom(self):
-        kind, piece, _ = self.toks[self.i]
-        if kind not in ("number", "name") and piece != "(":
-            raise self.error("expected a value")
-        self.i += 1
-        if kind == "number":
-            return ("num", Scalar.from_rational(self.literal(self.i - 1)))
-        if kind == "name":
-            # only known or dotted function names consume a following '(';
-            # anything else leaves it to juxtaposition, so X(1 - a*X)^2 groups right
-            if not (self.at("(") and (piece in _SIMPLE or "." in piece)):
-                return ("name", piece)
-            self.i += 1
-            args = [] if self.at(")") else [self.expr()]
-            while args and self.at(","):
-                self.i += 1
-                args.append(self.expr())
-            self.expect(")")
-            return ("call", piece, args)
-        node = self.expr()
-        self.expect(")")
-        return node
+
+def _flat(pairs):
+    # one level's [(op, operand), ...] as one chain node, or its lone operand
+    return ("chain", pairs[0][1], pairs[1:]) if len(pairs) > 1 else pairs[0][1]
 
 
 # ----------------------------------------------------------------- coercion
@@ -257,32 +276,16 @@ class _Evaluator:
         self.fns = fns
 
     def run(self, node):
-        tag = node[0]
-        if tag == "chain":
-            acc = self.run(node[1])
-            for op, rhs in node[2]:
-                acc = _binop(op, acc, self.run(rhs))
-            return acc
-        if tag == "num":
-            return node[1]
-        if tag == "name":
-            return self.lookup(node[1])
-        if tag == "call":
-            if node[1] not in self.fns:
-                raise LfacEvalError("unknown function %s" % node[1])
-            return self.fns[node[1]](self, node[2])
-        if tag == "neg":
-            return -_as_scalar(self.run(node[1]))
-        if tag == "pow":
-            base = self.run(node[1])
-            if not isinstance(base, (Scalar, SplitRational, Character)):
-                raise LfacEvalError("cannot raise %s to a power" % _kind(base))
-            for n in node[2]:
-                base = base ** n
-            return base
-        raise LfacEvalError("unhandled node %r" % (tag,))
+        return _RUN[node[0]](self, node)
 
-    def lookup(self, name):
+    def chain(self, node):
+        acc = self.run(node[1])
+        for op, rhs in node[2]:
+            acc = _binop(op, acc, self.run(rhs))
+        return acc
+
+    def name(self, node):
+        name = node[1]
         if name in self.env:
             return self.env[name]
         if name == "v":
@@ -295,6 +298,26 @@ class _Evaluator:
             return Scalar.symbol(name)
         except ValueError as e:
             raise LfacEvalError(str(e)) from None
+
+    def call(self, node):
+        if node[1] not in self.fns:
+            raise LfacEvalError("unknown function %s" % node[1])
+        return self.fns[node[1]](self, node[2])
+
+    def power(self, node):
+        base = self.run(node[1])
+        if not isinstance(base, (Scalar, SplitRational, Character)):
+            raise LfacEvalError("cannot raise %s to a power" % _kind(base))
+        for n in node[2]:
+            base = base ** n
+        return base
+
+
+# the handler of each node tag
+_RUN = {"chain": _Evaluator.chain, "num": lambda ev, node: node[1],
+        "name": _Evaluator.name, "call": _Evaluator.call,
+        "neg": lambda ev, node: -_as_scalar(ev.run(node[1])),
+        "pow": _Evaluator.power}
 
 
 def _binop(op, a, b):
@@ -410,14 +433,6 @@ _COERCE = {"s": _as_scalar, "i": _as_int, "h": _as_half, "f": _as_split,
            "v": lambda v: v}
 
 
-def _arity(low: int, high: float) -> str:
-    if high == low:
-        return "%d argument%s" % (low, "" if low == 1 else "s")
-    if high == float("inf"):
-        return "at least %d argument%s" % (low, "" if low == 1 else "s")
-    return "%d to %d arguments" % (low, high)
-
-
 def _fn(ctor, name, sig, optional=0):
     """The handler of the function `name`: one letter of sig per argument,
     the last `optional` of which may be left out, and a trailing '*' repeats
@@ -429,7 +444,7 @@ def _fn(ctor, name, sig, optional=0):
     last = len(letters) - 1
     low = len(letters) - optional - repeat
     high = float("inf") if repeat else len(letters)
-    want = "%s takes %s" % (name, _arity(low, high))
+    want = "%s takes %s" % (name, cat._arity(low, high))
 
     def fn(ev, args):
         if not low <= len(args) <= high:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import re
@@ -16,8 +17,8 @@ from lfac.chars import Character
 from lfac.cli import main
 from lfac.dsl import evaluate_text
 from lfac.errors import (CatalogFormatError, CentralCharacterMismatch,
-                         SimilitudeViolation, TypeConstraintViolation,
-                         UnsupportedPair)
+                         LfacError, SimilitudeViolation,
+                         TypeConstraintViolation, UnsupportedPair)
 from lfac.scalar import Scalar
 from lfac.wdrep import char_rep, lfactor, tensor_lfactor
 
@@ -334,6 +335,46 @@ def test_library_labels_and_determinants_are_checked(build):
     with pytest.raises(TypeConstraintViolation,
                        match="must be a bare name|must be a character"):
         build()
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: free(unr(a), unr(a ** 2)),
+     "gsp4.free takes a representation and a character"),
+    (lambda: free(char_rep(unr(a), 1), "l"),
+     "gsp4.free takes a representation and a character"),
+    (lambda: sc_irred4(), "type sc4 takes 1 to 2 arguments"),
+    (lambda: sc_pair("l"), "type scpair takes 2 to 3 arguments"),
+    (lambda: GSP4_TYPES["sc4"].ctor("l", "m", "n"),
+     "type sc4 takes 1 to 2 arguments"),
+    (lambda: free(), "type free takes 2 arguments"),
+    (lambda: type_VIa(), "type VIa takes 1 argument"),
+], ids=["free-char-rep", "free-label-similitude", "sc4-none", "scpair-one",
+        "sc4-three", "free-none", "VIa-none"])
+def test_coded_rows_refuse_as_the_shape_rows_do(build, text):
+    with pytest.raises(TypeConstraintViolation) as ex:
+        build()
+    assert str(ex.value) == text
+
+
+# one argument of each kind a caller might pass: a character, a label, a
+# scalar, an int, a representation (closed under its dual twisted by the
+# character) and a GL(2) parameter
+_ROW_ARGS = (unr(a), "l", a, 2,
+             char_rep(unr(a)) + char_rep(Character.trivial()),
+             steinberg(unr(a)))
+
+
+@pytest.mark.parametrize("name", sorted(GSP4_TYPES))
+def test_every_row_builds_a_value_or_refuses_typed(name):
+    # 259 calls a row, every tuple of 0-3 arguments drawn from _ROW_ARGS:
+    # none raises an untyped error, and what is built reads back equal
+    for n in range(4):
+        for args in itertools.product(_ROW_ARGS, repeat=n):
+            try:
+                p = GSP4_TYPES[name].ctor(*args)
+            except LfacError:
+                continue
+            assert evaluate_text(render.text(p)) == p
 
 
 def test_valid_labels_still_build():
